@@ -241,8 +241,8 @@ def check_spline_properties(base_seed: int = 0) -> CheckResult:
             xl, xr = m.positions[j], m.positions[j + 1]
             grid = np.linspace(xl, xr, 21)[1:-1]
             grid = np.append(grid, 0.5 * (xl + xr))
-            fs, _ = spline.spline_score_pool(m, grid, "function")
-            ds, _ = spline.spline_score_pool(m, grid, "data", dens)
+            fs, _ = spline.spline_score_pool(m, grid, ScoreKind.FUNCTION_NORM)
+            ds, _ = spline.spline_score_pool(m, grid, ScoreKind.DATA_NORM, dens)
             entry = {"width": xr - xl, "f": fs, "d": ds,
                      "f_mid": fs[-1], "d_mid": ds[-1]}
             (same if m.values[j] == m.values[j + 1] else opp).append(entry)

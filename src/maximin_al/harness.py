@@ -173,7 +173,11 @@ class RunRecord:
 
 
 def load_csv_dataset(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a ``f0..f{d-1},label`` CSV; labels must be +-1, no missing fields."""
+    """Read a ``f0..f{d-1},label`` CSV; labels must be +-1, no missing fields.
+
+    Points must be distinct: the interpolant cannot be fit through two labels
+    at one point, so a repeated point is reported with both row numbers.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -185,7 +189,7 @@ def load_csv_dataset(path) -> tuple[np.ndarray, np.ndarray]:
         if d < 1 or header[-1] != "label" or header[:-1] != [f"f{i}" for i in range(d)]:
             raise IngestionError(
                 f"header must be f0..f{{d-1}},label, got {header}", row=0)
-        points, labels = [], []
+        points, labels, seen = [], [], {}
         for row_num, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise IngestionError(
@@ -198,6 +202,11 @@ def load_csv_dataset(path) -> tuple[np.ndarray, np.ndarray]:
             if not all(np.isfinite(feats)) or label not in (-1.0, 1.0):
                 raise IngestionError(
                     f"invalid feature or label in {row}", row=row_num)
+            first, first_label = seen.setdefault(tuple(feats), (row_num, label))
+            if first != row_num:
+                agree = "the same" if first_label == label else "a conflicting"
+                raise IngestionError(f"row {row_num} repeats the point of row {first} "
+                                     f"with {agree} label", row=row_num)
             points.append(feats)
             labels.append(int(label))
     if not points:
@@ -216,7 +225,7 @@ def write_dataset_csv(path, points: np.ndarray, labels: np.ndarray) -> None:
 
 
 class _KernelLearner:
-    """Kernel model state shared by the run loop."""
+    """The run loop's learner interface: ``add``, ``predict`` and ``select``."""
 
     def __init__(self, config: ModelConfig, dim: int):
         self.model = KernelInterpolator.empty(
@@ -228,11 +237,13 @@ class _KernelLearner:
     def predict(self, points) -> np.ndarray:
         return self.model.predict(points)
 
-    def scores(self, pool: UnlabeledPool, kind: ScoreKind):
-        return scoring.score_pool(self.model, pool, kind)
+    def select(self, pool_points, kind: ScoreKind, rng) -> scoring.ScoredCandidate:
+        return scoring.select_next(self.model, UnlabeledPool(pool_points), kind, rng)
 
 
 class _SplineLearner:
+    """The spline model behind the same interface; it predicts 0 before any label."""
+
     def __init__(self):
         self.positions: list[float] = []
         self.labels: list[int] = []
@@ -244,12 +255,12 @@ class _SplineLearner:
         self.model = spline.fit_spline(self.positions, self.labels)
 
     def predict(self, points) -> np.ndarray:
+        if self.model is None:
+            return np.zeros(len(points))
         return self.model.predict(np.asarray(points).ravel())
 
-    def scores(self, pool: UnlabeledPool, kind: ScoreKind):
-        us = pool.points.ravel()
-        density = spline.Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
-        return spline.spline_score_pool(self.model, us, kind, density)
+    def select(self, pool_points, kind: ScoreKind, rng) -> scoring.ScoredCandidate:
+        return spline.spline_select_next(self.model, pool_points, kind, rng)
 
 
 def _build_task(cfg: ExperimentConfig, task_seed):
@@ -307,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     learner = (_SplineLearner() if cfg.model.kind == "spline"
                else _KernelLearner(cfg.model, dim))
     rng = np.random.default_rng(select_ss)
-    kind = ScoreKind.FUNCTION_NORM if cfg.score == "function" else ScoreKind.DATA_NORM
+    kind = None if cfg.score == "random" else ScoreKind(cfg.score)
 
     record = RunRecord(config=cfg, task_kind=cfg.task["kind"])
     if cluster_spec is not None:
@@ -328,20 +339,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         pool_idx = np.flatnonzero(unlabeled)
         if len(pool_idx) == 0:
             break
-        if forced:
-            idx = forced.pop(0)
-            est = _estimate(learner, points[idx])
-            score_val = float("nan")
-        elif cfg.score == "random":
-            idx = int(rng.choice(pool_idx))
-            est = _estimate(learner, points[idx])
+        if forced or kind is None:
+            idx = forced.pop(0) if forced else int(rng.choice(pool_idx))
+            est = 1 if learner.predict(points[idx:idx + 1])[0] >= 0 else -1
             score_val = float("nan")
         else:
-            pool = UnlabeledPool(points[pool_idx])
-            if isinstance(learner, _KernelLearner):
-                chosen = scoring.select_next(learner.model, pool, kind, rng)
-            else:
-                chosen = spline.spline_select_next(learner.model, pool, kind, rng)
+            chosen = learner.select(points[pool_idx], kind, rng)
             idx = int(pool_idx[chosen.index])
             est = chosen.label
             score_val = chosen.score
@@ -369,12 +372,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     record.final_error = record.steps[-1].train_error if record.steps else float("nan")
     return record
-
-
-def _estimate(learner, point) -> int:
-    if isinstance(learner, _SplineLearner) and learner.model is None:
-        return 1
-    return 1 if float(learner.predict(np.atleast_2d(point))[0]) >= 0 else -1
 
 
 @dataclass

@@ -200,12 +200,19 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     Raises
     ------
     ValueError
-        If the labeled set is empty (use :meth:`KernelInterpolator.empty`).
+        If the labeled set is empty (use :meth:`KernelInterpolator.empty`), or
+        if ``d >= 3`` and ``p > 2``: there ``exp(-||x||_p / h)`` is not
+        positive definite (Koldobsky 1991; Zastavnyi 1991), so the Gram
+        matrix can be indefinite and no interpolant is guaranteed.
     ConditioningError
         If no jitter level yields an acceptable factorization.
     """
     if len(labeled) == 0:
         raise ValueError("fit requires a nonempty labeled set")
+    if labeled.dim >= 3 and config.exponent > 2:
+        raise ValueError(
+            f"exp(-||x||_p/h) with p = {config.exponent} is not positive definite in "
+            f"d = {labeled.dim}; use p <= 2 when d >= 3 (Koldobsky 1991; Zastavnyi 1991)")
     K = kernel_matrix(labeled.points, labeled.points, config)
     y = labeled.labels.astype(float)
     last_cond = None

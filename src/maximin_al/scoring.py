@@ -121,29 +121,42 @@ def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
     return f, schur, A, C
 
 
+def _score(model: KernelInterpolator, points, kind: ScoreKind,
+           density: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and estimated labels of the rows of ``points`` (or of one 1-D point).
+
+    The data score averages over ``density``; by default over ``points``
+    themselves, which reuses their solves.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    f, schur, A, C = _pool_statistics(model, points)
+    labels = np.where(f >= 0, 1, -1)
+    if kind is ScoreKind.FUNCTION_NORM:
+        return model.norm_sq + (1.0 - np.abs(f)) ** 2 / schur, labels
+    if kind is not ScoreKind.DATA_NORM:
+        raise ValueError(f"unknown score kind {kind!r}")
+    # Residual kernel R = K(points, density) - A^T K^{-1} K(X_L, density).
+    R = kernel_matrix(points, points if density is None else density, model.config)
+    if A is not None and density is None:
+        R = R - A.T @ C
+    elif A is not None:
+        R = R - A.T @ model.solve(kernel_matrix(model.base.points, density, model.config))
+    gain = ((1.0 - np.abs(f)) / schur) ** 2
+    return gain * np.mean(R ** 2, axis=1), labels
+
+
 def score_pool(model: KernelInterpolator, pool: UnlabeledPool,
                kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
-    """Score every pool candidate at once.
+    """Score every pool candidate at once; the data score averages over the pool.
 
     Returns
     -------
     scores, labels : ndarray of shape (len(pool),)
         MaxiMin scores and the matching estimated labels ``t(u)``.
     """
-    points = pool.points
     if len(model) and pool.dim != model.base.dim:
         raise ValueError(f"pool dimension {pool.dim} does not match model {model.base.dim}")
-    f, schur, A, C = _pool_statistics(model, points)
-    labels = np.where(f >= 0, 1, -1)
-    if kind is ScoreKind.FUNCTION_NORM:
-        scores = model.norm_sq + (1.0 - np.abs(f)) ** 2 / schur
-        return scores, labels
-    # Data-based norm: mean squared change of f over the pool itself.
-    K_pool = kernel_matrix(points, points, model.config)
-    R = K_pool if A is None else K_pool - A.T @ C
-    gain = ((1.0 - np.abs(f)) / schur) ** 2
-    scores = gain * np.mean(R ** 2, axis=1)
-    return scores, labels
+    return _score(model, pool.points, kind)
 
 
 def score_function_norm(model: KernelInterpolator, u) -> ScoredCandidate:
@@ -152,11 +165,8 @@ def score_function_norm(model: KernelInterpolator, u) -> ScoredCandidate:
     Equals ``||f||^2 + (1 - |f(u)|)^2 / (1 - a_u^T K^{-1} a_u)``; for an empty
     model this is 1 for every candidate.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    f, schur, _, _ = _pool_statistics(model, u[None, :])
-    label = 1 if f[0] >= 0 else -1
-    score = model.norm_sq + (1.0 - abs(f[0])) ** 2 / schur[0]
-    return ScoredCandidate(None, int(label), float(score))
+    scores, labels = _score(model, u, ScoreKind.FUNCTION_NORM)
+    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
 def score_data_norm(model: KernelInterpolator, u, pool: UnlabeledPool) -> ScoredCandidate:
@@ -164,36 +174,30 @@ def score_data_norm(model: KernelInterpolator, u, pool: UnlabeledPool) -> Scored
 
     The average runs over all pool points, including ``u`` itself when present.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     if len(pool) == 0:
         raise EmptyPoolError("data-based score needs a nonempty pool")
-    f, schur, _, _ = _pool_statistics(model, u[None, :])
-    label = 1 if f[0] >= 0 else -1
-    if len(model) == 0:
-        delta = kernel_matrix(u[None, :], pool.points, model.config)[0]
-    else:
-        a = kernel_matrix(model.base.points, u[None, :], model.config)
-        A_pool = kernel_matrix(model.base.points, pool.points, model.config)
-        delta = (kernel_matrix(u[None, :], pool.points, model.config)[0]
-                 - model.solve(a)[:, 0] @ A_pool)
-    gain = ((1.0 - abs(f[0])) / schur[0]) ** 2
-    return ScoredCandidate(None, int(label), float(gain * np.mean(delta ** 2)))
+    scores, labels = _score(model, u, ScoreKind.DATA_NORM, pool.points)
+    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
-def select_next(model: KernelInterpolator, pool: UnlabeledPool, kind: ScoreKind,
-                rng_seed) -> ScoredCandidate:
-    """Pick the pool candidate with the largest score.
+def pick(scores: np.ndarray, labels: np.ndarray, rng_seed) -> ScoredCandidate:
+    """The candidate with the largest score, ties broken at random.
 
     Candidates whose scores are within ``1e-12`` (absolute) of the maximum are
     treated as tied and one is drawn uniformly at random from ``rng_seed``
-    (an int seed or a ``numpy.random.Generator``).  Deterministic given the
-    seed and inputs.
+    (an int seed or a ``numpy.random.Generator``); no draw is made when the
+    maximum is unique.  Deterministic given the seed and inputs.
     """
-    if len(pool) == 0:
-        raise EmptyPoolError("cannot select from an empty pool")
-    scores, labels = score_pool(model, pool, kind)
     best = np.max(scores)
     tied = np.flatnonzero(scores >= best - TIE_TOLERANCE)
     rng = np.random.default_rng(rng_seed)
     index = int(tied[rng.integers(len(tied))]) if len(tied) > 1 else int(tied[0])
     return ScoredCandidate(index, int(labels[index]), float(scores[index]))
+
+
+def select_next(model: KernelInterpolator, pool: UnlabeledPool, kind: ScoreKind,
+                rng_seed) -> ScoredCandidate:
+    """Pick the pool candidate with the largest score (see :func:`pick` for ties)."""
+    if len(pool) == 0:
+        raise EmptyPoolError("cannot select from an empty pool")
+    return pick(*score_pool(model, pool, kind), rng_seed)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
-from .scoring import TIE_TOLERANCE, ScoredCandidate
+from .scoring import ScoredCandidate, ScoreKind, pick
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,20 @@ def _roughness_deltas(m: SplineInterpolator, u: np.ndarray, j: np.ndarray):
     return dplus, dminus
 
 
-def spline_score_pool(m: SplineInterpolator, us, kind,
+def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
                       density: Density1D | None = None):
     """Vectorized scores and estimated labels for 1-D candidates ``us``.
 
-    ``kind`` follows :class:`maximin_al.scoring.ScoreKind` semantics:
-    ``"function"``/FUNCTION_NORM or ``"data"``/DATA_NORM (the latter requires
-    ``density``).  Candidates must lie strictly inside the labeled hull.
+    ``ScoreKind.DATA_NORM`` requires ``density``.  Candidates must lie
+    strictly inside the labeled hull.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     j = m.interval_of(us)
     dplus, dminus = _roughness_deltas(m, us, j)
     labels = np.where(dplus <= dminus, 1, -1)
-    kind_name = getattr(kind, "value", kind)
-    if kind_name == "function":
+    if kind is ScoreKind.FUNCTION_NORM:
         return m.weight_norm + np.minimum(dplus, dminus), labels
-    if kind_name != "data":
+    if kind is not ScoreKind.DATA_NORM:
         raise ValueError(f"unknown score kind {kind!r}")
     if density is None:
         raise ValueError("the data-based score requires a density")
@@ -215,7 +213,7 @@ def spline_score_function_norm(m: SplineInterpolator, u) -> ScoredCandidate:
     opposite labels it is ``weight_norm - 4/(x_{j+1} - x_j)
     + min(4/(x_{j+1} - u), 4/(u - x_j))``, peaking at the midpoint.
     """
-    scores, labels = spline_score_pool(m, [u], "function")
+    scores, labels = spline_score_pool(m, [u], ScoreKind.FUNCTION_NORM)
     return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
@@ -227,28 +225,21 @@ def spline_score_data_norm(m: SplineInterpolator, u,
     ``t - f(u)``, so the integral is evaluated exactly (piecewise quadratic)
     under a uniform density, or as the pool mean under an empirical one.
     """
-    scores, labels = spline_score_pool(m, [u], "data", density)
+    scores, labels = spline_score_pool(m, [u], ScoreKind.DATA_NORM, density)
     return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
-def spline_select_next(m: SplineInterpolator, pool, kind, rng_seed,
+def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind, rng_seed,
                        density: Density1D | None = None) -> ScoredCandidate:
     """Pick the candidate with the largest spline score.
 
-    ``pool`` is a 1-D array of candidates or an ``UnlabeledPool`` with d = 1.
-    For the data-based score the pool itself is the default density.  Ties
-    within ``1e-12`` absolute break uniformly at random under ``rng_seed``.
+    ``candidates`` is an array of 1-D points.  For the data-based score the
+    candidates themselves are the default density.  Ties break as in
+    :func:`maximin_al.scoring.pick`.
     """
-    points = getattr(pool, "points", pool)
-    us = np.asarray(points, dtype=float).ravel()
+    us = np.asarray(candidates, dtype=float).ravel()
     if us.size == 0:
         raise EmptyPoolError("cannot select from an empty pool")
-    kind_name = getattr(kind, "value", kind)
-    if kind_name == "data" and density is None:
+    if kind is ScoreKind.DATA_NORM and density is None:
         density = Empirical1D(us)
-    scores, labels = spline_score_pool(m, us, kind, density)
-    best = np.max(scores)
-    tied = np.flatnonzero(scores >= best - TIE_TOLERANCE)
-    rng = np.random.default_rng(rng_seed)
-    index = int(tied[rng.integers(len(tied))]) if len(tied) > 1 else int(tied[0])
-    return ScoredCandidate(index, int(labels[index]), float(scores[index]))
+    return pick(*spline_score_pool(m, us, kind, density), rng_seed)

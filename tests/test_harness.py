@@ -247,6 +247,18 @@ class TestCsvDatasets:
         with pytest.raises(ValueError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("second_label,agree", [(1, "the same"),
+                                                     (-1, "a conflicting")])
+    def test_duplicate_points_name_both_rows(self, tmp_path, second_label, agree):
+        # Loaded, such a file would fail a run with DuplicatePointError once
+        # the twin of a labeled point is scored, whether or not labels agree.
+        path = tmp_path / "dup.csv"
+        path.write_text(f"f0,f1,label\n0.5,0.5,1\n0.1,0.2,-1\n0.5,0.5,{second_label}\n")
+        with pytest.raises(IngestionError, match=f"row 4 repeats the point of row 2 "
+                                                 f"with {agree} label") as exc:
+            load_csv_dataset(path)
+        assert exc.value.row == 4
+
     @pytest.mark.parametrize("content,row", [
         ("", 0),
         ("a,b,label\n0,0,1\n", 0),

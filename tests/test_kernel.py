@@ -172,6 +172,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(empty, KernelConfig(1.0))
 
+    def test_not_positive_definite_kernel_rejected(self):
+        # exp(-||x||_p / h) is not positive definite for d >= 3 and p > 2.
+        labeled = LabeledSet(np.eye(3), [1, -1, 1])
+        with pytest.raises(ValueError, match="not positive definite in d = 3"):
+            fit(labeled, KernelConfig(1.0, 4.0))
+
+    def test_positive_definite_dimension_exponent_pairs_accepted(self):
+        rng = np.random.default_rng(15)
+        for d, p in ((1, 8.0), (2, 4.0), (3, 2.0), (5, 1.5)):
+            pts = rng.uniform(size=(6, d))
+            m = fit(LabeledSet(pts, rng.choice([-1, 1], size=6)), KernelConfig(0.5, p))
+            assert len(m) == 6
+
     def test_interpolation_constraint(self):
         rng = np.random.default_rng(11)
         for _ in range(40):

@@ -22,6 +22,7 @@ from maximin_al.scoring import (
     ScoreKind,
     UnlabeledPool,
     estimate_label,
+    pick,
     score_data_norm,
     score_function_norm,
     score_pool,
@@ -192,6 +193,33 @@ class TestScorePool:
         m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5))
         with pytest.raises(DuplicatePointError):
             score_pool(m, UnlabeledPool([[0.5], [1.0]]), ScoreKind.FUNCTION_NORM)
+
+    def test_string_kind_rejected(self):
+        # The string "function" is not a ScoreKind; it must not fall through
+        # to the data score.
+        m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5))
+        pool = UnlabeledPool([[0.25], [0.5]])
+        with pytest.raises(ValueError, match="unknown score kind"):
+            score_pool(m, pool, "function")
+        with pytest.raises(ValueError, match="unknown score kind"):
+            select_next(m, pool, "function", 0)
+
+
+class TestPick:
+    def test_unique_maximum_draws_nothing(self):
+        rng = np.random.default_rng(30)
+        state = rng.bit_generator.state
+        got = pick(np.array([0.1, 0.5, 0.2]), np.array([1, -1, 1]), rng)
+        assert (got.index, got.label, got.score) == (1, -1, 0.5)
+        assert rng.bit_generator.state == state
+
+    def test_tie_draws_once_from_the_tie_set(self):
+        scores = np.array([0.5, 0.1, 0.5 - 1e-13, 0.5])
+        rng = np.random.default_rng(31)
+        got = pick(scores, np.ones(4, dtype=int), rng)
+        expected = np.random.default_rng(31)
+        assert got.index == [0, 2, 3][expected.integers(3)]
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestSelectNext:

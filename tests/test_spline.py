@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
+from maximin_al.scoring import ScoreKind
 from maximin_al.spline import (
     Empirical1D,
     SplineInterpolator,
@@ -247,7 +248,7 @@ class TestSelectNext:
         m = fit_spline([0.0, 1.0, 3.0], [1, 1, -1])  # opposite pair (1, 3)
         grid = np.linspace(0.05, 2.95, 200)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-9]
-        for kind in ("function", "data"):
+        for kind in ScoreKind:
             got = spline_select_next(m, grid, kind, 0, Uniform1D(0.0, 3.0))
             nearest = int(np.argmin(np.abs(grid - 2.0)))
             assert got.index == nearest
@@ -257,31 +258,39 @@ class TestSelectNext:
         m = fit_spline([0.0, 1.0, 3.0, 5.0], [1, -1, -1, 1])
         grid = np.linspace(0.01, 4.99, 999)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-6]
-        got = spline_select_next(m, grid, "function", 0)
+        got = spline_select_next(m, grid, ScoreKind.FUNCTION_NORM, 0)
         assert abs(grid[got.index] - 0.5) < 0.02
 
     def test_two_pairs_data_prefers_wider(self):
         m = fit_spline([0.0, 1.0, 3.0, 5.0], [1, -1, -1, 1])
         grid = np.linspace(0.01, 4.99, 999)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-6]
-        got = spline_select_next(m, grid, "data", 0, Uniform1D(0.0, 5.0))
+        got = spline_select_next(m, grid, ScoreKind.DATA_NORM, 0, Uniform1D(0.0, 5.0))
         assert abs(grid[got.index] - 4.0) < 0.02
 
     def test_empirical_default_density_is_the_pool(self):
         m = fit_spline([0.0, 2.0], [1, -1])
         pool = np.linspace(0.1, 1.9, 50)
-        got = spline_select_next(m, pool, "data", 0)
-        want = spline_select_next(m, pool, "data", 0, Empirical1D(pool))
+        got = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0)
+        want = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0, Empirical1D(pool))
         assert got == want
 
     def test_empty_pool_rejected(self):
         m = fit_spline([0.0, 1.0], [1, -1])
         with pytest.raises(EmptyPoolError):
-            spline_select_next(m, [], "function", 0)
+            spline_select_next(m, [], ScoreKind.FUNCTION_NORM, 0)
 
     def test_unknown_kind_rejected(self):
         m = fit_spline([0.0, 1.0], [1, -1])
         with pytest.raises(ValueError):
             spline_score_pool(m, [0.5], "unknown")
         with pytest.raises(ValueError):
-            spline_score_pool(m, [0.5], "data")  # density required
+            spline_score_pool(m, [0.5], ScoreKind.DATA_NORM)  # density required
+
+    def test_string_kinds_rejected(self):
+        m = fit_spline([0.0, 1.0], [1, -1])
+        for kind in ("function", "data"):
+            with pytest.raises(ValueError, match="unknown score kind"):
+                spline_score_pool(m, [0.5], kind, Uniform1D(0.0, 1.0))
+            with pytest.raises(ValueError, match="unknown score kind"):
+                spline_select_next(m, [0.5], kind, 0)
