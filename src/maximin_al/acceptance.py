@@ -405,9 +405,3 @@ SUITES = {
     "identities": (check_midpoint_closed_forms, check_rank_one_identity,
                    check_tridiagonal_closed_forms, check_zero_crossing),
 }
-
-
-def run_suite(name: str, base_seed: int = 0) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [fn(base_seed) for fn in SUITES[name]]

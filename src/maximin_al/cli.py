@@ -5,7 +5,8 @@ Subcommands
 run    Execute one configured experiment, writing trace.csv and summary.json.
 sweep  Re-run one config across a seed range, writing per-seed traces and a
        combined summary.json.
-check  Run a behavioral check suite; exits nonzero if any check fails.
+check  Run a behavioral check suite, printing each check's result and elapsed
+       time; exits nonzero if any check fails.
 gen    Sample a synthetic task to a CSV dataset (f0..f{d-1},label schema).
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import acceptance
@@ -62,10 +64,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = acceptance.run_suite(args.suite, args.seed)
-    for result in results:
-        print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    passed = True
+    for check in acceptance.SUITES[args.suite]:
+        started = time.perf_counter()
+        result = check(args.seed)
+        print(f"{result.line()} [{time.perf_counter() - started:.2f} s]", flush=True)
+        passed = passed and result.passed
+    return 0 if passed else 1
 
 
 def _cmd_gen(args) -> int:

@@ -45,7 +45,7 @@ import numpy as np
 from . import scoring, spline
 from .exceptions import IngestionError
 from .kernel import KernelConfig, KernelInterpolator, augmented_fit
-from .scoring import ScoreKind, UnlabeledPool
+from .scoring import ScoreKind
 from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 SCORE_CHOICES = ("function", "data", "random")
@@ -84,10 +84,12 @@ class ExperimentConfig:
             raise ValueError(f"score must be one of {SCORE_CHOICES}, got {self.score!r}")
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
+        for name in ("budget", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed is mandatory and must be an integer")
         kind = self.task.get("kind")
         if kind not in ("threshold", "clusters", "csv"):
             raise ValueError(f"unknown task kind {kind!r}")
@@ -225,33 +227,46 @@ def write_dataset_csv(path, points: np.ndarray, labels: np.ndarray) -> None:
 
 
 class _KernelLearner:
-    """The run loop's learner interface: ``add``, ``predict`` and ``select``."""
+    """The run loop's learner interface: ``add``, ``predict`` and ``select``.
 
-    def __init__(self, config: ModelConfig, dim: int):
-        self.model = KernelInterpolator.empty(
-            KernelConfig(bandwidth=config.h, exponent=config.p), dim=dim)
+    Learners are built over the task's points and score kind (None for random
+    selection) and take labels and pool candidates by index.  The kernel
+    learner scores from an incremental :class:`~maximin_al.scoring.ScoringState`
+    with room for ``capacity`` labels; random selection builds none.
+    """
 
-    def add(self, point, label) -> None:
-        self.model = augmented_fit(self.model, point, int(label))
+    def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
+                 capacity: int):
+        kernel = KernelConfig(bandwidth=config.h, exponent=config.p)
+        self.points = points
+        self.model = KernelInterpolator.empty(kernel, dim=points.shape[1])
+        self.state = None if kind is None else scoring.ScoringState(
+            points, kernel, kind, capacity)
+
+    def add(self, i: int, label: int) -> None:
+        self.model = augmented_fit(self.model, self.points[i], label)
+        if self.state is not None:
+            self.state.add(i, label)
 
     def predict(self, points) -> np.ndarray:
         return self.model.predict(points)
 
-    def select(self, pool_points, kind: ScoreKind, rng) -> scoring.ScoredCandidate:
-        return scoring.select_next(self.model, UnlabeledPool(pool_points), kind, rng)
+    def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
+        return scoring.pick(*self.state.scores(pool_idx), rng)
 
 
 class _SplineLearner:
     """The spline model behind the same interface; it predicts 0 before any label."""
 
-    def __init__(self):
+    def __init__(self, points: np.ndarray, kind: ScoreKind | None):
+        self.points, self.kind = points[:, 0], kind
         self.positions: list[float] = []
         self.labels: list[int] = []
         self.model: spline.SplineInterpolator | None = None
 
-    def add(self, point, label) -> None:
-        self.positions.append(float(np.asarray(point).ravel()[0]))
-        self.labels.append(int(label))
+    def add(self, i: int, label: int) -> None:
+        self.positions.append(float(self.points[i]))
+        self.labels.append(label)
         self.model = spline.fit_spline(self.positions, self.labels)
 
     def predict(self, points) -> np.ndarray:
@@ -259,8 +274,8 @@ class _SplineLearner:
             return np.zeros(len(points))
         return self.model.predict(np.asarray(points).ravel())
 
-    def select(self, pool_points, kind: ScoreKind, rng) -> scoring.ScoredCandidate:
-        return spline.spline_select_next(self.model, pool_points, kind, rng)
+    def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
+        return spline.spline_select_next(self.model, self.points[pool_idx], self.kind, rng)
 
 
 def _build_task(cfg: ExperimentConfig, task_seed):
@@ -315,10 +330,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     if init == "extremes" and dim != 1:
         raise ValueError("extremes initialization requires a 1-D task")
 
-    learner = (_SplineLearner() if cfg.model.kind == "spline"
-               else _KernelLearner(cfg.model, dim))
     rng = np.random.default_rng(select_ss)
     kind = None if cfg.score == "random" else ScoreKind(cfg.score)
+    learner = (_SplineLearner(points, kind) if cfg.model.kind == "spline"
+               else _KernelLearner(cfg.model, points, kind, cfg.budget))
 
     record = RunRecord(config=cfg, task_kind=cfg.task["kind"])
     if cluster_spec is not None:
@@ -344,13 +359,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             est = 1 if learner.predict(points[idx:idx + 1])[0] >= 0 else -1
             score_val = float("nan")
         else:
-            chosen = learner.select(points[pool_idx], kind, rng)
+            chosen = learner.select(pool_idx, rng)
             idx = int(pool_idx[chosen.index])
             est = chosen.label
             score_val = chosen.score
 
         truth = int(oracle[idx])
-        learner.add(points[idx], truth)
+        learner.add(idx, truth)
         unlabeled[idx] = False
 
         pred = np.where(learner.predict(points) >= 0, 1, -1)

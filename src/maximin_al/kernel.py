@@ -88,8 +88,10 @@ class LabeledSet:
             raise ValueError("labels must be +1 or -1")
         if len(np.unique(points, axis=0)) != len(points):
             raise DuplicatePointError("labeled points must be pairwise distinct")
-        self._points = points.copy()
-        self._labels = labels.astype(int).copy()
+        self._assign(points.copy(), labels.astype(int))
+
+    def _assign(self, points: np.ndarray, labels: np.ndarray) -> None:
+        self._points, self._labels = points, labels
         self._points.setflags(write=False)
         self._labels.setflags(write=False)
 
@@ -109,14 +111,22 @@ class LabeledSet:
         return len(self._points)
 
     def append(self, point, label) -> "LabeledSet":
-        """Return a new LabeledSet with one extra labeled point."""
+        """Return a new LabeledSet with one extra labeled point.
+
+        Only the new row is checked (its dimension, its label, and that no
+        labeled row equals it); the existing rows were checked when they came in.
+        """
         point = np.asarray(point, dtype=float).reshape(1, -1)
         if len(self) and point.shape[1] != self.dim:
             raise ValueError(f"point has dimension {point.shape[1]}, expected {self.dim}")
-        return LabeledSet(
-            np.vstack([self._points, point]) if len(self) else point,
-            np.append(self._labels, int(label)),
-        )
+        if label not in (-1, 1):
+            raise ValueError("labels must be +1 or -1")
+        if len(self) and np.any(np.all(self._points == point, axis=1)):
+            raise DuplicatePointError("labeled points must be pairwise distinct")
+        out = LabeledSet.__new__(LabeledSet)
+        out._assign(np.vstack([self._points, point]) if len(self) else point.copy(),
+                    np.append(self._labels, int(label)))
+        return out
 
 
 def kernel_eval(x, x2, config: KernelConfig) -> float:
@@ -137,7 +147,18 @@ def kernel_matrix(X, Y, config: KernelConfig) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     if X.size == 0 or Y.size == 0:
         return np.zeros((X.shape[0], Y.shape[0]))
-    return np.exp(-cdist(X, Y, metric="minkowski", p=config.exponent) / config.bandwidth)
+    return cross_kernel(X, Y, config)
+
+
+def cross_kernel(X: np.ndarray, Y: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """:func:`kernel_matrix` of nonempty 2-D float arrays, unchecked.
+
+    The exponential is taken in place on the distance matrix, so the result
+    is the only array of its size that is allocated.
+    """
+    out = cdist(X, Y, metric="minkowski", p=config.exponent)
+    out /= -config.bandwidth
+    return np.exp(out, out=out)
 
 
 class KernelInterpolator:

@@ -16,6 +16,13 @@ The selection rule picks the candidate with the largest score; exact ties
 seed.  With no labeled data both rules are still defined: ``f == 0``, every
 function-norm score is 1, and the data-based score of ``u`` reduces to
 ``mean_x k(u, x)^2``.
+
+:func:`score_pool`, :func:`select_next`, :func:`score_function_norm` and
+:func:`score_data_norm` work from a fitted model and recompute ``f``, ``S_u``
+and the residual kernel on every call; they are the reference.  The run loop
+scores from :class:`ScoringState`, which updates the same quantities by one
+residual column per label.  Both turn ``(f, S_u, mean_x R(u, x)^2)`` into
+scores and labels through one helper.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .exceptions import DuplicatePointError, EmptyPoolError
-from .kernel import SCHUR_FLOOR, KernelInterpolator, kernel_matrix
+from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel,
+                     kernel_matrix)
 
 TIE_TOLERANCE = 1e-12
 
@@ -105,7 +114,6 @@ def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
     """Per-candidate f(u) and Schur complement S_u, plus cross matrices A, C.
 
     A = K(X_L, points) and C = K^{-1} A; both are None for the empty model.
-    Raises DuplicatePointError when any S_u falls below the duplicate floor.
     """
     n = len(points)
     if len(model) == 0:
@@ -114,11 +122,24 @@ def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
     C = model.solve(A)
     f = A.T @ model.coefficients
     schur = 1.0 + model.jitter - np.einsum("ij,ij->j", A, C)
+    return f, schur, A, C
+
+
+def _scores_from(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: float,
+                 mean_r2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and estimated labels from f(u), S_u and, for the data score,
+    ``mean_x R(u, x)^2``; the one place the score formulas are written.
+
+    Raises DuplicatePointError when any S_u falls below the duplicate floor.
+    """
     if np.any(schur < SCHUR_FLOOR):
         raise DuplicatePointError(
             "a candidate is numerically indistinguishable from a labeled point"
         )
-    return f, schur, A, C
+    labels = np.where(f >= 0, 1, -1)
+    if kind is ScoreKind.FUNCTION_NORM:
+        return norm_sq + (1.0 - np.abs(f)) ** 2 / schur, labels
+    return ((1.0 - np.abs(f)) / schur) ** 2 * mean_r2, labels
 
 
 def _score(model: KernelInterpolator, points, kind: ScoreKind,
@@ -128,21 +149,108 @@ def _score(model: KernelInterpolator, points, kind: ScoreKind,
     The data score averages over ``density``; by default over ``points``
     themselves, which reuses their solves.
     """
+    if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
+        raise ValueError(f"unknown score kind {kind!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     f, schur, A, C = _pool_statistics(model, points)
-    labels = np.where(f >= 0, 1, -1)
     if kind is ScoreKind.FUNCTION_NORM:
-        return model.norm_sq + (1.0 - np.abs(f)) ** 2 / schur, labels
-    if kind is not ScoreKind.DATA_NORM:
-        raise ValueError(f"unknown score kind {kind!r}")
+        return _scores_from(kind, f, schur, model.norm_sq)
     # Residual kernel R = K(points, density) - A^T K^{-1} K(X_L, density).
     R = kernel_matrix(points, points if density is None else density, model.config)
     if A is not None and density is None:
         R = R - A.T @ C
     elif A is not None:
         R = R - A.T @ model.solve(kernel_matrix(model.base.points, density, model.config))
-    gain = ((1.0 - np.abs(f)) / schur) ** 2
-    return gain * np.mean(R ** 2, axis=1), labels
+    return _scores_from(kind, f, schur, model.norm_sq, np.mean(R ** 2, axis=1))
+
+
+class ScoringState:
+    """Incremental pool scores of the kernel interpolant over a fixed point set.
+
+    The state is built once over all ``n`` points of a task and follows the
+    labels added to it; :meth:`scores` then rates the unlabeled points exactly
+    as :func:`score_pool` rates them on a freshly fitted model (which stays the
+    reference).  With ``K(X_L, X_L) = L L^T`` and ``W = L^{-1} K(X_L, X)`` it
+    holds ``f = W^T L^{-1} y``, ``S = 1 - ||W[:, x]||^2``, ``||f||^2`` and the
+    rows of ``W``; for the data score also the residual kernel
+    ``R = K(X, X) - W^T W`` (one Fortran-order n-by-n array) and the row sums
+    of ``R^2``.
+
+    Adding a label at ``u`` takes one residual column
+    ``c = k(X, u) - W^T W[:, u]`` (``c[u] = S_u``): ``n`` kernel evaluations
+    and an O(nL) product.  The new row of ``W`` is ``c / sqrt(S_u)``, ``f``
+    gains ``(t - f(u)) / S_u * c`` and ``S`` loses ``c^2 / S_u``, in O(n).  For
+    the data score, ``R`` takes the rank-one downdate ``R - c c^T / S_u`` in
+    place (the Schur-complement step of pivoted Cholesky; Harbrecht, Peters &
+    Schneider 2012), its row and column ``u`` are set to zero and the row sums
+    of ``R^2`` are recomputed, in O(n^2) with no kernel evaluation.
+
+    The kernel system is unjittered, as in a model grown by
+    :func:`~maximin_al.kernel.augmented_fit` from the empty one.
+    ``capacity`` bounds the number of labels (default ``n``).
+    """
+
+    def __init__(self, points, config: KernelConfig, kind: ScoreKind,
+                 capacity: int | None = None):
+        if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
+            raise ValueError(f"unknown score kind {kind!r}")
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = len(points)
+        self.points, self.config, self.kind = points, config, kind
+        self.f = np.zeros(n)
+        self.schur = np.ones(n)
+        self.norm_sq = 0.0
+        self._rows = np.empty((n if capacity is None else capacity, n))
+        self._count = 0
+        self._residual = self._r2 = None
+        if kind is ScoreKind.DATA_NORM:
+            # K(X, X) is symmetric, so its C-order buffer read transposed is
+            # the Fortran-order array the in-place BLAS downdate needs.
+            self._residual = cross_kernel(points, points, config).T
+            self._r2 = np.einsum("ij,ij->j", self._residual, self._residual)
+
+    def add(self, i: int, label: int) -> None:
+        """Condition on the label ``label`` at point ``i``.
+
+        Raises DuplicatePointError when ``S_i`` is below the duplicate floor
+        (point ``i``, or a point equal to it, is already labeled).
+        """
+        if label not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        if self._count == len(self._rows):
+            raise ValueError(f"the state holds at most {len(self._rows)} labels")
+        W = self._rows[:self._count]
+        c = cross_kernel(self.points, self.points[i:i + 1], self.config)[:, 0]
+        c -= W.T @ W[:, i]
+        s = c[i]
+        if s < SCHUR_FLOOR:
+            raise DuplicatePointError(
+                "candidate is numerically indistinguishable from a labeled point")
+        gamma = (label - self.f[i]) / s
+        self.norm_sq += (label - self.f[i]) * gamma
+        self.f += gamma * c
+        self.schur -= c * c / s
+        np.divide(c, np.sqrt(s), out=self._rows[self._count])
+        self._count += 1
+        R = self._residual
+        if R is not None:
+            dger(-1.0 / s, c, c, a=R, overwrite_a=True)
+            R[i, :] = 0.0
+            R[:, i] = 0.0
+            np.einsum("ij,ij->j", R, R, out=self._r2)
+
+    def scores(self, pool_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and estimated labels of the points ``pool_idx``, in that order.
+
+        ``pool_idx`` must hold every unlabeled point: the data score averages
+        over it, and labeled rows of ``R`` are zero, so the row sums of ``R^2``
+        run over exactly the unlabeled points.
+        """
+        if len(pool_idx) != len(self.points) - self._count:
+            raise ValueError("pool_idx must hold every unlabeled point")
+        mean_r2 = None if self._r2 is None else self._r2[pool_idx] / len(pool_idx)
+        return _scores_from(self.kind, self.f[pool_idx], self.schur[pool_idx],
+                       self.norm_sq, mean_r2)
 
 
 def score_pool(model: KernelInterpolator, pool: UnlabeledPool,

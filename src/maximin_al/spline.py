@@ -23,6 +23,9 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
 * the data-based score integrates ``(f^u - f)^2`` against a density — exactly,
   since the difference is a hat function supported on one interval — and
   prefers *wider* oppositely-labeled pairs, vanishing between equal labels.
+  Under an empirical density every candidate reads its hat sums off running
+  sums kept per labeled interval, so scoring a pool costs one sort and one
+  pass over the density instead of one pass per candidate.
 """
 
 from __future__ import annotations
@@ -180,15 +183,23 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
         left = _ramp_sq_integral(np.maximum(xl, lo), np.minimum(u, hi), xl, u)
         right = _ramp_sq_integral(np.maximum(u, lo), np.minimum(xr, hi), xr, u)
         return weight * (left + right)
-    pts = density.points
-    out = np.empty(len(u))
-    for i in range(len(u)):
-        rise = (pts > xl[i]) & (pts < u[i])
-        fall = (pts >= u[i]) & (pts < xr[i])
-        total = np.sum(((pts[rise] - xl[i]) / (u[i] - xl[i])) ** 2)
-        total += np.sum(((xr[i] - pts[fall]) / (xr[i] - u[i])) ** 2)
-        out[i] = total / len(pts)
-    return out
+    # Empirical density: the rise counts points with x_j < x < u, the fall
+    # points with u <= x < x_{j+1}; points outside the hull count for nothing.
+    # Within each labeled interval, rise[k] sums (x - x_j)^2 over its first k
+    # sorted points and fall[k] sums (x_{j+1} - x)^2 over the rest, so a
+    # candidate reads both off at its rank with no cross-interval subtraction.
+    pts = np.sort(density.points)
+    lo, hi = m.positions[:-1], m.positions[1:]
+    starts = np.searchsorted(pts, lo, side="right")
+    ends = np.searchsorted(pts, hi, side="left")
+    offsets = np.concatenate([[0], np.cumsum(ends - starts + 1)])
+    rise, fall = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+    for k in np.unique(j):
+        seg, o = pts[starts[k]:ends[k]], offsets[k]
+        np.cumsum((seg - lo[k]) ** 2, out=rise[o + 1:o + 1 + len(seg)])
+        np.cumsum(((hi[k] - seg) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
+    at = offsets[j] + np.searchsorted(pts, u, side="left") - starts[j]
+    return (rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2) / len(pts)
 
 
 def _ramp_sq_integral(a, b, x0, x1):

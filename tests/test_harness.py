@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from maximin_al import scoring
 from maximin_al.exceptions import IngestionError
 from maximin_al.harness import (
     ExperimentConfig,
@@ -19,6 +20,8 @@ from maximin_al.harness import (
     summarize,
     write_dataset_csv,
 )
+from maximin_al.kernel import KernelConfig, KernelInterpolator, augmented_fit
+from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
 def threshold_config(**overrides):
@@ -86,6 +89,14 @@ class TestExperimentConfig:
                 "model": {"kind": "kernel"},
                 "score": "data", "budget": 9, "seed": 4, "bonus": True,
             })
+
+    @pytest.mark.parametrize("field,value", [
+        ("budget", 3.0), ("budget", "3"), ("budget", True), ("budget", None),
+        ("seed", 1.0), ("seed", "1"), ("seed", True), ("seed", False),
+    ])
+    def test_non_integer_budget_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            threshold_config(**{field: value})
 
     def test_with_seed(self):
         cfg = threshold_config()
@@ -177,6 +188,43 @@ class TestRunExperiment:
         summary = record.summary_dict()
         assert summary["first_cluster_repeat_step"] == 4  # 3 balls, step 4 repeats
         assert sum(record.per_cluster_counts) == 6
+
+    @pytest.mark.parametrize("layout", ["threshold-p1", "clusters-p2"])
+    @pytest.mark.parametrize("score", ["function", "data"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_run_matches_fresh_select_next_loop(self, layout, score, seed):
+        # The run loop scores from an incremental state; a loop that calls
+        # select_next on a fresh pool each step must pick the same indices.
+        if layout == "threshold-p1":
+            task, model, budget = {"kind": "threshold", "n": 200, "k": 3}, (0.1, 1.0), 25
+        else:
+            task, model, budget = cluster_task(M=4, h=0.2, count=15), (0.2, 2.0), 20
+        cfg = ExperimentConfig(task=task, model=ModelConfig("kernel", *model),
+                               score=score, budget=budget, seed=seed)
+        task_ss, select_ss = np.random.SeedSequence(seed).spawn(2)
+        if layout == "threshold-p1":
+            pool = gen_threshold_task(task["n"], task["k"], task_ss)[1]
+        else:
+            spec = ClusterSpec(task["centers"], task["radii"], task["labels"],
+                               task["counts"], task["p"])
+            pool = gen_clusters(spec, task_ss)
+        points, oracle = pool.points, pool.hidden_labels
+        rng = np.random.default_rng(select_ss)
+        fitted = KernelInterpolator.empty(KernelConfig(*model), dim=points.shape[1])
+        forced = ([int(np.argmin(points[:, 0])), int(np.argmax(points[:, 0]))]
+                  if layout == "threshold-p1" else [])
+        want = []
+        for _ in range(budget):
+            pool_idx = np.setdiff1d(np.arange(len(points)), want)
+            if forced:
+                idx = forced.pop(0)
+            else:
+                chosen = scoring.select_next(fitted, scoring.UnlabeledPool(points[pool_idx]),
+                                             scoring.ScoreKind(score), rng)
+                idx = int(pool_idx[chosen.index])
+            fitted = augmented_fit(fitted, points[idx], int(oracle[idx]))
+            want.append(idx)
+        assert [s.index for s in run_experiment(cfg).steps] == want
 
     def test_spline_model_runs_threshold_task(self):
         cfg = threshold_config(model=ModelConfig("spline"), budget=15,

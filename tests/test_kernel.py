@@ -145,6 +145,24 @@ class TestLabeledSet:
         with pytest.raises(ValueError):
             s.append([1.0], 1)
 
+    def test_append_checks_the_new_row(self):
+        s = LabeledSet([[0.0, 0.0], [1.0, 0.5]], [1, -1])
+        with pytest.raises(DuplicatePointError):
+            s.append([1.0, 0.5], 1)
+        for label in (0, 2, 0.5):
+            with pytest.raises(ValueError):
+                s.append([2.0, 0.0], label)
+        point = np.array([2.0, 0.0])
+        s2 = s.append(point, -1)
+        assert np.array_equal(s2.labels, [1, -1, -1])
+        with pytest.raises(ValueError):
+            s2.points[2, 0] = 5.0
+        point[0] = 3.0  # the caller's array stays writable and unshared
+        assert s2.points[2, 0] == 2.0
+        first = LabeledSet(np.empty((0, 2)), np.empty(0, dtype=int)).append(point, 1)
+        point[1] = 7.0
+        assert np.array_equal(first.points, [[3.0, 0.0]])
+
 
 class TestFit:
     def test_single_point(self):

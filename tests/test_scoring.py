@@ -7,6 +7,8 @@ and tie-breaking uniformity is checked with a chi-square test.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from maximin_al.acceptance import cluster_explore_spec
@@ -18,9 +20,11 @@ from maximin_al.kernel import (
     augmented_fit,
     fit,
     kernel_eval,
+    kernel_matrix,
 )
 from maximin_al.scoring import (
     ScoreKind,
+    ScoringState,
     UnlabeledPool,
     estimate_label,
     pick,
@@ -225,6 +229,82 @@ class TestScorePool:
             score_pool(m, pool, "function")
         with pytest.raises(ValueError, match="unknown score kind"):
             select_next(m, pool, "function", 0)
+
+
+@st.composite
+def label_sequences(draw):
+    """Points on a 1/8 grid (repeats allowed), a kernel, and a label sequence
+    whose indices may repeat."""
+    d = draw(st.sampled_from([1, 2]))
+    cfg = KernelConfig(draw(st.sampled_from([0.2, 0.5, 1.0])),
+                       draw(st.sampled_from([1.0, 2.0])))
+    n = draw(st.integers(2, 12))
+    coords = draw(st.lists(st.integers(0, 8), min_size=n * d, max_size=n * d))
+    points = np.array(coords, dtype=float).reshape(n, d) / 8.0
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(order),
+                           max_size=len(order)))
+    return points, cfg, order, labels
+
+
+class TestScoringState:
+    @settings(max_examples=150, deadline=None)
+    @given(label_sequences())
+    def test_matches_score_pool_on_a_fresh_fit(self, case):
+        points, cfg, order, labels = case
+        states = {kind: ScoringState(points, cfg, kind) for kind in ScoreKind}
+        labeled = []
+        for i, y in zip(order, labels):
+            try:
+                LabeledSet(points[labeled + [i]], labels[:len(labeled) + 1])
+            except DuplicatePointError:
+                for state in states.values():
+                    with pytest.raises(DuplicatePointError):
+                        state.add(i, y)
+                return
+            for state in states.values():
+                state.add(i, y)
+            labeled.append(i)
+            model = fit(LabeledSet(points[labeled], labels[:len(labeled)]), cfg)
+            assume(model.jitter == 0.0)
+            pool_idx = np.setdiff1d(np.arange(len(points)), labeled)
+            if len(pool_idx) == 0:
+                return
+            pool = UnlabeledPool(points[pool_idx])
+            A = kernel_matrix(model.base.points, pool.points, cfg)
+            schur = 1.0 - np.einsum("ij,ij->j", A, model.solve(A))
+            for kind, state in states.items():
+                np.testing.assert_allclose(state.f[pool_idx], model.predict(pool.points),
+                                           rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(state.schur[pool_idx], schur,
+                                           rtol=1e-10, atol=1e-12)
+                try:
+                    want, want_labels = score_pool(model, pool, kind)
+                except DuplicatePointError:
+                    with pytest.raises(DuplicatePointError):
+                        state.scores(pool_idx)
+                    continue
+                got, got_labels = state.scores(pool_idx)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+                assert np.array_equal(got_labels, want_labels)
+
+    def test_pool_must_be_every_unlabeled_point(self):
+        state = ScoringState([[0.0], [0.5], [1.0]], KernelConfig(0.5), ScoreKind.DATA_NORM)
+        state.add(1, 1)
+        assert len(state.scores(np.array([0, 2]))[0]) == 2
+        with pytest.raises(ValueError, match="every unlabeled point"):
+            state.scores(np.array([0]))
+
+    def test_capacity_bounds_the_labels(self):
+        state = ScoringState([[0.0], [0.5], [1.0]], KernelConfig(0.5),
+                             ScoreKind.FUNCTION_NORM, capacity=1)
+        state.add(0, 1)
+        with pytest.raises(ValueError, match="at most 1 labels"):
+            state.add(2, -1)
+
+    def test_string_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown score kind"):
+            ScoringState([[0.0]], KernelConfig(0.5), "data")
 
 
 class TestPick:

@@ -14,6 +14,7 @@ from maximin_al.spline import (
     Empirical1D,
     SplineInterpolator,
     Uniform1D,
+    _hat_mean_sq,
     fit_spline,
     spline_score_data_norm,
     spline_score_function_norm,
@@ -29,6 +30,23 @@ def random_spline(rng, max_n=10, min_gap=0.05):
         positions = np.sort(rng.uniform(0.0, 5.0, size=n))
     values = rng.choice([-1, 1], size=n)
     return fit_spline(positions, values)
+
+
+def hat_mean_sq_loop(m: SplineInterpolator, u, j, pts) -> np.ndarray:
+    """Reference empirical hat mean: one pass over the density per candidate.
+
+    The rise counts density points with x_j < x < u, the fall points with
+    u <= x < x_{j+1}; points outside the labeled hull count for nothing.
+    """
+    xl, xr = m.positions[j], m.positions[j + 1]
+    out = np.empty(len(u))
+    for i in range(len(u)):
+        rise = (pts > xl[i]) & (pts < u[i])
+        fall = (pts >= u[i]) & (pts < xr[i])
+        total = np.sum(((pts[rise] - xl[i]) / (u[i] - xl[i])) ** 2)
+        total += np.sum(((xr[i] - pts[fall]) / (xr[i] - u[i])) ** 2)
+        out[i] = total / len(pts)
+    return out
 
 
 def numeric_total_variation(m: SplineInterpolator, samples=10_000) -> float:
@@ -209,6 +227,27 @@ class TestDataNormScore:
                              np.append(m.values, got.label))
             want = float(np.mean((aug.predict(pts) - m.predict(pts)) ** 2))
             assert got.score == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_empirical_interval_sums_match_per_candidate_loop(self):
+        rng = np.random.default_rng(49)
+        for _ in range(60):
+            m = random_spline(rng, max_n=12)
+            if len(m) < 2:
+                continue
+            lo, hi = m.positions[0], m.positions[-1]
+            # Density points inside the hull, beyond it, on the knots, and repeated.
+            pts = rng.uniform(lo - 1.0, hi + 1.0, size=int(rng.integers(1, 200)))
+            pts = np.concatenate([pts, m.positions[rng.integers(0, len(m), size=3)],
+                                  pts[:5]])
+            inside = pts[(pts > lo) & (pts < hi) & ~np.isin(pts, m.positions)]
+            us = np.concatenate([inside, rng.uniform(lo, hi, size=20)])
+            us = us[~np.isin(us, m.positions)]
+            if us.size == 0:
+                continue
+            j = m.interval_of(us)
+            got = _hat_mean_sq(m, us, j, Empirical1D(rng.permutation(pts)))
+            np.testing.assert_allclose(got, hat_mean_sq_loop(m, us, j, pts),
+                                       rtol=1e-12, atol=0)
 
     def test_symmetric_about_midpoint_with_single_sign_change(self):
         m = fit_spline([0.0, 1.0], [1, -1])
