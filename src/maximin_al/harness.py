@@ -118,7 +118,7 @@ class ExperimentConfig:
                                 int(seed), self.init, self.stop_at_zero)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int
     index: int
@@ -343,6 +343,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     if test_points is not None:
         record.test_errors = []
 
+    # The training error is a count, so it is taken over the points sorted by
+    # their first coordinate: 1-D models then locate the queries in order.
+    order = np.argsort(points[:, 0], kind="stable")
+    eval_points, eval_oracle = points[order], oracle[order]
+
     unlabeled = np.ones(n, dtype=bool)
     forced = []
     if init == "extremes":
@@ -356,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             break
         if forced or kind is None:
             idx = forced.pop(0) if forced else int(rng.choice(pool_idx))
-            est = 1 if learner.predict(points[idx:idx + 1])[0] >= 0 else -1
+            est = int(scoring.sign_labels(learner.predict(points[idx:idx + 1])[0]))
             score_val = float("nan")
         else:
             chosen = learner.select(pool_idx, rng)
@@ -368,8 +373,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         learner.add(idx, truth)
         unlabeled[idx] = False
 
-        pred = np.where(learner.predict(points) >= 0, 1, -1)
-        err = float(np.mean(pred != oracle))
+        pred = np.where(learner.predict(eval_points) >= 0, 1, -1)
+        err = float(np.mean(pred != eval_oracle))
         record.steps.append(StepRecord(step, idx, est, truth, score_val, err))
         if record.queries_to_zero is None and err == 0.0:
             record.queries_to_zero = step

@@ -17,6 +17,19 @@ norm in O(L^2) through the rank-one (Schur-complement) identity
 where ``a_u = [k(x_i, u)]_i`` and ``t`` is the new label.  Immutability makes
 models safe to share across threads; all randomness in the package lives in
 explicitly seeded selection routines, never here.
+
+In 1-D with ``p = 1`` the kernel is the Ornstein-Uhlenbeck covariance, which
+is Markov (Hartikainen & Sarkka, 2010): between two adjacent labeled points
+``x_j < x < x_{j+1}`` every term of ``f`` lies in span{e^{x/h}, e^{-x/h}}, so
+the values ``v = f(X_L) = y - jitter * alpha`` at the two ends fix ``f``
+there.  With ``a = (x - x_j)/h`` and ``b = (x_{j+1} - x)/h``,
+
+    f(x) = [v_j e^{-a} (1 - e^{-2b}) + v_{j+1} e^{-b} (1 - e^{-2a})] / (1 - e^{-2(a+b)}),
+
+and beyond the outermost labeled points ``f`` decays as ``v e^{-|x - x_end|/h}``.
+:meth:`KernelInterpolator.predict` evaluates this in O(n log L) with two
+``expm1`` per point instead of the n-by-L kernel matrix; every other case
+takes the dense path.
 """
 
 from __future__ import annotations
@@ -199,11 +212,49 @@ class KernelInterpolator:
         return solve_triangular(self._chol, B, lower=True)
 
     def predict(self, X) -> np.ndarray:
-        """Evaluate the interpolant at each row of ``X``."""
+        """Evaluate the interpolant at each row of ``X``.
+
+        1-D models with ``p = 1`` use the closed form in the module docstring;
+        the rest evaluate ``kernel_matrix(X, X_L) @ coefficients``.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if len(self) == 0:
             return np.zeros(X.shape[0])
+        if X.shape[1] == self.base.dim == 1 and self.config.exponent == 1:
+            return self._predict_markov_1d(X[:, 0])
         return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
+
+    def _predict_markov_1d(self, x: np.ndarray) -> np.ndarray:
+        """The p = 1 interpolant at 1-D points ``x`` from its values at the knots.
+
+        Knots at -inf and +inf with value 0 turn the two tails into intervals
+        of the same formula.  ``ea = e^{-a} - 1`` and ``eb = e^{-b} - 1`` keep
+        ``1 - e^{-2a} = -ea (2 + ea)`` accurate next to a knot.
+        """
+        h = self.config.bandwidth
+        order = np.argsort(self.base.points[:, 0])
+        knots = np.concatenate([[-np.inf], self.base.points[order, 0], [np.inf]])
+        values = np.concatenate(
+            [[0.0], (self.base.labels - self.jitter * self.coefficients)[order], [0.0]])
+        # Beyond 750 h from every knot each kernel term underflows to 0, as the
+        # dense path's do; clipping there keeps infinite queries finite.
+        x = np.clip(x, knots[1] - 750.0 * h, knots[-2] + 750.0 * h)
+        # Knots closer than 1e-150 h (only a jittered fit has them) would put
+        # subnormal numbers into the formula.  f moves by at most
+        # ||alpha||_1 * gap / h across such an interval, so it takes the value
+        # of its left knot there.
+        gap = np.diff(knots) / h
+        narrow = gap < 1e-150
+        scale = np.expm1(-2.0 * np.where(narrow, 1.0, gap))  # e^{-2(a+b)} - 1
+        j = np.searchsorted(knots[:-1], x, side="right") - 1  # NaN: the last interval
+        ea = np.expm1((knots[j] - x) / h)
+        eb = np.expm1((x - knots[j + 1]) / h)
+        f = (values[:-1] / scale)[j] * (1.0 + ea) * eb * (2.0 + eb)
+        f += (values[1:] / scale)[j] * (1.0 + eb) * ea * (2.0 + ea)
+        if narrow.any():
+            at = narrow[j]
+            f[at] = values[j[at]]
+        return f
 
     def evaluate(self, x) -> float:
         """Evaluate the interpolant at a single point."""

@@ -15,8 +15,11 @@ exactly at the interval midpoint:
 * equal labels: ``||f||^2 - 1 - 2/(1 + d_j) + 4/(1 + sqrt(d_j))`` —
   increasing in the gap, and never above any opposite-label interval max.
 
-The module serves both as a fast path for 1-D pools and as an independent
-oracle for the generic Cholesky-based scorer.
+No model, scorer or run calls this module: it is an independent oracle for
+the generic Cholesky-based scorer, used by the ``identities`` acceptance
+checks and the tests.  (The closed-form 1-D evaluation in
+:meth:`maximin_al.kernel.KernelInterpolator.predict` rests on the same Markov
+structure but is written from the interval endpoint values.)
 """
 
 from __future__ import annotations

@@ -105,9 +105,19 @@ class UnlabeledPool:
         )
 
 
+def sign_labels(f):
+    """The +-1 label of each value of ``f``: its sign, +1 when ``|f| <= 1e-12``.
+
+    A value that is 0 in exact arithmetic, such as ``f`` halfway between two
+    opposite labels, rounds to either side of 0 depending on the evaluation
+    path; the tolerance sends all of them to +1.
+    """
+    return np.where(f >= -TIE_TOLERANCE, 1, -1)
+
+
 def estimate_label(model: KernelInterpolator, u) -> int:
-    """Label whose augmented interpolant has the smaller norm: sign of f(u), +1 at 0."""
-    return 1 if model.evaluate(u) >= 0 else -1
+    """Label whose augmented interpolant has the smaller norm (see :func:`sign_labels`)."""
+    return int(sign_labels(model.evaluate(u)))
 
 
 def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
@@ -136,7 +146,7 @@ def _scores_from(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: flo
         raise DuplicatePointError(
             "a candidate is numerically indistinguishable from a labeled point"
         )
-    labels = np.where(f >= 0, 1, -1)
+    labels = sign_labels(f)
     if kind is ScoreKind.FUNCTION_NORM:
         return norm_sq + (1.0 - np.abs(f)) ** 2 / schur, labels
     return ((1.0 - np.abs(f)) / schur) ** 2 * mean_r2, labels

@@ -124,11 +124,15 @@ class SplineInterpolator:
             If any ``u`` falls outside the open hull of the labeled positions.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(np.isin(u, self.positions)):
+        # positions[j - 1] < u <= positions[j]: u is a labeled position exactly
+        # when it equals positions[j], and outside the hull when j is 0 or L.
+        j = np.searchsorted(self.positions, u)
+        last = len(self.positions) - 1
+        if np.any(self.positions[np.minimum(j, last)] == u):
             raise DuplicatePointError("candidate coincides with a labeled position")
-        if np.any((u < self.positions[0]) | (u > self.positions[-1])):
+        if np.any((j == 0) | (j > last)):
             raise OutOfRangeError("candidate lies outside the labeled hull")
-        return np.searchsorted(self.positions, u) - 1
+        return j - 1
 
 
 def fit_spline(positions, values) -> SplineInterpolator:

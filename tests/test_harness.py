@@ -20,7 +20,8 @@ from maximin_al.harness import (
     summarize,
     write_dataset_csv,
 )
-from maximin_al.kernel import KernelConfig, KernelInterpolator, augmented_fit
+from maximin_al.kernel import KernelConfig, KernelInterpolator, augmented_fit, kernel_matrix
+from maximin_al.spline import fit_spline
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
@@ -47,6 +48,18 @@ def cluster_task(M=4, h=0.2, count=15):
         "counts": [count] * M,
         "p": 2.0,
     }
+
+
+def _task_points(cfg):
+    """The points and oracle labels ``run_experiment`` draws for ``cfg``, in task order."""
+    task_ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+    task = cfg.task
+    if task["kind"] == "threshold":
+        pool = gen_threshold_task(task["n"], task["k"], task_ss)[1]
+    else:
+        pool = gen_clusters(ClusterSpec(task["centers"], task["radii"], task["labels"],
+                                        task["counts"], task["p"]), task_ss)
+    return pool.points, pool.hidden_labels
 
 
 class TestExperimentConfig:
@@ -201,15 +214,8 @@ class TestRunExperiment:
             task, model, budget = cluster_task(M=4, h=0.2, count=15), (0.2, 2.0), 20
         cfg = ExperimentConfig(task=task, model=ModelConfig("kernel", *model),
                                score=score, budget=budget, seed=seed)
-        task_ss, select_ss = np.random.SeedSequence(seed).spawn(2)
-        if layout == "threshold-p1":
-            pool = gen_threshold_task(task["n"], task["k"], task_ss)[1]
-        else:
-            spec = ClusterSpec(task["centers"], task["radii"], task["labels"],
-                               task["counts"], task["p"])
-            pool = gen_clusters(spec, task_ss)
-        points, oracle = pool.points, pool.hidden_labels
-        rng = np.random.default_rng(select_ss)
+        points, oracle = _task_points(cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
         fitted = KernelInterpolator.empty(KernelConfig(*model), dim=points.shape[1])
         forced = ([int(np.argmin(points[:, 0])), int(np.argmax(points[:, 0]))]
                   if layout == "threshold-p1" else [])
@@ -225,6 +231,53 @@ class TestRunExperiment:
             fitted = augmented_fit(fitted, points[idx], int(oracle[idx]))
             want.append(idx)
         assert [s.index for s in run_experiment(cfg).steps] == want
+
+    @pytest.mark.parametrize("layout", ["kernel-p1", "spline", "clusters-p2"])
+    @pytest.mark.parametrize("score", ["function", "data", "random"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_train_error_matches_task_order_dense_evaluation(self, layout, score, seed):
+        # The run takes the training error over the points sorted by their
+        # first coordinate, through the model's own predict; replaying its
+        # labels and evaluating the kernel sum (or the spline) over the points
+        # in task order must count the same errors.
+        if layout == "clusters-p2":
+            cfg = ExperimentConfig(task=cluster_task(M=4, h=0.2, count=15), score=score,
+                                   model=ModelConfig("kernel", h=0.2, p=2.0),
+                                   budget=20, seed=seed)
+        else:
+            model = (ModelConfig("spline") if layout == "spline"
+                     else ModelConfig("kernel", h=0.1, p=1.0))
+            cfg = threshold_config(task={"kind": "threshold", "n": 200, "k": 3},
+                                   model=model, score=score, budget=25, seed=seed)
+        points, oracle = _task_points(cfg)
+        fitted = KernelInterpolator.empty(KernelConfig(cfg.model.h, cfg.model.p),
+                                          dim=points.shape[1])
+        labeled = []
+        for step in run_experiment(cfg).steps:
+            labeled.append(step.index)
+            if layout == "spline":
+                f = fit_spline(points[labeled, 0], oracle[labeled]).predict(points[:, 0])
+            else:
+                fitted = augmented_fit(fitted, points[step.index], step.true_label)
+                f = kernel_matrix(points, fitted.base.points,
+                                  fitted.config) @ fitted.coefficients
+            assert step.train_error == np.mean(np.where(f >= 0, 1, -1) != oracle)
+
+    def test_random_picks_at_f_zero_record_plus_one(self):
+        # Far-apart balls: in a ball with no label yet, f is within 1e-19 of 0
+        # and of either sign, and the estimated label must be +1.
+        cfg = ExperimentConfig(task=cluster_task(M=6, h=0.2, count=15), score="random",
+                               model=ModelConfig("kernel", h=0.2, p=2.0),
+                               budget=30, seed=2)
+        points, _ = _task_points(cfg)
+        fitted = KernelInterpolator.empty(KernelConfig(0.2, 2.0), dim=2)
+        negative_zeros = 0
+        for step in run_experiment(cfg).steps:
+            f = fitted.evaluate(points[step.index])
+            negative_zeros += -1e-12 <= f < 0
+            assert step.estimated_label == (1 if f >= -1e-12 else -1)
+            fitted = augmented_fit(fitted, points[step.index], step.true_label)
+        assert negative_zeros >= 1
 
     def test_spline_model_runs_threshold_task(self):
         cfg = threshold_config(model=ModelConfig("spline"), budget=15,

@@ -7,6 +7,8 @@ incremental (Cholesky-extension) implementation.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maximin_al.exceptions import ConditioningError, DuplicatePointError
 from maximin_al.kernel import (
@@ -277,6 +279,69 @@ class TestEvaluate:
         m = KernelInterpolator.empty(KernelConfig(0.5), dim=3)
         assert m.norm_sq == 0.0
         assert np.array_equal(m.predict(np.ones((4, 3))), np.zeros(4))
+
+
+@st.composite
+def markov_cases(draw):
+    """A 1-D p = 1 model with 1 to 40 knots, and unsorted queries on the knots,
+    between them and beyond the hull."""
+    h = draw(st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+    knots = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40, unique=True))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(knots),
+                           max_size=len(knots)))
+    between = draw(st.lists(st.floats(-1.0, 1.0), max_size=20))
+    beyond = draw(st.lists(st.floats(1.0, 1e3) | st.floats(-1e3, -1.0), max_size=5))
+    queries = draw(st.permutations(knots + between + beyond))
+    try:
+        model = fit(LabeledSet(np.array(knots)[:, None], labels), KernelConfig(h, 1.0))
+    except ConditioningError:
+        assume(False)
+    return model, np.array(queries).reshape(-1, 1)
+
+
+def dense_predict(model, X):
+    return kernel_matrix(X, model.base.points, model.config) @ model.coefficients
+
+
+class TestMarkovPredict:
+    """``predict``'s closed form for 1-D p = 1 against the dense kernel sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(markov_cases())
+    def test_matches_dense_kernel_sum(self, case):
+        model, X = case
+        tol = 1e-12 * (1.0 + np.sum(np.abs(model.coefficients)))
+        np.testing.assert_allclose(model.predict(X), dense_predict(model, X),
+                                   rtol=0, atol=tol)
+
+    def test_jittered_model(self):
+        model = fit(LabeledSet([[0.0], [1e-300]], [1, 1]), KernelConfig(0.1, 1.0))
+        assert model.jitter > 0
+        X = np.array([[-1.0], [0.0], [5e-301], [1e-300], [0.05], [3.0]])
+        tol = 1e-12 * (1.0 + np.sum(np.abs(model.coefficients)))
+        np.testing.assert_allclose(model.predict(X), dense_predict(model, X),
+                                   rtol=0, atol=tol)
+
+    def test_nonfinite_queries_as_the_dense_path(self):
+        model = fit(LabeledSet([[0.0], [0.5]], [1, -1]), KernelConfig(0.2, 1.0))
+        X = np.array([[-np.inf], [np.inf], [np.nan]])
+        assert np.array_equal(model.predict(X), dense_predict(model, X), equal_nan=True)
+
+    @pytest.mark.parametrize("dim,p", [(2, 1.0), (1, 2.0), (1, 1.5), (3, 1.0)])
+    def test_other_cases_take_the_dense_path(self, dim, p):
+        rng = np.random.default_rng(17)
+        model = fit(LabeledSet(rng.uniform(size=(12, dim)), rng.choice([-1, 1], 12)),
+                    KernelConfig(0.3, p))
+        X = rng.uniform(-0.5, 1.5, size=(50, dim))
+        assert np.array_equal(model.predict(X), dense_predict(model, X))
+
+    def test_dimension_mismatch_still_raises(self):
+        one = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5, 1.0))
+        two = fit(LabeledSet([[0.0, 0.0], [1.0, 0.0]], [1, -1]), KernelConfig(0.5, 1.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            one.predict(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            two.predict(np.zeros((3, 1)))
 
 
 class TestAugmentedFit:

@@ -32,6 +32,7 @@ from maximin_al.scoring import (
     score_function_norm,
     score_pool,
     select_next,
+    sign_labels,
 )
 from maximin_al.synthetic import gen_clusters
 
@@ -81,6 +82,25 @@ class TestEstimateLabel:
     def test_empty_model_gives_plus_one(self):
         m = KernelInterpolator.empty(KernelConfig(1.0), dim=1)
         assert estimate_label(m, [3.0]) == 1
+
+    def test_values_within_the_tie_tolerance_go_to_plus_one(self):
+        f = np.array([-1.1e-12, -1e-12, -3.3e-17, 0.0, 1e-12, 0.3, -0.3])
+        assert np.array_equal(sign_labels(f), [-1, 1, 1, 1, 1, 1, -1])
+
+    def test_symmetric_midpoint_is_plus_one_on_every_path(self):
+        # Halfway between -1 at (0, 0.25) and +1 at (0, 1), f = 0 exactly; the
+        # dense path computes -3.3e-17 and the incremental state 0.0.
+        cfg = KernelConfig(0.2, 1.0)
+        points = np.array([[0.0, 0.25], [0.0, 1.0], [0.0, 0.625]])
+        m = fit(LabeledSet(points[:2], [-1, 1]), cfg)
+        assert abs(m.evaluate(points[2])) <= 1e-12
+        assert estimate_label(m, points[2]) == 1
+        for kind in ScoreKind:
+            state = ScoringState(points, cfg, kind)
+            state.add(0, -1)
+            state.add(1, 1)
+            assert state.scores(np.array([2]))[1][0] == 1
+            assert score_pool(m, UnlabeledPool(points[2:]), kind)[1][0] == 1
 
     def test_matches_argmin_of_augmented_norms(self):
         rng = np.random.default_rng(21)

@@ -120,6 +120,26 @@ class TestFitSpline:
             fit_spline([0.0], [0.5])
 
 
+class TestIntervalOf:
+    def test_intervals_inside_the_hull(self):
+        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
+        assert np.array_equal(m.interval_of([0.1, np.nextafter(0.4, 1.0), 0.3, 0.99]),
+                              [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("knot", [0.4, 0.0, 1.0])
+    def test_candidate_on_a_knot_is_a_duplicate(self, knot):
+        # 0.4 is an interior knot, 0.0 and 1.0 the end knots.
+        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
+        with pytest.raises(DuplicatePointError):
+            m.interval_of([0.2, knot, 0.7])
+
+    @pytest.mark.parametrize("u", [-0.1, 1.1, np.nextafter(1.0, 2.0)])
+    def test_candidate_outside_the_hull(self, u):
+        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
+        with pytest.raises(OutOfRangeError):
+            m.interval_of([0.2, u])
+
+
 class TestFunctionNormScore:
     def test_opposite_pair_midpoint_value(self):
         for g in (0.5, 1.0, 4.0):
