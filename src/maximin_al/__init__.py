@@ -13,7 +13,7 @@ from .exceptions import (ConditioningError, DuplicatePointError, EmptyPoolError,
 from .harness import (ExperimentConfig, ModelConfig, RunRecord, load_csv_dataset,
                       run_experiment, summarize, write_dataset_csv)
 from .kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
-                     fit, kernel_eval, kernel_matrix)
+                     fit, kernel_matrix)
 from .laplace1d import (IntervalScoreResult, SortedLabeled1D, best_interval,
                         interval_max_score, norm_closed_form, tridiagonal_inverse)
 from .scoring import (ScoredCandidate, ScoreKind, UnlabeledPool, estimate_label,
@@ -30,7 +30,7 @@ __all__ = [
     "ConditioningError", "DuplicatePointError", "EmptyPoolError",
     "IngestionError", "OutOfRangeError",
     "KernelConfig", "LabeledSet", "KernelInterpolator",
-    "kernel_eval", "kernel_matrix", "fit", "augmented_fit",
+    "kernel_matrix", "fit", "augmented_fit",
     "ScoreKind", "ScoredCandidate", "UnlabeledPool",
     "estimate_label", "score_function_norm", "score_data_norm",
     "score_pool", "select_next",

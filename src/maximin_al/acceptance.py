@@ -180,29 +180,27 @@ def check_first_point_largest_ball(base_seed: int = 0) -> CheckResult:
                        f"regime ok={regime.ok}, balls={hits}")
 
 
-def cluster_explore_spec(h: float = 0.1) -> synthetic.ClusterSpec:
-    """Thirteen equal 2-D balls, r = h/4, separation 13 h ln(2M), mixed labels."""
+def _thirteen_balls(h: float, D: float) -> synthetic.ClusterSpec:
+    """Thirteen equal 2-D balls on a 4x4 grid, r = h/4, surface separation D,
+    horizontally adjacent balls labeled oppositely."""
     M = 13
     r = h / 4
-    D = 13.0 * h * np.log(2 * M)
-    spacing = D + 2 * r
     grid = [(i, j) for i in range(4) for j in range(4)][:M]
-    centers = spacing * np.asarray(grid, dtype=float)
+    centers = (D + 2 * r) * np.asarray(grid, dtype=float)
     labels = [1 if i % 2 == 0 else -1 for i in range(M)]
     return synthetic.ClusterSpec(centers, [r] * M, labels, [40] * M, p=2.0)
+
+
+def cluster_explore_spec(h: float = 0.1) -> synthetic.ClusterSpec:
+    """Thirteen equal 2-D balls, r = h/4, separation 13 h ln(2M), mixed labels."""
+    return _thirteen_balls(h, 13.0 * h * np.log(2 * 13))
 
 
 def cluster_contrast_spec(h: float = 0.1) -> synthetic.ClusterSpec:
     """The same 13 balls and labels as :func:`cluster_explore_spec`, moved in
     to surface separation D = h, where cross-ball kernels are not negligible
     and horizontally adjacent balls have opposite labels."""
-    M = 13
-    r = h / 4
-    spacing = h + 2 * r
-    grid = [(i, j) for i in range(4) for j in range(4)][:M]
-    centers = spacing * np.asarray(grid, dtype=float)
-    labels = [1 if i % 2 == 0 else -1 for i in range(M)]
-    return synthetic.ClusterSpec(centers, [r] * M, labels, [40] * M, p=2.0)
+    return _thirteen_balls(h, h)
 
 
 def check_cluster_exploration(base_seed: int = 0) -> CheckResult:
@@ -384,19 +382,6 @@ def check_active_vs_random(base_seed: int = 0, tmp_dir=None) -> CheckResult:
               f"random={medians['random']} (need <= {halved}); csv ok={round_trip}")
     return CheckResult("active halves the random baseline + csv round trip", ok, detail)
 
-
-CRITERIA = (
-    check_bisection_label_complexity,
-    check_midpoint_closed_forms,
-    check_rank_one_identity,
-    check_tridiagonal_closed_forms,
-    check_first_point_largest_ball,
-    check_cluster_exploration,
-    check_spline_properties,
-    check_spline_data_norm_value,
-    check_zero_crossing,
-    check_active_vs_random,
-)
 
 SUITES = {
     "bisection": (check_bisection_label_complexity, check_active_vs_random),

@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import acceptance
-from .harness import ExperimentConfig, run_experiment, summarize, write_dataset_csv
-from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
+from .harness import (ExperimentConfig, run_experiment, sample_task, summarize,
+                      write_dataset_csv)
 
 
 def _parse_seed_range(text: str) -> range:
@@ -76,14 +76,9 @@ def _cmd_check(args) -> int:
 def _cmd_gen(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    if args.task == "threshold":
-        _, pool = gen_threshold_task(int(spec["n"]), int(spec["k"]), args.seed)
-    else:
-        cluster = ClusterSpec(spec["centers"], spec["radii"], spec["labels"],
-                              spec["counts"], spec.get("p", 2.0))
-        pool = gen_clusters(cluster, args.seed)
-    write_dataset_csv(args.out, pool.points, pool.hidden_labels)
-    print(f"wrote {len(pool)} rows to {args.out}")
+    points, labels, _ = sample_task({**spec, "kind": args.task}, args.seed)
+    write_dataset_csv(args.out, points, labels)
+    print(f"wrote {len(points)} rows to {args.out}")
     return 0
 
 

@@ -8,7 +8,7 @@ the task sample, the tie-breaking stream, and the random baseline all derive
 from ``seed`` through independent ``SeedSequence`` children, so replaying a
 config reproduces the trace bit for bit.
 
-Config JSON schema::
+Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
     {
       "task":  {"kind": "threshold", "n": 1024, "k": 5}
@@ -20,7 +20,7 @@ Config JSON schema::
       "budget": 70,
       "seed": 3,
       "init": "auto" | "none" | "extremes",      # optional, default "auto"
-      "stop_at_zero": false                        # optional
+      "stop_at_zero": false                        # optional, a boolean
     }
 
 ``init: "extremes"`` labels the leftmost and rightmost pool points in the
@@ -50,6 +50,27 @@ from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 SCORE_CHOICES = ("function", "data", "random")
 INIT_CHOICES = ("auto", "none", "extremes")
+# The required and the optional keys of each task kind.
+TASK_KEYS = {
+    "threshold": (("kind", "n", "k"), ()),
+    "clusters": (("kind", "centers", "radii", "labels", "counts"), ("p",)),
+    "csv": (("kind", "path"), ("holdout",)),
+}
+
+
+def _check_keys(what: str, given, required, optional=()) -> None:
+    """Reject a mapping that lacks a required key or has an unknown one, naming it."""
+    missing = sorted(set(required) - set(given))
+    unknown = sorted(set(given) - set(required) - set(optional))
+    if missing or unknown:
+        raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _check_task(task: dict, kinds=tuple(TASK_KEYS)) -> None:
+    """Reject a task whose kind is not in ``kinds``, or with a missing or unknown key."""
+    if task.get("kind") not in kinds:
+        raise ValueError(f"task kind must be one of {kinds}, got {task.get('kind')!r}")
+    _check_keys(f"{task['kind']} task", task, *TASK_KEYS[task["kind"]])
 
 
 @dataclass(frozen=True)
@@ -61,10 +82,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("kernel", "spline"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        KernelConfig(self.h, self.p)
 
 
 @dataclass(frozen=True)
@@ -90,23 +108,18 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        kind = self.task.get("kind")
-        if kind not in ("threshold", "clusters", "csv"):
-            raise ValueError(f"unknown task kind {kind!r}")
+        if not isinstance(self.stop_at_zero, bool):
+            raise ValueError(f"stop_at_zero must be a boolean, got {self.stop_at_zero!r}")
+        _check_task(self.task)
         if self.model.kind == "spline" and self.init == "none":
             raise ValueError("the spline model requires extremes initialization")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        model_raw = dict(raw.pop("model"))
-        kind = model_raw.pop("kind")
-        model = ModelConfig(kind, **{k: model_raw[k] for k in ("h", "p") if k in model_raw})
-        known = {"task", "score", "budget", "seed", "init", "stop_at_zero"}
-        extras = set(raw) - known
-        if extras:
-            raise ValueError(f"unknown config keys: {sorted(extras)}")
-        return cls(model=model, **raw)
+        _check_keys("config", raw, ("task", "model", "score", "budget", "seed"),
+                    ("init", "stop_at_zero"))
+        _check_keys("model", raw["model"], ("kind",), ("h", "p"))
+        return cls(**{**raw, "model": ModelConfig(**raw["model"])})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -138,7 +151,7 @@ class RunRecord:
     queries_to_zero: int | None = None
     final_error: float = float("nan")
     per_cluster_counts: list[int] | None = None
-    cluster_state_ok: list[bool] | None = None
+    first_cluster_repeat_step: int | None = None
     test_errors: list[float] | None = None
 
     @property
@@ -161,9 +174,7 @@ class RunRecord:
         }
         if self.per_cluster_counts is not None:
             out["per_cluster_counts"] = self.per_cluster_counts
-            ok = self.cluster_state_ok or []
-            out["first_cluster_repeat_step"] = next(
-                (i + 1 for i, good in enumerate(ok) if not good), None)
+            out["first_cluster_repeat_step"] = self.first_cluster_repeat_step
         if self.test_errors is not None:
             out["final_test_error"] = self.test_errors[-1]
         return out
@@ -278,44 +289,42 @@ class _SplineLearner:
         return spline.spline_select_next(self.model, self.points[pool_idx], self.kind, rng)
 
 
+def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
+    """Sample a threshold or clusters task: (points, oracle labels, cluster spec or None)."""
+    _check_task(task, ("threshold", "clusters"))
+    if task["kind"] == "threshold":
+        _, pool = gen_threshold_task(int(task["n"]), int(task["k"]), seed)
+        return pool.points, pool.hidden_labels, None
+    spec = ClusterSpec(task["centers"], task["radii"], task["labels"],
+                       task["counts"], task.get("p", 2.0))
+    pool = gen_clusters(spec, seed)
+    return pool.points, pool.hidden_labels, spec
+
+
 def _build_task(cfg: ExperimentConfig, task_seed):
-    """Materialize (points, oracle_labels, cluster_spec_or_None, holdout_mask)."""
+    """Materialize (points, oracle labels, cluster spec, holdout points, holdout labels)."""
     task = cfg.task
-    kind = task["kind"]
-    if kind == "threshold":
-        _, pool = gen_threshold_task(int(task["n"]), int(task["k"]), task_seed)
-        return pool.points, pool.hidden_labels, None, None
-    if kind == "clusters":
-        spec = ClusterSpec(task["centers"], task["radii"], task["labels"],
-                           task["counts"], task.get("p", 2.0))
-        pool = gen_clusters(spec, task_seed)
-        return pool.points, pool.hidden_labels, spec, None
+    if task["kind"] != "csv":
+        return (*sample_task(task, task_seed), None, None)
     points, labels = load_csv_dataset(task["path"])
     holdout = float(task.get("holdout", 0.0))
     if not 0.0 <= holdout < 1.0:
         raise ValueError(f"holdout must be in [0, 1), got {holdout}")
-    mask = None
-    if holdout > 0.0:
-        rng = np.random.default_rng(task_seed)
-        n_test = int(round(holdout * len(points)))
-        mask = np.zeros(len(points), dtype=bool)
-        mask[rng.choice(len(points), size=n_test, replace=False)] = True
-    return points, labels, None, mask
+    if holdout == 0.0:
+        return points, labels, None, None, None
+    rng = np.random.default_rng(task_seed)
+    n_test = int(round(holdout * len(points)))
+    test = np.zeros(len(points), dtype=bool)
+    test[rng.choice(len(points), size=n_test, replace=False)] = True
+    return points[~test], labels[~test], None, points[test], labels[test]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Execute one configured run; see the module docstring for semantics."""
     root = np.random.SeedSequence(cfg.seed)
     task_ss, select_ss = root.spawn(2)
-    points, oracle, cluster_spec, test_mask = _build_task(cfg, task_ss)
+    points, oracle, cluster_spec, test_points, test_labels = _build_task(cfg, task_ss)
     n, dim = points.shape
-
-    if test_mask is not None:
-        test_points, test_labels = points[test_mask], oracle[test_mask]
-        points, oracle = points[~test_mask], oracle[~test_mask]
-        n = len(points)
-    else:
-        test_points = None
 
     if cfg.budget > n:
         raise ValueError(f"budget {cfg.budget} exceeds pool size {n}")
@@ -339,7 +348,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     if cluster_spec is not None:
         ball_of = cluster_spec.locate(points)
         record.per_cluster_counts = [0] * cluster_spec.n_balls
-        record.cluster_state_ok = []
     if test_points is not None:
         record.test_errors = []
 
@@ -382,8 +390,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             ball = int(ball_of[idx])
             if ball >= 0:
                 record.per_cluster_counts[ball] += 1
-            counts = np.asarray(record.per_cluster_counts)
-            record.cluster_state_ok.append(bool(np.all(counts <= 1)))
+                if record.per_cluster_counts[ball] == 2:
+                    record.first_cluster_repeat_step = record.first_cluster_repeat_step or step
         if test_points is not None:
             tpred = np.where(learner.predict(test_points) >= 0, 1, -1)
             record.test_errors.append(float(np.mean(tpred != test_labels)))

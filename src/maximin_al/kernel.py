@@ -142,16 +142,6 @@ class LabeledSet:
         return out
 
 
-def kernel_eval(x, x2, config: KernelConfig) -> float:
-    """Evaluate ``exp(-||x - x2||_p / h)`` for a single pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape:
-        raise ValueError(f"point shapes differ: {x.shape} vs {x2.shape}")
-    dist = np.linalg.norm(x - x2, ord=config.exponent)
-    return float(np.exp(-dist / config.bandwidth))
-
-
 def kernel_matrix(X, Y, config: KernelConfig) -> np.ndarray:
     """Cross-kernel matrix ``[k(x_i, y_j)]`` of shape (len(X), len(Y))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -183,11 +173,13 @@ class KernelInterpolator:
     """
 
     def __init__(self, base: LabeledSet, config: KernelConfig, chol: np.ndarray,
-                 coefficients: np.ndarray, norm_sq: float, jitter: float):
+                 coefficients: np.ndarray, norm_sq: float, jitter: float,
+                 half_labels: np.ndarray):
         self.base = base
         self.config = config
         self.jitter = jitter
         self._chol = chol  # lower-triangular factor of K + jitter * I
+        self._half_labels = half_labels  # L^{-1} y, so f(u) = (L^{-1} a_u) @ it
         self.coefficients = coefficients
         self.norm_sq = float(norm_sq)
 
@@ -195,7 +187,7 @@ class KernelInterpolator:
     def empty(cls, config: KernelConfig, dim: int = 1) -> "KernelInterpolator":
         """The zero interpolant of an empty labeled set (``f == 0``)."""
         base = LabeledSet(np.empty((0, dim)), np.empty(0, dtype=int))
-        return cls(base, config, np.empty((0, 0)), np.empty(0), 0.0, 0.0)
+        return cls(base, config, np.empty((0, 0)), np.empty(0), 0.0, 0.0, np.empty(0))
 
     def __len__(self) -> int:
         return len(self.base)
@@ -295,12 +287,13 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
         except np.linalg.LinAlgError:
             last_cond = float(np.linalg.cond(Kj))
             continue
-        alpha = solve_triangular(chol.T, solve_triangular(chol, y, lower=True), lower=False)
+        half_labels = solve_triangular(chol, y, lower=True)
+        alpha = solve_triangular(chol.T, half_labels, lower=False)
         # Gate on the residual of the *unjittered* system: jitter may buy a
         # factorization, but the result must still interpolate the labels.
         if np.max(np.abs(K @ alpha - y)) <= SOLVE_RESIDUAL_TOL:
             return KernelInterpolator(labeled, config, chol, alpha,
-                                      float(y @ alpha), jitter)
+                                      float(y @ alpha), jitter, half_labels)
         last_cond = float(np.linalg.cond(Kj))
     raise ConditioningError(
         "kernel system solve failed beyond the jitter budget",
@@ -321,23 +314,18 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
         If ``u`` coincides with a labeled point, or its Schur complement
         falls below ``1e-12`` (numerically indistinguishable from one).
     """
-    t = int(t)
-    if t not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {t}")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    base = model.base.append(u, t)  # checks the label, the dimension and exact repeats
     if len(model) == 0:
-        return fit(model.base.append(u, t), model.config)
-    if u.shape != (model.base.dim,):
-        raise ValueError(f"point has shape {u.shape}, expected ({model.base.dim},)")
+        return fit(base, model.config)
 
-    a = kernel_matrix(u[None, :], model.base.points, model.config)[0]
+    a = kernel_matrix(base.points[-1:], model.base.points, model.config)[0]
     w = model.half_solve(a)
     schur = 1.0 + model.jitter - w @ w
     if schur < SCHUR_FLOOR:
         raise DuplicatePointError(
             "candidate is numerically indistinguishable from a labeled point"
         )
-    f_u = w @ model.half_solve(model.base.labels.astype(float))
+    f_u = w @ model._half_labels
 
     L = model._chol
     n = len(model)
@@ -348,8 +336,9 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
 
     gamma = (t - f_u) / schur
     coeff = np.empty(n + 1)
-    coeff[:n] = model.coefficients - gamma * model.solve(a)
+    coeff[:n] = model.coefficients - gamma * solve_triangular(L.T, w, lower=False)
     coeff[n] = gamma
     norm_sq = model.norm_sq + (1.0 - t * f_u) ** 2 / schur
-    return KernelInterpolator(model.base.append(u, t), model.config, chol,
-                              coeff, norm_sq, model.jitter)
+    half_labels = np.append(model._half_labels, (t - f_u) / chol[n, n])
+    return KernelInterpolator(base, model.config, chol, coeff, norm_sq, model.jitter,
+                              half_labels)

@@ -179,12 +179,6 @@ def augmented_norms(s: SortedLabeled1D, j: int, u) -> tuple[np.ndarray, np.ndarr
     return plus, minus
 
 
-def score_function_norm_interval(s: SortedLabeled1D, j: int, u) -> np.ndarray:
-    """Function-norm score ``min_t ||f_t^u||^2`` inside interval ``j``, closed form."""
-    plus, minus = augmented_norms(s, j, u)
-    return np.minimum(plus, minus)
-
-
 def interval_max_score(s: SortedLabeled1D, j: int) -> IntervalScoreResult:
     """Maximizer of the function-norm score over interval ``j``: its midpoint.
 

@@ -97,13 +97,6 @@ class UnlabeledPool:
     def __len__(self) -> int:
         return len(self._points)
 
-    def subset(self, indices) -> "UnlabeledPool":
-        indices = np.asarray(indices)
-        return UnlabeledPool(
-            self._points[indices],
-            None if self._hidden is None else self._hidden[indices],
-        )
-
 
 def sign_labels(f):
     """The +-1 label of each value of ``f``: its sign, +1 when ``|f| <= 1e-12``.

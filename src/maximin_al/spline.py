@@ -244,17 +244,16 @@ def spline_score_data_norm(m: SplineInterpolator, u,
     return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
-def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind, rng_seed,
-                       density: Density1D | None = None) -> ScoredCandidate:
+def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind,
+                       rng_seed) -> ScoredCandidate:
     """Pick the candidate with the largest spline score.
 
-    ``candidates`` is an array of 1-D points.  For the data-based score the
-    candidates themselves are the default density.  Ties break as in
+    ``candidates`` is an array of 1-D points.  The data-based score averages
+    over the candidates themselves.  Ties break as in
     :func:`maximin_al.scoring.pick`.
     """
     us = np.asarray(candidates, dtype=float).ravel()
     if us.size == 0:
         raise EmptyPoolError("cannot select from an empty pool")
-    if kind is ScoreKind.DATA_NORM and density is None:
-        density = Empirical1D(us)
+    density = Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
     return pick(*spline_score_pool(m, us, kind, density), rng_seed)

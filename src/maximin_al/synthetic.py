@@ -7,7 +7,6 @@ bit-identical outputs through ``numpy.random.default_rng``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma
 
 import numpy as np
 
@@ -58,11 +57,6 @@ def gen_threshold_task(n: int, k: int, seed) -> tuple[ThresholdTask1D, Unlabeled
         points = rng.uniform(0.0, 1.0, size=n)
     pool = UnlabeledPool(points[:, None], task.oracle(points))
     return task, pool
-
-
-def ball_volume(radius: float, dim: int, p: float) -> float:
-    """Volume of the lp ball: ``(2 r Gamma(1 + 1/p))^d / Gamma(1 + d/p)``."""
-    return (2.0 * radius * gamma(1.0 + 1.0 / p)) ** dim / gamma(1.0 + dim / p)
 
 
 @dataclass(frozen=True)

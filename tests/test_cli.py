@@ -11,7 +11,7 @@ import pytest
 from maximin_al import acceptance
 from maximin_al.cli import _parse_seed_range, main
 from maximin_al.harness import load_csv_dataset
-from maximin_al.synthetic import ClusterSpec, gen_threshold_task
+from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
 def write_json(path, payload):
@@ -76,6 +76,32 @@ class TestGen:
         balls = spec.locate(points)
         assert np.all(balls >= 0)
         np.testing.assert_array_equal(labels, np.asarray(raw["labels"])[balls])
+
+    def test_clusters_csv_matches_direct_sampling(self, tmp_path):
+        raw = {"centers": [[0.0, 0.0], [6.0, 0.0]], "radii": [0.5, 0.25],
+               "labels": [1, -1], "counts": [12, 7], "p": 1.0}
+        spec_path = write_json(tmp_path / "spec.json", raw)
+        out = tmp_path / "clusters.csv"
+        assert main(["gen", "--task", "clusters", "--spec", spec_path,
+                     "--out", str(out), "--seed", "9"]) == 0
+        points, labels = load_csv_dataset(out)
+        pool = gen_clusters(ClusterSpec(raw["centers"], raw["radii"], raw["labels"],
+                                        raw["counts"], raw["p"]), 9)
+        np.testing.assert_array_equal(points, pool.points)
+        np.testing.assert_array_equal(labels, pool.hidden_labels)
+
+    @pytest.mark.parametrize("task,spec,match", [
+        ("threshold", {"n": 50}, "missing keys .*'k'"),
+        ("clusters", {"centers": [[0.0]], "radii": [0.1], "labels": [1]},
+         "missing keys .*'counts'"),
+        ("threshold", {"n": 50, "k": 3, "holdout": 0.2}, "unknown keys .*'holdout'"),
+    ])
+    def test_malformed_spec_names_the_key(self, tmp_path, task, spec, match):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=match):
+            main(["gen", "--task", task, "--spec", spec_path, "--out", str(out)])
+        assert not out.exists()
 
 
 class TestRun:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from maximin_al import scoring
+from maximin_al.acceptance import cluster_contrast_spec, cluster_explore_spec, first_point_spec
 from maximin_al.exceptions import IngestionError
 from maximin_al.harness import (
     ExperimentConfig,
@@ -103,6 +104,46 @@ class TestExperimentConfig:
                 "score": "data", "budget": 9, "seed": 4, "bonus": True,
             })
 
+    def test_nan_kernel_parameters_rejected(self):
+        # ModelConfig checks h and p as KernelConfig does, so NaN fails at load.
+        with pytest.raises(ValueError, match="bandwidth"):
+            ModelConfig("kernel", h=float("nan"))
+        with pytest.raises(ValueError, match="exponent"):
+            ModelConfig("kernel", p=float("nan"))
+
+    def test_unknown_model_key_rejected(self):
+        raw = {"task": {"kind": "threshold", "n": 64, "k": 3},
+               "model": {"kind": "kernel", "bandwith": 0.5},
+               "score": "data", "budget": 9, "seed": 4}
+        with pytest.raises(ValueError, match="bandwith"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_missing_config_key_rejected(self):
+        raw = {"task": {"kind": "threshold", "n": 64, "k": 3},
+               "model": {"kind": "kernel"}, "score": "data", "budget": 9}
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("task,key", [
+        ({"kind": "threshold", "n": 64}, "'k'"),
+        ({"kind": "clusters", "centers": [[0.0]], "radii": [0.1], "labels": [1]},
+         "'counts'"),
+        ({"kind": "csv"}, "'path'"),
+    ])
+    def test_missing_task_key_rejected_at_load(self, task, key):
+        with pytest.raises(ValueError, match=f"missing keys .*{key}"):
+            threshold_config(task=task)
+
+    def test_unknown_task_key_rejected(self):
+        # A holdout belongs to csv tasks; on a threshold task it would do nothing.
+        with pytest.raises(ValueError, match="unknown keys .*'holdout'"):
+            threshold_config(task={"kind": "threshold", "n": 64, "k": 3, "holdout": 0.5})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_stop_at_zero_must_be_boolean(self, value):
+        with pytest.raises(ValueError, match="stop_at_zero"):
+            threshold_config(stop_at_zero=value)
+
     @pytest.mark.parametrize("field,value", [
         ("budget", 3.0), ("budget", "3"), ("budget", True), ("budget", None),
         ("seed", 1.0), ("seed", "1"), ("seed", True), ("seed", False),
@@ -190,7 +231,7 @@ class TestRunExperiment:
                                budget=4, seed=1)
         record = run_experiment(cfg)
         assert record.per_cluster_counts == [1, 1, 1, 1]
-        assert record.cluster_state_ok == [True] * 4
+        assert record.first_cluster_repeat_step is None
         assert record.summary_dict()["first_cluster_repeat_step"] is None
 
     def test_cluster_repeat_step_recorded(self):
@@ -201,6 +242,34 @@ class TestRunExperiment:
         summary = record.summary_dict()
         assert summary["first_cluster_repeat_step"] == 4  # 3 balls, step 4 repeats
         assert sum(record.per_cluster_counts) == 6
+
+    @pytest.mark.parametrize("layout", ["explore-13", "contrast-13", "first-point-5"])
+    @pytest.mark.parametrize("score", ["function", "data", "random"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_cluster_repeat_step_matches_the_steps(self, layout, score, seed):
+        # Recompute the first step whose ball already held a label from the
+        # queried points alone; the budget exceeds the ball count, so a repeat
+        # always happens.
+        spec, h = {"explore-13": (cluster_explore_spec(0.1), 0.1),
+                   "contrast-13": (cluster_contrast_spec(0.1), 0.1),
+                   "first-point-5": (first_point_spec(0.5), 0.5)}[layout]
+        task = {"kind": "clusters", "centers": spec.centers.tolist(),
+                "radii": spec.radii.tolist(), "labels": spec.labels.tolist(),
+                "counts": spec.counts.tolist(), "p": 2.0}
+        cfg = ExperimentConfig(task=task, model=ModelConfig("kernel", h=h, p=2.0),
+                               score=score, budget=spec.n_balls + 3, seed=seed)
+        points, _ = _task_points(cfg)
+        record = run_experiment(cfg)
+        seen, want = set(), None
+        for step in record.steps:
+            ball = int(spec.locate(points[step.index])[0])
+            if ball in seen:
+                want = step.step
+                break
+            seen.add(ball)
+        assert want is not None
+        assert record.first_cluster_repeat_step == want
+        assert record.summary_dict()["first_cluster_repeat_step"] == want
 
     @pytest.mark.parametrize("layout", ["threshold-p1", "clusters-p2"])
     @pytest.mark.parametrize("score", ["function", "data"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from maximin_al.exceptions import ConditioningError, DuplicatePointError
 from maximin_al.kernel import (
@@ -17,9 +18,18 @@ from maximin_al.kernel import (
     LabeledSet,
     augmented_fit,
     fit,
-    kernel_eval,
     kernel_matrix,
 )
+
+
+def kernel_eval(x, x2, config: KernelConfig) -> float:
+    """Oracle: ``exp(-||x - x2||_p / h)`` for a single pair of points."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    if x.shape != x2.shape:
+        raise ValueError(f"point shapes differ: {x.shape} vs {x2.shape}")
+    dist = np.linalg.norm(x - x2, ord=config.exponent)
+    return float(np.exp(-dist / config.bandwidth))
 
 
 def random_config(rng, max_n=50, max_d=5):
@@ -395,6 +405,16 @@ class TestAugmentedFit:
         m = augmented_fit(fit(labeled, cfg), u, t)
         preds = m.predict(m.base.points)
         assert np.max(np.abs(preds - m.base.labels)) <= 1e-8
+
+    def test_chain_carries_half_solved_labels(self):
+        # f(u) is read off the carried L^{-1} y; after many labels it must
+        # still equal a fresh triangular solve against the grown factor.
+        rng = np.random.default_rng(21)
+        m = KernelInterpolator.empty(KernelConfig(0.3, 2.0), dim=2)
+        for _ in range(40):
+            m = augmented_fit(m, rng.uniform(size=2), int(rng.choice([-1, 1])))
+        want = solve_triangular(m._chol, m.base.labels.astype(float), lower=True)
+        np.testing.assert_allclose(m._half_labels, want, rtol=1e-10, atol=1e-10)
 
     def test_duplicate_candidate_rejected(self):
         labeled = LabeledSet([[0.0], [1.0]], [1, -1])

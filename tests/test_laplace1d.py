@@ -18,7 +18,6 @@ from maximin_al.laplace1d import (
     interpolant_coefficients,
     interval_max_score,
     norm_closed_form,
-    score_function_norm_interval,
     tridiagonal_inverse,
 )
 from maximin_al.scoring import ScoreKind, UnlabeledPool, select_next
@@ -161,13 +160,6 @@ class TestAugmentedNorms:
             assert minus[0] == pytest.approx(
                 augmented_fit(base, [u], -1).norm_sq, rel=1e-9)
 
-    def test_score_is_min_of_the_pair(self):
-        s = SortedLabeled1D([0.0, 1.0], [1, -1], 0.4)
-        u = np.array([0.3, 0.5, 0.8])
-        plus, minus = augmented_norms(s, 0, u)
-        np.testing.assert_array_equal(
-            score_function_norm_interval(s, 0, u), np.minimum(plus, minus))
-
     def test_rejects_points_outside_interval(self):
         s = SortedLabeled1D([0.0, 1.0, 2.0], [1, -1, 1], 0.5)
         with pytest.raises(ValueError):
@@ -204,7 +196,7 @@ class TestIntervalMaxScore:
             res = interval_max_score(s, j)
             xl, xr = s.positions[j], s.positions[j + 1]
             grid = np.linspace(xl, xr, 10_001)[1:-1]
-            vals = score_function_norm_interval(s, j, grid)
+            vals = np.minimum(*augmented_norms(s, j, grid))
             k = int(np.argmax(vals))
             assert abs(grid[k] - res.maximizer) <= (grid[1] - grid[0]) + 1e-12
             assert vals[k] <= res.score + 1e-12

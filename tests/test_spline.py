@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
-from maximin_al.scoring import ScoreKind
+from maximin_al.scoring import ScoreKind, pick
 from maximin_al.spline import (
     Empirical1D,
     SplineInterpolator,
@@ -308,7 +308,7 @@ class TestSelectNext:
         grid = np.linspace(0.05, 2.95, 200)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-9]
         for kind in ScoreKind:
-            got = spline_select_next(m, grid, kind, 0, Uniform1D(0.0, 3.0))
+            got = pick(*spline_score_pool(m, grid, kind, Uniform1D(0.0, 3.0)), 0)
             nearest = int(np.argmin(np.abs(grid - 2.0)))
             assert got.index == nearest
 
@@ -324,14 +324,14 @@ class TestSelectNext:
         m = fit_spline([0.0, 1.0, 3.0, 5.0], [1, -1, -1, 1])
         grid = np.linspace(0.01, 4.99, 999)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-6]
-        got = spline_select_next(m, grid, ScoreKind.DATA_NORM, 0, Uniform1D(0.0, 5.0))
+        got = pick(*spline_score_pool(m, grid, ScoreKind.DATA_NORM, Uniform1D(0.0, 5.0)), 0)
         assert abs(grid[got.index] - 4.0) < 0.02
 
     def test_empirical_default_density_is_the_pool(self):
         m = fit_spline([0.0, 2.0], [1, -1])
         pool = np.linspace(0.1, 1.9, 50)
         got = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0)
-        want = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0, Empirical1D(pool))
+        want = pick(*spline_score_pool(m, pool, ScoreKind.DATA_NORM, Empirical1D(pool)), 0)
         assert got == want
 
     def test_empty_pool_rejected(self):

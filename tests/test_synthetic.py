@@ -1,7 +1,7 @@
 """Threshold tasks, lp-ball cluster generators, and regime validators.
 
 Oracle strategy: direct geometric measurement of the generated artifacts
-(piece lengths, ball membership, exact lp volumes) and distributional checks
+(piece lengths, ball membership) and distributional checks
 (CLT bound on ball means, Kolmogorov-Smirnov against the exact marginal CDFs).
 """
 
@@ -12,7 +12,6 @@ from scipy.stats import kstest
 from maximin_al.synthetic import (
     ClusterSpec,
     ThresholdTask1D,
-    ball_volume,
     gen_clusters,
     gen_threshold_task,
     validate_theorem_regime,
@@ -68,20 +67,6 @@ class TestThresholdTask:
             gen_threshold_task(10, 0, 0)
         with pytest.raises(ValueError):
             gen_threshold_task(4, 5, 0)
-
-
-class TestBallVolume:
-    def test_euclidean_values(self):
-        assert ball_volume(1.0, 2, 2.0) == pytest.approx(np.pi, rel=1e-12)
-        assert ball_volume(1.0, 3, 2.0) == pytest.approx(4 * np.pi / 3, rel=1e-12)
-        assert ball_volume(2.0, 2, 2.0) == pytest.approx(4 * np.pi, rel=1e-12)
-
-    def test_l1_diamond(self):
-        assert ball_volume(1.0, 2, 1.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_one_dimension_is_interval_length(self):
-        for p in (1.0, 2.0, 3.5):
-            assert ball_volume(0.7, 1, p) == pytest.approx(1.4, rel=1e-12)
 
 
 class TestClusterSpec:
