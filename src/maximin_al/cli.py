@@ -34,8 +34,18 @@ def _parse_seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _load(load, *args):
+    """``load(*args)``; a malformed config or spec (ValueError) is reported in one
+    line with exit status 2, as argparse reports a bad flag."""
+    try:
+        return load(*args)
+    except ValueError as error:
+        print(f"maximin-al: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = _load(ExperimentConfig.from_json, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record = run_experiment(cfg)
@@ -48,7 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = ExperimentConfig.from_json(args.config)
+    base = _load(ExperimentConfig.from_json, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -76,7 +86,7 @@ def _cmd_check(args) -> int:
 def _cmd_gen(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    points, labels, _ = sample_task({**spec, "kind": args.task}, args.seed)
+    points, labels, _ = _load(sample_task, {**spec, "kind": args.task}, args.seed)
     write_dataset_csv(args.out, points, labels)
     print(f"wrote {len(points)} rows to {args.out}")
     return 0

@@ -118,7 +118,9 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, ("task", "model", "score", "budget", "seed"),
                     ("init", "stop_at_zero"))
-        _check_keys("model", raw["model"], ("kind",), ("h", "p"))
+        # h and p belong to the kernel; the spline would ignore them.
+        _check_keys("model", raw["model"], ("kind",),
+                    ("h", "p") if raw["model"].get("kind") == "kernel" else ())
         return cls(**{**raw, "model": ModelConfig(**raw["model"])})
 
     @classmethod
@@ -242,8 +244,10 @@ class _KernelLearner:
 
     Learners are built over the task's points and score kind (None for random
     selection) and take labels and pool candidates by index.  The kernel
-    learner scores from an incremental :class:`~maximin_al.scoring.ScoringState`
-    with room for ``capacity`` labels; random selection builds none.
+    learner scores from an incremental state: a
+    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``,
+    otherwise a :class:`~maximin_al.scoring.ScoringState` with room for
+    ``capacity`` labels; random selection builds none.
     """
 
     def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
@@ -251,8 +255,12 @@ class _KernelLearner:
         kernel = KernelConfig(bandwidth=config.h, exponent=config.p)
         self.points = points
         self.model = KernelInterpolator.empty(kernel, dim=points.shape[1])
-        self.state = None if kind is None else scoring.ScoringState(
-            points, kernel, kind, capacity)
+        if kind is None:
+            self.state = None
+        elif points.shape[1] == 1 and config.p == 1:
+            self.state = scoring.IntervalState(points, kernel, kind)
+        else:
+            self.state = scoring.ScoringState(points, kernel, kind, capacity)
 
     def add(self, i: int, label: int) -> None:
         self.model = augmented_fit(self.model, self.points[i], label)

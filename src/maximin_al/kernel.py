@@ -29,7 +29,8 @@ there.  With ``a = (x - x_j)/h`` and ``b = (x_{j+1} - x)/h``,
 and beyond the outermost labeled points ``f`` decays as ``v e^{-|x - x_end|/h}``.
 :meth:`KernelInterpolator.predict` evaluates this in O(n log L) with two
 ``expm1`` per point instead of the n-by-L kernel matrix; every other case
-takes the dense path.
+takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
+:class:`~maximin_al.scoring.IntervalState`; all others the generic ``ScoringState``.
 """
 
 from __future__ import annotations

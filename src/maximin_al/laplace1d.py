@@ -17,9 +17,10 @@ exactly at the interval midpoint:
 
 No model, scorer or run calls this module: it is an independent oracle for
 the generic Cholesky-based scorer, used by the ``identities`` acceptance
-checks and the tests.  (The closed-form 1-D evaluation in
-:meth:`maximin_al.kernel.KernelInterpolator.predict` rests on the same Markov
-structure but is written from the interval endpoint values.)
+checks and the tests.  The run loop's 1-D ``p = 1`` paths rest on the same
+Markov structure but are written from the interval endpoint values:
+:meth:`maximin_al.kernel.KernelInterpolator.predict` and the scoring state
+:class:`maximin_al.scoring.IntervalState`.
 """
 
 from __future__ import annotations

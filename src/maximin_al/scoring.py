@@ -20,13 +20,16 @@ function-norm score is 1, and the data-based score of ``u`` reduces to
 :func:`score_pool`, :func:`select_next`, :func:`score_function_norm` and
 :func:`score_data_norm` work from a fitted model and recompute ``f``, ``S_u``
 and the residual kernel on every call; they are the reference.  The run loop
-scores from :class:`ScoringState`, which updates the same quantities by one
-residual column per label.  Both turn ``(f, S_u, mean_x R(u, x)^2)`` into
+scores from an incremental state: :class:`IntervalState` (closed forms on each
+labeled interval) for 1-D points with ``p = 1``, else :class:`ScoringState`
+(one residual column per label).  All turn ``(f, S_u, mean_x R(u, x)^2)`` into
 scores and labels through one helper.
 """
 
 from __future__ import annotations
 
+import bisect
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -190,7 +193,10 @@ class ScoringState:
 
     The kernel system is unjittered, as in a model grown by
     :func:`~maximin_al.kernel.augmented_fit` from the empty one.
-    ``capacity`` bounds the number of labels (default ``n``).
+    ``capacity`` bounds the number of labels (default ``n``).  A state whose
+    rows and residual (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
+    data score) exceed the physical memory raises MemoryError before it
+    allocates anything.
     """
 
     def __init__(self, points, config: KernelConfig, kind: ScoreKind,
@@ -199,11 +205,18 @@ class ScoringState:
             raise ValueError(f"unknown score kind {kind!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
+        capacity = n if capacity is None else capacity
+        needed = 8 * n * (capacity + (n if kind is ScoreKind.DATA_NORM else 0))
+        physical = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                    if hasattr(os, "sysconf") else needed)
+        if needed > physical:
+            raise MemoryError(f"a scoring state over n = {n} points needs {needed} "
+                              f"bytes, more than the {physical} bytes of physical memory")
         self.points, self.config, self.kind = points, config, kind
         self.f = np.zeros(n)
         self.schur = np.ones(n)
         self.norm_sq = 0.0
-        self._rows = np.empty((n if capacity is None else capacity, n))
+        self._rows = np.empty((capacity, n))
         self._count = 0
         self._residual = self._r2 = None
         if kind is ScoreKind.DATA_NORM:
@@ -254,6 +267,80 @@ class ScoringState:
         mean_r2 = None if self._r2 is None else self._r2[pool_idx] / len(pool_idx)
         return _scores_from(self.kind, self.f[pool_idx], self.schur[pool_idx],
                        self.norm_sq, mean_r2)
+
+
+class IntervalState(ScoringState):
+    """:class:`ScoringState` of 1-D points under the ``p = 1`` kernel, from closed forms.
+
+    ``exp(-|x - x'|/h)`` is the Markov Ornstein-Uhlenbeck covariance
+    (Hartikainen & Sarkka, 2010), so between adjacent labeled points ``a < b``
+    the state depends on those two labels alone and ``R`` vanishes across a
+    labeled point.  With ``A = 1 - e^{-2(x-a)/h}`` (1 with no left label),
+    ``B = 1 - e^{-2(b-x)/h}`` (1 with no right label) and
+    ``D = 1 - e^{-2(b-a)/h}`` (1 unless both exist),
+
+        f = [y_a e^{-(x-a)/h} B + y_b e^{-(b-x)/h} A] / D,   S = A B / D,
+        R(u, x) = e^{-|x-u|/h} A(min(u, x)) B(max(u, x)) / D.
+
+    A label recomputes only the ``n_b`` points between its labeled neighbours,
+    in O(n_b); the row sums of ``R^2`` are two prefix scans in log space, which
+    cannot overflow.  No n-by-n array and no rows of ``W`` are kept.
+    """
+
+    def __init__(self, points, config: KernelConfig, kind: ScoreKind):
+        if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
+            raise ValueError(f"unknown score kind {kind!r}")
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = len(points)
+        self.points, self.config, self.kind = points, config, kind
+        self.f, self.schur, self.norm_sq, self._count = np.zeros(n), np.ones(n), 0.0, 0
+        self._order = np.argsort(points[:, 0], kind="stable")
+        self._rank = np.empty(n, dtype=np.intp)
+        self._rank[self._order] = np.arange(1, n + 1)
+        # Ranks 0 and n + 1 are labeled 0 at -inf and +inf: there A, B and D are 1.
+        self._x = np.concatenate([[-np.inf], points[self._order, 0], [np.inf]])
+        self._y = np.zeros(n + 2)
+        self._labeled = [0, n + 1]  # labeled ranks, increasing
+        self._r2 = np.empty(n) if kind is ScoreKind.DATA_NORM else None
+        self._fill(0, n + 1)
+
+    def add(self, i: int, label: int) -> None:
+        """Condition on the label ``label`` at point ``i`` (see :meth:`ScoringState.add`)."""
+        if label not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        if self.schur[i] < SCHUR_FLOOR:
+            raise DuplicatePointError(
+                "candidate is numerically indistinguishable from a labeled point")
+        r = self._rank[i]
+        k = bisect.bisect(self._labeled, r)
+        self._labeled.insert(k, r)
+        self._count += 1
+        self.norm_sq += (label - self.f[i]) ** 2 / self.schur[i]
+        self._y[r], self.f[i], self.schur[i] = label, label, 0.0
+        self._fill(self._labeled[k - 1], r)
+        self._fill(r, self._labeled[k + 1])
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """f, S and the row sums of R^2 at the ranks strictly between labeled ``lo`` and ``hi``."""
+        if hi - lo < 2:
+            return
+        x, h, idx = self._x[lo + 1:hi], self.config.bandwidth, self._order[lo:hi - 1]
+        da, db = (x - self._x[lo]) / h, (self._x[hi] - x) / h
+        A, B = -np.expm1(-2.0 * da), -np.expm1(-2.0 * db)
+        D = -np.expm1(-2.0 * (self._x[hi] - self._x[lo]) / h)
+        self.f[idx] = (self._y[lo] * np.exp(-da) * B + self._y[hi] * np.exp(-db) * A) / D
+        self.schur[idx] = A * B / D
+        if self._r2 is None:
+            return
+        # sum_x R(u, x)^2 = B(u)^2 sum_{x <= u} e^{-2(u-x)/h} A(x)^2
+        #                 + A(u)^2 sum_{x > u} e^{-2(x-u)/h} B(x)^2, all over D^2.
+        t = 2.0 * (x - x[0]) / h
+        with np.errstate(divide="ignore"):  # log 0 at a repeat of a labeled point
+            log_a2, log_b2 = 2.0 * np.log(A), 2.0 * np.log(B)
+        below = np.exp(np.logaddexp.accumulate(t + log_a2) - t)
+        above = np.logaddexp.accumulate((log_b2 - t)[::-1])[::-1]
+        above = np.exp(np.append(above[1:], -np.inf) + t)
+        self._r2[idx] = (B * B * below + A * A * above) / (D * D)
 
 
 def score_pool(model: KernelInterpolator, pool: UnlabeledPool,

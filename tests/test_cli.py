@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 import subprocess
 
@@ -96,11 +97,15 @@ class TestGen:
          "missing keys .*'counts'"),
         ("threshold", {"n": 50, "k": 3, "holdout": 0.2}, "unknown keys .*'holdout'"),
     ])
-    def test_malformed_spec_names_the_key(self, tmp_path, task, spec, match):
+    def test_malformed_spec_names_the_key(self, tmp_path, capsys, task, spec, match):
         spec_path = write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "data.csv"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(SystemExit) as exc:
             main(["gen", "--task", task, "--spec", spec_path, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
+        assert re.search(match, err)
         assert not out.exists()
 
 
@@ -123,6 +128,24 @@ class TestRun:
         out = tmp_path / "a" / "b"
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
+@pytest.mark.parametrize("overrides,match", [
+    ({"model": {"kind": "spline", "h": 0.5}}, "unknown keys .*'h'"),
+    ({"task": {"kind": "threshold", "n": 64}}, "missing keys .*'k'"),
+    ({"score": "best"}, "score must be one of"),
+])
+def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):
+    config = run_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", config, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
+    assert re.search(match, err)
+    assert not out.exists()
 
 
 class TestSweep:

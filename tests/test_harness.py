@@ -118,6 +118,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="bandwith"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("model,key", [
+        ({"kind": "spline", "h": 0.5, "p": 7}, "'h', 'p'"),
+        ({"kind": "spline", "p": 1}, "'p'"),
+    ])
+    def test_kernel_keys_rejected_on_the_spline(self, model, key):
+        # The spline has no bandwidth or order; accepting them would ignore them.
+        raw = {"task": {"kind": "threshold", "n": 64, "k": 3}, "model": model,
+               "score": "data", "budget": 9, "seed": 4}
+        with pytest.raises(ValueError, match=f"unknown keys \\[{key}\\]"):
+            ExperimentConfig.from_dict(raw)
+
     def test_missing_config_key_rejected(self):
         raw = {"task": {"kind": "threshold", "n": 64, "k": 3},
                "model": {"kind": "kernel"}, "score": "data", "budget": 9}

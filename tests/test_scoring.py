@@ -5,6 +5,7 @@ Oracle strategy: every score is checked against an explicit double refit
 and tie-breaking uniformity is checked with a chi-square test.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,9 @@ from maximin_al.kernel import (
     fit,
     kernel_matrix,
 )
+from maximin_al.harness import ModelConfig, _KernelLearner
 from maximin_al.scoring import (
+    IntervalState,
     ScoreKind,
     ScoringState,
     UnlabeledPool,
@@ -318,6 +321,114 @@ class TestScoringState:
     def test_string_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown score kind"):
             ScoringState([[0.0]], KernelConfig(0.5), "data")
+
+
+    def test_refuses_a_size_beyond_physical_memory(self):
+        # A zero-copy view of 10^7 points: the refusal must come before any allocation.
+        points = np.broadcast_to(np.zeros((1, 2)), (10**7, 2))
+        with pytest.raises(MemoryError, match="n = 10000000 points needs 1600000000000000 "):
+            ScoringState(points, KernelConfig(0.5), ScoreKind.DATA_NORM)
+        with pytest.raises(MemoryError, match="n = 10000000 points needs 800000000000000 "):
+            ScoringState(points, KernelConfig(0.5), ScoreKind.FUNCTION_NORM)
+
+
+@st.composite
+def interval_cases(draw):
+    """1-D points on a 1/16 grid of [0, 1] (repeats allowed; sorted or shuffled),
+    a bandwidth, and a label sequence whose indices may repeat."""
+    n = draw(st.integers(2, 12))
+    points = np.array(draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))) / 16.0
+    if draw(st.booleans()):
+        points = np.sort(points)
+    h = draw(st.sampled_from([1e-3, 0.01, 0.2, 1.0]))  # h = 1e-3: [0, 1] spans 1000 h
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(order),
+                           max_size=len(order)))
+    return points[:, None], KernelConfig(h, 1.0), order, labels
+
+
+class TestIntervalState:
+    @settings(max_examples=200, deadline=None)
+    @given(interval_cases())
+    def test_matches_the_generic_state(self, case):
+        points, cfg, order, labels = case
+        pairs = [(IntervalState(points, cfg, kind), ScoringState(points, cfg, kind))
+                 for kind in ScoreKind]
+        labeled = []
+        for i, y in zip(order, labels):
+            for fast, generic in pairs:
+                try:
+                    generic.add(i, y)
+                except DuplicatePointError:
+                    with pytest.raises(DuplicatePointError):
+                        fast.add(i, y)
+                    return
+                fast.add(i, y)
+            labeled.append(i)
+            pool_idx = np.setdiff1d(np.arange(len(points)), labeled)
+            if len(pool_idx) == 0:
+                return
+            for fast, generic in pairs:
+                np.testing.assert_allclose(fast.f[pool_idx], generic.f[pool_idx],
+                                           rtol=1e-10, atol=1e-11)
+                np.testing.assert_allclose(fast.schur[pool_idx], generic.schur[pool_idx],
+                                           rtol=1e-10, atol=1e-12)
+                assert fast.norm_sq == pytest.approx(generic.norm_sq, rel=1e-10)
+                try:
+                    want, want_labels = generic.scores(pool_idx)
+                except DuplicatePointError:
+                    with pytest.raises(DuplicatePointError):
+                        fast.scores(pool_idx)
+                    continue
+                got, got_labels = fast.scores(pool_idx)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+                assert np.array_equal(got_labels, want_labels)
+
+    def test_schur_and_f_against_exact_arithmetic(self):
+        # Twelve points 1e-5 h apart, the even ones labeled: the Gram matrix is
+        # ill-conditioned, and the generic state's S at point 9 is off by
+        # about 2e-11 relative, while the closed forms stay at rounding level.
+        points = 0.5 + 1e-5 * np.arange(12.0)
+        labeled, labels = [0, 2, 4, 6, 8, 10], [1, -1, -1, 1, 1, -1]
+        fast = IntervalState(points[:, None], KernelConfig(1.0, 1.0), ScoreKind.DATA_NORM)
+        generic = ScoringState(points[:, None], KernelConfig(1.0, 1.0), ScoreKind.DATA_NORM)
+        for i, y in zip(labeled, labels):
+            fast.add(i, y)
+            generic.add(i, y)
+        with mpmath.workdps(60):
+            x = [mpmath.mpf(float(v)) for v in points]
+            K = mpmath.matrix([[mpmath.exp(-abs(x[i] - x[j])) for j in labeled]
+                               for i in labeled])
+            k = mpmath.matrix([mpmath.exp(-abs(x[i] - x[9])) for i in labeled])
+            alpha = mpmath.lu_solve(K, k)
+            schur = float(1 - (k.T * alpha)[0])
+            f = float((mpmath.matrix(labels).T * alpha)[0])
+        assert fast.schur[9] == pytest.approx(schur, rel=1e-14)
+        assert fast.f[9] == pytest.approx(f, abs=1e-15)
+        assert generic.schur[9] == pytest.approx(schur, rel=1e-9)
+
+    def test_the_learner_takes_it_for_1d_p1_only(self):
+        line, plane = np.linspace(0.0, 1.0, 5)[:, None], np.zeros((5, 2))
+        for points, p, cls in ((line, 1.0, IntervalState), (line, 2.0, ScoringState),
+                               (plane, 1.0, ScoringState)):
+            learner = _KernelLearner(ModelConfig("kernel", 0.1, p), points,
+                                     ScoreKind.DATA_NORM, 3)
+            assert type(learner.state) is cls
+
+    def test_pool_must_be_every_unlabeled_point(self):
+        state = IntervalState([[0.0], [0.5], [1.0]], KernelConfig(0.5, 1.0),
+                              ScoreKind.DATA_NORM)
+        state.add(1, 1)
+        assert len(state.scores(np.array([0, 2]))[0]) == 2
+        with pytest.raises(ValueError, match="every unlabeled point"):
+            state.scores(np.array([0]))
+
+    def test_string_kind_and_bad_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown score kind"):
+            IntervalState([[0.0]], KernelConfig(0.5, 1.0), "data")
+        state = IntervalState([[0.0]], KernelConfig(0.5, 1.0), ScoreKind.DATA_NORM)
+        with pytest.raises(ValueError, match="label must be"):
+            state.add(0, 0)
 
 
 class TestPick:
