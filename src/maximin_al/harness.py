@@ -8,6 +8,13 @@ the task sample, the tie-breaking stream, and the random baseline all derive
 from ``seed`` through independent ``SeedSequence`` children, so replaying a
 config reproduces the trace bit for bit.
 
+Learners score from incremental states.  The 1-D ``p = 1`` kernel learner
+with a score is state-only: it reads f off its
+:class:`~maximin_al.scoring.IntervalState` and fits no interpolant.  Random
+kernel runs and those with d > 1 or p != 1 still grow a ``KernelInterpolator``
+and evaluate it, because the benchmark's per-layer counts are taken on those
+calls.  The spline learner scores from a :class:`~maximin_al.spline.SplineState`.
+
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
     {
@@ -240,14 +247,15 @@ def write_dataset_csv(path, points: np.ndarray, labels: np.ndarray) -> None:
 
 
 class _KernelLearner:
-    """The run loop's learner interface: ``add``, ``predict`` and ``select``.
+    """The run loop's learner interface: ``add``, ``values``, ``predict`` and ``select``.
 
     Learners are built over the task's points and score kind (None for random
-    selection) and take labels and pool candidates by index.  The kernel
-    learner scores from an incremental state: a
-    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``,
-    otherwise a :class:`~maximin_al.scoring.ScoringState` with room for
-    ``capacity`` labels; random selection builds none.
+    selection), take labels and pool candidates by index, and give f at task
+    points by index (``values``) and elsewhere (``predict``).  The kernel
+    learner is only a :class:`~maximin_al.scoring.IntervalState` for 1-D points
+    with ``p = 1``; else it fits a model beside a
+    :class:`~maximin_al.scoring.ScoringState` (room for ``capacity`` labels),
+    or, for random selection, alone.
     """
 
     def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
@@ -258,27 +266,37 @@ class _KernelLearner:
         if kind is None:
             self.state = None
         elif points.shape[1] == 1 and config.p == 1:
-            self.state = scoring.IntervalState(points, kernel, kind)
+            self.state, self.model = scoring.IntervalState(points, kernel, kind), None
         else:
             self.state = scoring.ScoringState(points, kernel, kind, capacity)
 
     def add(self, i: int, label: int) -> None:
-        self.model = augmented_fit(self.model, self.points[i], label)
+        if self.model is not None:
+            self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
 
+    def values(self, idx) -> np.ndarray:
+        if self.model is None:
+            return self.state.f[idx]
+        return self.model.predict(self.points[idx])
+
     def predict(self, points) -> np.ndarray:
-        return self.model.predict(points)
+        return (self.state if self.model is None else self.model).predict(points)
 
     def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
         return scoring.pick(*self.state.scores(pool_idx), rng)
 
 
 class _SplineLearner:
-    """The spline model behind the same interface; it predicts 0 before any label."""
+    """The spline model behind the same interface; it predicts 0 before any label.
+
+    A :class:`~maximin_al.spline.SplineState` scores; the refit spline gives f.
+    """
 
     def __init__(self, points: np.ndarray, kind: ScoreKind | None):
-        self.points, self.kind = points[:, 0], kind
+        self.points = points[:, 0]
+        self.state = None if kind is None else spline.SplineState(self.points, kind)
         self.positions: list[float] = []
         self.labels: list[int] = []
         self.model: spline.SplineInterpolator | None = None
@@ -287,6 +305,11 @@ class _SplineLearner:
         self.positions.append(float(self.points[i]))
         self.labels.append(label)
         self.model = spline.fit_spline(self.positions, self.labels)
+        if self.state is not None:
+            self.state.add(i, label)
+
+    def values(self, idx) -> np.ndarray:
+        return self.predict(self.points[idx])
 
     def predict(self, points) -> np.ndarray:
         if self.model is None:
@@ -294,7 +317,7 @@ class _SplineLearner:
         return self.model.predict(np.asarray(points).ravel())
 
     def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
-        return spline.spline_select_next(self.model, self.points[pool_idx], self.kind, rng)
+        return scoring.pick(*self.state.scores(pool_idx, self.model.weight_norm), rng)
 
 
 def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
@@ -362,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     # The training error is a count, so it is taken over the points sorted by
     # their first coordinate: 1-D models then locate the queries in order.
     order = np.argsort(points[:, 0], kind="stable")
-    eval_points, eval_oracle = points[order], oracle[order]
+    eval_oracle = oracle[order]
 
     unlabeled = np.ones(n, dtype=bool)
     forced = []
@@ -377,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             break
         if forced or kind is None:
             idx = forced.pop(0) if forced else int(rng.choice(pool_idx))
-            est = int(scoring.sign_labels(learner.predict(points[idx:idx + 1])[0]))
+            est = int(scoring.sign_labels(learner.values([idx])[0]))
             score_val = float("nan")
         else:
             chosen = learner.select(pool_idx, rng)
@@ -389,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         learner.add(idx, truth)
         unlabeled[idx] = False
 
-        pred = np.where(learner.predict(eval_points) >= 0, 1, -1)
+        pred = np.where(learner.values(order) >= 0, 1, -1)
         err = float(np.mean(pred != eval_oracle))
         record.steps.append(StepRecord(step, idx, est, truth, score_val, err))
         if record.queries_to_zero is None and err == 0.0:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from .exceptions import ConditioningError, DuplicatePointError
 
@@ -160,9 +159,46 @@ def cross_kernel(X: np.ndarray, Y: np.ndarray, config: KernelConfig) -> np.ndarr
     The exponential is taken in place on the distance matrix, so the result
     is the only array of its size that is allocated.
     """
-    out = cdist(X, Y, metric="minkowski", p=config.exponent)
+    if X.shape[1] == 1:  # |x - y| is the distance for every p
+        out = X - Y.T
+        np.abs(out, out=out)
+    else:
+        from scipy.spatial.distance import cdist  # not loaded by 1-D runs
+        out = cdist(X, Y, metric="minkowski", p=config.exponent)
     out /= -config.bandwidth
     return np.exp(out, out=out)
+
+
+def markov_1d(knots: np.ndarray, values: np.ndarray, x: np.ndarray,
+              bandwidth: float) -> np.ndarray:
+    """The 1-D ``p = 1`` interpolant at ``x`` from its ``values`` at sorted ``knots``.
+
+    Knots at -inf and +inf with value 0 turn the two tails into intervals
+    of the same formula.  ``ea = e^{-a} - 1`` and ``eb = e^{-b} - 1`` keep
+    ``1 - e^{-2a} = -ea (2 + ea)`` accurate next to a knot.
+    """
+    if len(knots) == 2:  # no finite knot: f == 0
+        return np.zeros(len(x))
+    h = bandwidth
+    # Beyond 750 h from every knot each kernel term underflows to 0, as the
+    # dense path's do; clipping there keeps infinite queries finite.
+    x = np.clip(x, knots[1] - 750.0 * h, knots[-2] + 750.0 * h)
+    # Knots closer than 1e-150 h (only a jittered fit has them) would put
+    # subnormal numbers into the formula.  f moves by at most
+    # ||alpha||_1 * gap / h across such an interval, so it takes the value
+    # of its left knot there.
+    gap = np.diff(knots) / h
+    narrow = gap < 1e-150
+    scale = np.expm1(-2.0 * np.where(narrow, 1.0, gap))  # e^{-2(a+b)} - 1
+    j = np.searchsorted(knots[:-1], x, side="right") - 1  # NaN: the last interval
+    ea = np.expm1((knots[j] - x) / h)
+    eb = np.expm1((x - knots[j + 1]) / h)
+    f = (values[:-1] / scale)[j] * (1.0 + ea) * eb * (2.0 + eb)
+    f += (values[1:] / scale)[j] * (1.0 + eb) * ea * (2.0 + ea)
+    if narrow.any():
+        at = narrow[j]
+        f[at] = values[j[at]]
+    return f
 
 
 class KernelInterpolator:
@@ -207,47 +243,19 @@ class KernelInterpolator:
     def predict(self, X) -> np.ndarray:
         """Evaluate the interpolant at each row of ``X``.
 
-        1-D models with ``p = 1`` use the closed form in the module docstring;
-        the rest evaluate ``kernel_matrix(X, X_L) @ coefficients``.
+        1-D models with ``p = 1`` use the closed form in the module docstring
+        (:func:`markov_1d`); the rest evaluate ``kernel_matrix(X, X_L) @ coefficients``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if len(self) == 0:
             return np.zeros(X.shape[0])
         if X.shape[1] == self.base.dim == 1 and self.config.exponent == 1:
-            return self._predict_markov_1d(X[:, 0])
+            order = np.argsort(self.base.points[:, 0])
+            knots = np.concatenate([[-np.inf], self.base.points[order, 0], [np.inf]])
+            values = np.concatenate(
+                [[0.0], (self.base.labels - self.jitter * self.coefficients)[order], [0.0]])
+            return markov_1d(knots, values, X[:, 0], self.config.bandwidth)
         return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
-
-    def _predict_markov_1d(self, x: np.ndarray) -> np.ndarray:
-        """The p = 1 interpolant at 1-D points ``x`` from its values at the knots.
-
-        Knots at -inf and +inf with value 0 turn the two tails into intervals
-        of the same formula.  ``ea = e^{-a} - 1`` and ``eb = e^{-b} - 1`` keep
-        ``1 - e^{-2a} = -ea (2 + ea)`` accurate next to a knot.
-        """
-        h = self.config.bandwidth
-        order = np.argsort(self.base.points[:, 0])
-        knots = np.concatenate([[-np.inf], self.base.points[order, 0], [np.inf]])
-        values = np.concatenate(
-            [[0.0], (self.base.labels - self.jitter * self.coefficients)[order], [0.0]])
-        # Beyond 750 h from every knot each kernel term underflows to 0, as the
-        # dense path's do; clipping there keeps infinite queries finite.
-        x = np.clip(x, knots[1] - 750.0 * h, knots[-2] + 750.0 * h)
-        # Knots closer than 1e-150 h (only a jittered fit has them) would put
-        # subnormal numbers into the formula.  f moves by at most
-        # ||alpha||_1 * gap / h across such an interval, so it takes the value
-        # of its left knot there.
-        gap = np.diff(knots) / h
-        narrow = gap < 1e-150
-        scale = np.expm1(-2.0 * np.where(narrow, 1.0, gap))  # e^{-2(a+b)} - 1
-        j = np.searchsorted(knots[:-1], x, side="right") - 1  # NaN: the last interval
-        ea = np.expm1((knots[j] - x) / h)
-        eb = np.expm1((x - knots[j + 1]) / h)
-        f = (values[:-1] / scale)[j] * (1.0 + ea) * eb * (2.0 + eb)
-        f += (values[1:] / scale)[j] * (1.0 + eb) * ea * (2.0 + ea)
-        if narrow.any():
-            at = narrow[j]
-            f[at] = values[j[at]]
-        return f
 
     def evaluate(self, x) -> float:
         """Evaluate the interpolant at a single point."""

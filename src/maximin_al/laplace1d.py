@@ -19,8 +19,8 @@ No model, scorer or run calls this module: it is an independent oracle for
 the generic Cholesky-based scorer, used by the ``identities`` acceptance
 checks and the tests.  The run loop's 1-D ``p = 1`` paths rest on the same
 Markov structure but are written from the interval endpoint values:
-:meth:`maximin_al.kernel.KernelInterpolator.predict` and the scoring state
-:class:`maximin_al.scoring.IntervalState`.
+:func:`maximin_al.kernel.markov_1d`, behind both ``predict`` methods, and the
+scoring state :class:`maximin_al.scoring.IntervalState`.
 """
 
 from __future__ import annotations
@@ -143,41 +143,6 @@ def interpolant_coefficients(s: SortedLabeled1D) -> np.ndarray:
     if n > 2:
         coeff[1:-1] = y[1:-1] * (left[:-1] + left[1:] - 1.0)
     return coeff
-
-
-def evaluate_closed_form(s: SortedLabeled1D, x) -> np.ndarray:
-    """Interpolant values ``sum_i alpha_i exp(-|x - x_i|/h)`` at ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coeff = interpolant_coefficients(s)
-    kernels = np.exp(-np.abs(x[:, None] - s.positions[None, :]) / s.bandwidth)
-    return kernels @ coeff
-
-
-def augmented_norms(s: SortedLabeled1D, j: int, u) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms after inserting ``(u, +1)`` and ``(u, -1)`` into interval ``j``.
-
-    For ``x_j < u < x_{j+1}`` (0-based ``j``) and label ``t``:
-
-        ||f_t^u||^2 = ||f||^2 - 1 - 2/(1 + y_j y_{j+1} d_j)
-                      + 2/(1 + t y_j e^{-(u - x_j)/h})
-                      + 2/(1 + t y_{j+1} e^{-(x_{j+1} - u)/h}).
-
-    Returns the pair ``(plus, minus)`` as arrays matching ``u``.
-    """
-    n = len(s)
-    if not 0 <= j < n - 1:
-        raise ValueError(f"interval index {j} out of range for {n} points")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    xl, xr = s.positions[j], s.positions[j + 1]
-    if np.any((u <= xl) | (u >= xr)):
-        raise ValueError("u must lie strictly inside the interval")
-    yl, yr = float(s.labels[j]), float(s.labels[j + 1])
-    base = norm_closed_form(s) - 1.0 - 2.0 / (1.0 + yl * yr * s.gap_factors[j])
-    el = np.exp(-(u - xl) / s.bandwidth)
-    er = np.exp(-(xr - u) / s.bandwidth)
-    plus = base + 2.0 / (1.0 + yl * el) + 2.0 / (1.0 + yr * er)
-    minus = base + 2.0 / (1.0 - yl * el) + 2.0 / (1.0 - yr * er)
-    return plus, minus
 
 
 def interval_max_score(s: SortedLabeled1D, j: int) -> IntervalScoreResult:

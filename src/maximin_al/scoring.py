@@ -38,7 +38,7 @@ from scipy.linalg.blas import dger
 
 from .exceptions import DuplicatePointError, EmptyPoolError
 from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel,
-                     kernel_matrix)
+                     kernel_matrix, markov_1d)
 
 TIE_TOLERANCE = 1e-12
 
@@ -269,7 +269,36 @@ class ScoringState:
                        self.norm_sq, mean_r2)
 
 
-class IntervalState(ScoringState):
+class SortedIntervals:
+    """Scoring state of 1-D points sorted once and split by the labeled ones.
+
+    Sentinel ranks 0 and n + 1 are labeled 0 at -inf and +inf.  A label at rank
+    ``r`` between labeled ``lo`` and ``hi`` recomputes only the points between,
+    by ``_fill(lo, r)`` and ``_fill(r, hi)``.
+    """
+
+    def __init__(self, x: np.ndarray, kind: ScoreKind):
+        if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
+            raise ValueError(f"unknown score kind {kind!r}")
+        n, self.kind = len(x), kind
+        self._order = np.argsort(x, kind="stable")
+        self._rank = np.empty(n, dtype=np.intp)
+        self._rank[self._order] = np.arange(1, n + 1)
+        self._x = np.concatenate([[-np.inf], x[self._order], [np.inf]])
+        self._y = np.zeros(n + 2)
+        self._labeled = [0, n + 1]  # labeled ranks, increasing
+        self._fill(0, n + 1)
+
+    def _split(self, i: int, label: int) -> None:
+        r = self._rank[i]
+        k = bisect.bisect(self._labeled, r)
+        self._labeled.insert(k, r)
+        self._y[r] = label
+        self._fill(self._labeled[k - 1], r)
+        self._fill(r, self._labeled[k + 1])
+
+
+class IntervalState(SortedIntervals, ScoringState):
     """:class:`ScoringState` of 1-D points under the ``p = 1`` kernel, from closed forms.
 
     ``exp(-|x - x'|/h)`` is the Markov Ornstein-Uhlenbeck covariance
@@ -288,21 +317,12 @@ class IntervalState(ScoringState):
     """
 
     def __init__(self, points, config: KernelConfig, kind: ScoreKind):
-        if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
-            raise ValueError(f"unknown score kind {kind!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
-        self.points, self.config, self.kind = points, config, kind
+        self.points, self.config = points, config
         self.f, self.schur, self.norm_sq, self._count = np.zeros(n), np.ones(n), 0.0, 0
-        self._order = np.argsort(points[:, 0], kind="stable")
-        self._rank = np.empty(n, dtype=np.intp)
-        self._rank[self._order] = np.arange(1, n + 1)
-        # Ranks 0 and n + 1 are labeled 0 at -inf and +inf: there A, B and D are 1.
-        self._x = np.concatenate([[-np.inf], points[self._order, 0], [np.inf]])
-        self._y = np.zeros(n + 2)
-        self._labeled = [0, n + 1]  # labeled ranks, increasing
         self._r2 = np.empty(n) if kind is ScoreKind.DATA_NORM else None
-        self._fill(0, n + 1)
+        super().__init__(points[:, 0], kind)
 
     def add(self, i: int, label: int) -> None:
         """Condition on the label ``label`` at point ``i`` (see :meth:`ScoringState.add`)."""
@@ -311,14 +331,16 @@ class IntervalState(ScoringState):
         if self.schur[i] < SCHUR_FLOOR:
             raise DuplicatePointError(
                 "candidate is numerically indistinguishable from a labeled point")
-        r = self._rank[i]
-        k = bisect.bisect(self._labeled, r)
-        self._labeled.insert(k, r)
         self._count += 1
         self.norm_sq += (label - self.f[i]) ** 2 / self.schur[i]
-        self._y[r], self.f[i], self.schur[i] = label, label, 0.0
-        self._fill(self._labeled[k - 1], r)
-        self._fill(r, self._labeled[k + 1])
+        self.f[i], self.schur[i] = label, 0.0
+        self._split(i, label)
+
+    def predict(self, points) -> np.ndarray:
+        """The interpolant at the rows of ``points``, as ``KernelInterpolator.predict``."""
+        x = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
+        return markov_1d(self._x[self._labeled], self._y[self._labeled], x,
+                         self.config.bandwidth)
 
     def _fill(self, lo: int, hi: int) -> None:
         """f, S and the row sums of R^2 at the ranks strictly between labeled ``lo`` and ``hi``."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
-from .scoring import ScoredCandidate, ScoreKind, pick
+from .scoring import ScoredCandidate, ScoreKind, SortedIntervals, pick
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,8 @@ def fit_spline(positions, values) -> SplineInterpolator:
     return SplineInterpolator(positions, values)
 
 
-def _roughness_deltas(m: SplineInterpolator, u: np.ndarray, j: np.ndarray):
-    """Roughness change for labels +1 and -1 at each candidate."""
-    xl, xr = m.positions[j], m.positions[j + 1]
-    yl, yr = m.values[j], m.values[j + 1]
+def _roughness_deltas(u, xl, xr, yl, yr):
+    """Roughness change for labels +1 and -1 at candidates ``u`` in ``(xl, xr)``."""
     shared = 2.0 * (1.0 - yl * yr) / (xr - xl)
     dplus = 2.0 * (1.0 - yl) / (u - xl) + 2.0 * (1.0 - yr) / (xr - u) - shared
     dminus = 2.0 * (1.0 + yl) / (u - xl) + 2.0 * (1.0 + yr) / (xr - u) - shared
@@ -159,7 +157,8 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     j = m.interval_of(us)
-    dplus, dminus = _roughness_deltas(m, us, j)
+    dplus, dminus = _roughness_deltas(us, m.positions[j], m.positions[j + 1],
+                                      m.values[j], m.values[j + 1])
     labels = np.where(dplus <= dminus, 1, -1)
     if kind is ScoreKind.FUNCTION_NORM:
         return m.weight_norm + np.minimum(dplus, dminus), labels
@@ -219,6 +218,62 @@ def _ramp_sq_integral(a, b, x0, x1):
     tb = (b - x0) / width
     raw = (tb ** 3 - ta ** 3) * width / 3.0
     return np.where(b > a, np.abs(raw), 0.0)
+
+
+class SplineState(SortedIntervals):
+    """Spline scores of fixed 1-D points, recomputed only on the interval a label splits.
+
+    It keeps the terms of :func:`spline_score_pool` (the reference) per point,
+    so :meth:`scores` equals it on the unlabeled points and raises as it does.
+    """
+
+    def __init__(self, points, kind: ScoreKind):
+        x = np.asarray(points, dtype=float).ravel()
+        self._positions, self._repeated = set(), False
+        self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x)) for _ in range(4))
+        super().__init__(x, kind)
+
+    def add(self, i: int, label: int) -> None:
+        if label not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        r = self._rank[i]
+        if self._x[r] in self._positions:
+            raise DuplicatePointError("labeled positions must be distinct")
+        self._positions.add(self._x[r])
+        # Equal points have adjacent ranks, and labeling an unlabeled repeat raises.
+        self._repeated |= self._x[r] in (self._x[r - 1], self._x[r + 1])
+        self._split(i, label)
+
+    def scores(self, pool_idx: np.ndarray, weight_norm: float):
+        """Scores and labels of ``pool_idx``, every unlabeled point, for ``weight_norm``."""
+        if len(pool_idx) != len(self._order) - len(self._positions):
+            raise ValueError("pool_idx must hold every unlabeled point")
+        if self._repeated:
+            raise DuplicatePointError("candidate coincides with a labeled position")
+        if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
+            raise OutOfRangeError("candidate lies outside the labeled hull")
+        dplus, dminus = self._dplus[pool_idx], self._dminus[pool_idx]
+        labels = np.where(dplus <= dminus, 1, -1)
+        if self.kind is ScoreKind.FUNCTION_NORM:
+            return weight_norm + np.minimum(dplus, dminus), labels
+        peak = labels - self._f[pool_idx]
+        return peak ** 2 * (self._hat[pool_idx] / len(pool_idx)), labels
+
+    def _fill(self, lo: int, hi: int) -> None:
+        if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
+            return  # outside the hull, where scores raise, or empty
+        u, idx = self._x[lo + 1:hi], self._order[lo:hi - 1]
+        xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
+        with np.errstate(divide="ignore", invalid="ignore"):  # repeats, where scores raise
+            self._dplus[idx], self._dminus[idx] = _roughness_deltas(u, xl, xr, yl, yr)
+            if self.kind is ScoreKind.FUNCTION_NORM:
+                return
+            self._f[idx] = np.interp(u, (xl, xr), (yl, yr))
+            rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
+            np.cumsum((u - xl) ** 2, out=rise[1:])
+            np.cumsum(((xr - u) ** 2)[::-1], out=fall[:-1][::-1])
+            at = np.searchsorted(u, u, side="left")
+            self._hat[idx] = rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2
 
 
 def spline_score_function_norm(m: SplineInterpolator, u) -> ScoredCandidate:

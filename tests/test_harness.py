@@ -10,18 +10,20 @@ import json
 import numpy as np
 import pytest
 
-from maximin_al import scoring
+from maximin_al import harness, scoring
 from maximin_al.acceptance import cluster_contrast_spec, cluster_explore_spec, first_point_spec
 from maximin_al.exceptions import IngestionError
 from maximin_al.harness import (
     ExperimentConfig,
     ModelConfig,
+    _build_task,
     load_csv_dataset,
     run_experiment,
     summarize,
     write_dataset_csv,
 )
-from maximin_al.kernel import KernelConfig, KernelInterpolator, augmented_fit, kernel_matrix
+from maximin_al.kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit, fit,
+                               kernel_matrix)
 from maximin_al.spline import fit_spline
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
@@ -343,6 +345,42 @@ class TestRunExperiment:
                                   fitted.config) @ fitted.coefficients
             assert step.train_error == np.mean(np.where(f >= 0, 1, -1) != oracle)
 
+    @pytest.mark.parametrize("layout,init", [("kernel-p1", "auto"), ("kernel-p1", "none"),
+                                             ("clusters-p2", "none")])
+    @pytest.mark.parametrize("score", ["function", "data", "random"])
+    def test_1d_p1_scored_runs_are_state_only(self, monkeypatch, layout, init, score):
+        # 1-D p = 1 runs with a score read f off the interval state and never
+        # fit or evaluate a KernelInterpolator; random runs and d > 1 runs do
+        # both.  Either way each step's training error is a fresh fit's.
+        if layout == "clusters-p2":
+            cfg = ExperimentConfig(task=cluster_task(M=4, h=0.2, count=15), score=score,
+                                   model=ModelConfig("kernel", h=0.2, p=2.0),
+                                   budget=20, seed=1, init=init)
+        else:
+            cfg = threshold_config(task={"kind": "threshold", "n": 200, "k": 3},
+                                   score=score, budget=25, seed=1, init=init)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "augmented_fit", counted("fit", augmented_fit))
+        monkeypatch.setattr(KernelInterpolator, "predict",
+                            counted("predict", KernelInterpolator.predict))
+        steps = run_experiment(cfg).steps
+        monkeypatch.undo()
+        state_only = layout == "kernel-p1" and score != "random"
+        assert (set(calls) == set()) if state_only else (set(calls) == {"fit", "predict"})
+        points, oracle = _task_points(cfg)
+        config = KernelConfig(cfg.model.h, cfg.model.p)
+        for k, step in enumerate(steps, start=1):
+            idx = [s.index for s in steps[:k]]
+            f = fit(LabeledSet(points[idx], oracle[idx]), config).predict(points)
+            assert step.train_error == np.mean(np.where(f >= 0, 1, -1) != oracle)
+
     def test_random_picks_at_f_zero_record_plus_one(self):
         # Far-apart balls: in a ball with no label yet, f is within 1e-19 of 0
         # and of either sign, and the estimated label must be +1.
@@ -404,7 +442,16 @@ class TestCsvDatasets:
         assert len(record.steps) == 10
         assert record.task_kind == "csv"
 
-    def test_holdout_split(self, tmp_path):
+    @pytest.mark.parametrize("model,score", [
+        (ModelConfig("kernel", h=0.1, p=1.0), "function"),
+        (ModelConfig("kernel", h=0.1, p=1.0), "data"),
+        (ModelConfig("kernel", h=0.1, p=1.0), "random"),
+        (ModelConfig("kernel", h=0.1, p=2.0), "data"),
+        (ModelConfig("spline"), "function"),
+    ])
+    def test_holdout_split(self, tmp_path, model, score):
+        # Each step's test error is that of the model fit from scratch to the
+        # labels so far, evaluated at the holdout points.
         rng = np.random.default_rng(52)
         x = rng.uniform(size=(50, 1))
         y = np.where(x[:, 0] > 0.4, 1, -1)
@@ -412,11 +459,20 @@ class TestCsvDatasets:
         write_dataset_csv(path, x, y)
         cfg = ExperimentConfig(task={"kind": "csv", "path": str(path),
                                      "holdout": 0.2},
-                               model=ModelConfig("kernel", h=0.1, p=1.0),
-                               score="function", budget=10, seed=3)
+                               model=model, score=score, budget=10, seed=3)
         record = run_experiment(cfg)
         assert record.test_errors is not None and len(record.test_errors) == 10
         assert "final_test_error" in record.summary_dict()
+        points, labels, _, test_points, test_labels = _build_task(
+            cfg, np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        for k in range(1, 11):
+            idx = [s.index for s in record.steps[:k]]
+            if model.kind == "spline":
+                f = fit_spline(points[idx, 0], labels[idx]).predict(test_points[:, 0])
+            else:
+                f = fit(LabeledSet(points[idx], labels[idx]),
+                        KernelConfig(model.h, model.p)).predict(test_points)
+            assert record.test_errors[k - 1] == np.mean(np.where(f >= 0, 1, -1) != test_labels)
 
     def test_holdout_validation(self, tmp_path):
         path = tmp_path / "data.csv"

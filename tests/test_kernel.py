@@ -5,11 +5,19 @@ and full refits on the augmented set serve as independent references for the
 incremental (Cholesky-extension) implementation.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
+
+import maximin_al
 
 from maximin_al.exceptions import ConditioningError, DuplicatePointError
 from maximin_al.kernel import (
@@ -116,6 +124,38 @@ class TestKernelMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel_matrix(np.ones((2, 2)), np.ones((2, 3)), KernelConfig(1.0))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5, 7.0])
+    def test_1d_distance_matches_cdist(self, p):
+        # In 1-D |x - y| is the Minkowski distance for every p, so the kernel
+        # does not depend on p; cdist computes (|x - y|^p)^(1/p), which is
+        # exact for p = 1 and 2 and off by up to an ulp for other p.
+        rng = np.random.default_rng(11)
+        for scale in (1e-5, 1.0, 1e5):
+            X, Y = scale * rng.normal(size=(200, 1)), scale * rng.normal(size=(30, 1))
+            got = kernel_matrix(X, Y, KernelConfig(scale, p))
+            want = np.exp(-cdist(X, Y, metric="minkowski", p=p) / scale)
+            assert np.array_equal(got, kernel_matrix(X, Y, KernelConfig(scale, 1.0)))
+            if p in (1.0, 2.0):
+                assert np.array_equal(got, want)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_1d_runs_do_not_load_scipy_spatial(self):
+        script = (
+            "import sys, maximin_al\n"
+            "for p in (1, 2):\n"
+            "    for score in ('function', 'data', 'random'):\n"
+            "        maximin_al.run_experiment(maximin_al.ExperimentConfig.from_dict({\n"
+            "            'task': {'kind': 'threshold', 'n': 64, 'k': 2},\n"
+            "            'model': {'kind': 'kernel', 'h': 0.1, 'p': p},\n"
+            "            'score': score, 'budget': 8, 'seed': 0}))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+        src = str(Path(maximin_al.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestLabeledSet:

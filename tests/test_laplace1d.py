@@ -12,15 +12,50 @@ import pytest
 from maximin_al.kernel import KernelConfig, LabeledSet, augmented_fit, fit
 from maximin_al.laplace1d import (
     SortedLabeled1D,
-    augmented_norms,
     best_interval,
-    evaluate_closed_form,
     interpolant_coefficients,
     interval_max_score,
     norm_closed_form,
     tridiagonal_inverse,
 )
 from maximin_al.scoring import ScoreKind, UnlabeledPool, select_next
+
+
+# Two closed forms that only the tests use: the interpolant's values and the
+# squared norms after one more label, both without a linear solve.
+def evaluate_closed_form(s: SortedLabeled1D, x) -> np.ndarray:
+    """Interpolant values ``sum_i alpha_i exp(-|x - x_i|/h)`` at ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    coeff = interpolant_coefficients(s)
+    kernels = np.exp(-np.abs(x[:, None] - s.positions[None, :]) / s.bandwidth)
+    return kernels @ coeff
+
+
+def augmented_norms(s: SortedLabeled1D, j: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms after inserting ``(u, +1)`` and ``(u, -1)`` into interval ``j``.
+
+    For ``x_j < u < x_{j+1}`` (0-based ``j``) and label ``t``:
+
+        ||f_t^u||^2 = ||f||^2 - 1 - 2/(1 + y_j y_{j+1} d_j)
+                      + 2/(1 + t y_j e^{-(u - x_j)/h})
+                      + 2/(1 + t y_{j+1} e^{-(x_{j+1} - u)/h}).
+
+    Returns the pair ``(plus, minus)`` as arrays matching ``u``.
+    """
+    n = len(s)
+    if not 0 <= j < n - 1:
+        raise ValueError(f"interval index {j} out of range for {n} points")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    xl, xr = s.positions[j], s.positions[j + 1]
+    if np.any((u <= xl) | (u >= xr)):
+        raise ValueError("u must lie strictly inside the interval")
+    yl, yr = float(s.labels[j]), float(s.labels[j + 1])
+    base = norm_closed_form(s) - 1.0 - 2.0 / (1.0 + yl * yr * s.gap_factors[j])
+    el = np.exp(-(u - xl) / s.bandwidth)
+    er = np.exp(-(xr - u) / s.bandwidth)
+    plus = base + 2.0 / (1.0 + yl * el) + 2.0 / (1.0 + yr * er)
+    minus = base + 2.0 / (1.0 - yl * el) + 2.0 / (1.0 - yr * er)
+    return plus, minus
 
 
 def random_sorted(rng, max_n=20):

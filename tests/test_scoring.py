@@ -407,6 +407,21 @@ class TestIntervalState:
         assert fast.f[9] == pytest.approx(f, abs=1e-15)
         assert generic.schur[9] == pytest.approx(schur, rel=1e-9)
 
+    def test_predict_is_the_fitted_models(self):
+        # Queries on the labels, between them, beyond them and infinite.
+        rng = np.random.default_rng(23)
+        points = rng.permutation(np.linspace(0.0, 1.0, 41))[:, None]
+        X = np.concatenate([points, rng.uniform(-2.0, 3.0, size=(50, 1)),
+                            [[-np.inf], [np.inf]]])
+        for kind in ScoreKind:
+            state = IntervalState(points, KernelConfig(0.1, 1.0), kind)
+            assert np.array_equal(state.predict(X), np.zeros(len(X)))
+            labels = rng.choice([-1, 1], size=12)
+            for k, (i, y) in enumerate(zip(range(0, 36, 3), labels), start=1):
+                state.add(i, int(y))
+                model = fit(LabeledSet(points[0:3 * k:3], labels[:k]), KernelConfig(0.1, 1.0))
+                assert np.array_equal(state.predict(X), model.predict(X))
+
     def test_the_learner_takes_it_for_1d_p1_only(self):
         line, plane = np.linspace(0.0, 1.0, 5)[:, None], np.zeros((5, 2))
         for points, p, cls in ((line, 1.0, IntervalState), (line, 2.0, ScoringState),

@@ -7,12 +7,15 @@ the closed-form values of isolated configurations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
 from maximin_al.scoring import ScoreKind, pick
 from maximin_al.spline import (
     Empirical1D,
     SplineInterpolator,
+    SplineState,
     Uniform1D,
     _hat_mean_sq,
     fit_spline,
@@ -353,3 +356,70 @@ class TestSelectNext:
                 spline_score_pool(m, [0.5], kind, Uniform1D(0.0, 1.0))
             with pytest.raises(ValueError, match="unknown score kind"):
                 spline_select_next(m, [0.5], kind, 0)
+
+
+@st.composite
+def state_cases(draw):
+    """Shuffled 1-D points on a 1/32 grid, distinct or with repeats, and a label
+    sequence that may repeat a point or a position, often starting at the extremes."""
+    n = draw(st.integers(1, 30))
+    grid = st.integers(0, 32)
+    points = np.array(draw(st.lists(grid, min_size=n, max_size=n,
+                                    unique=draw(st.booleans())))) / 32.0
+    order = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    if draw(st.booleans()):
+        order = [int(np.argmin(points)), int(np.argmax(points))] + order
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(order),
+                           max_size=len(order)))
+    return points, order, labels
+
+
+class TestSplineState:
+    @settings(max_examples=300, deadline=None)
+    @given(state_cases())
+    def test_matches_spline_score_pool(self, case):
+        # Scores and labels equal the reference's bit for bit, and both raise
+        # the same errors on the same calls.
+        points, order, labels = case
+        states = [SplineState(points, kind) for kind in ScoreKind]
+        labeled = []
+        for i, y in zip(order, labels):
+            try:
+                m = fit_spline(points[labeled + [i]], [*(labels[:len(labeled)]), y])
+            except DuplicatePointError:
+                for state in states:
+                    with pytest.raises(DuplicatePointError):
+                        state.add(i, y)
+                return
+            for state in states:
+                state.add(i, y)
+            labeled.append(i)
+            pool_idx = np.setdiff1d(np.arange(len(points)), labeled)
+            if len(pool_idx) == 0:
+                return
+            us = points[pool_idx]
+            for state in states:
+                density = Empirical1D(us) if state.kind is ScoreKind.DATA_NORM else None
+                try:
+                    want, want_labels = spline_score_pool(m, us, state.kind, density)
+                except (DuplicatePointError, OutOfRangeError) as err:
+                    with pytest.raises(type(err)):
+                        state.scores(pool_idx, m.weight_norm)
+                    continue
+                got, got_labels = state.scores(pool_idx, m.weight_norm)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got_labels, want_labels)
+
+    def test_pool_must_be_every_unlabeled_point(self):
+        state = SplineState([0.0, 0.5, 1.0, 0.25], ScoreKind.DATA_NORM)
+        state.add(0, 1)
+        state.add(2, -1)
+        assert len(state.scores(np.array([1, 3]), 0.0)[0]) == 2
+        with pytest.raises(ValueError, match="every unlabeled point"):
+            state.scores(np.array([1]), 0.0)
+
+    def test_bad_kind_and_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown score kind"):
+            SplineState([0.0, 1.0], "data")
+        with pytest.raises(ValueError, match="label must be"):
+            SplineState([0.0, 1.0], ScoreKind.FUNCTION_NORM).add(0, 0)
