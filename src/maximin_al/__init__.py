@@ -4,8 +4,8 @@ Selection scores rate each unlabeled candidate by the norm the interpolant
 would need if the candidate received its least-favorable label; querying the
 maximizer bisects 1-D decision boundaries and explores separated clusters.
 The package provides the kernel and linear-spline models, both selection
-scores, closed 1-D forms, synthetic task generators, and a reproducible
-experiment harness with a CLI (``maximin-al``).
+scores (with closed-form interval-local states for 1-D runs), synthetic task
+generators, and a reproducible experiment harness with a CLI (``maximin-al``).
 """
 
 from .exceptions import (ConditioningError, DuplicatePointError, EmptyPoolError,
@@ -14,8 +14,6 @@ from .harness import (ExperimentConfig, ModelConfig, RunRecord, load_csv_dataset
                       run_experiment, summarize, write_dataset_csv)
 from .kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
                      fit, kernel_matrix)
-from .laplace1d import (IntervalScoreResult, SortedLabeled1D, best_interval,
-                        interval_max_score, norm_closed_form, tridiagonal_inverse)
 from .scoring import (ScoredCandidate, ScoreKind, UnlabeledPool, estimate_label,
                       score_data_norm, score_function_norm, score_pool, select_next)
 from .spline import (Empirical1D, SplineInterpolator, Uniform1D, fit_spline,
@@ -34,8 +32,6 @@ __all__ = [
     "ScoreKind", "ScoredCandidate", "UnlabeledPool",
     "estimate_label", "score_function_norm", "score_data_norm",
     "score_pool", "select_next",
-    "SortedLabeled1D", "IntervalScoreResult", "tridiagonal_inverse",
-    "norm_closed_form", "interval_max_score", "best_interval",
     "SplineInterpolator", "Uniform1D", "Empirical1D", "fit_spline",
     "spline_score_function_norm", "spline_score_data_norm", "spline_select_next",
     "ThresholdTask1D", "ClusterSpec", "RegimeReport",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import laplace1d, scoring, spline, synthetic
+from . import scoring, spline, synthetic
 from .harness import (ExperimentConfig, ModelConfig, load_csv_dataset,
                       run_experiment, write_dataset_csv)
 from .kernel import KernelConfig, KernelInterpolator, LabeledSet, fit
@@ -114,36 +114,6 @@ def check_rank_one_identity(base_seed: int = 0) -> CheckResult:
     ok = worst <= 1e-8 and label_mismatches == 0
     detail = f"worst rel err={worst:.2e}, label mismatches={label_mismatches}"
     return CheckResult("rank-one augmentation identity", ok, detail)
-
-
-def check_tridiagonal_closed_forms(base_seed: int = 0) -> CheckResult:
-    """100 sorted-1D trials (n<=20): tridiagonal inverse, closed-form norm, and
-    closed-form coefficients agree with dense linear algebra to 1e-9
-    (per-entry mixed tolerance, |delta| <= 1e-9 * (1 + |oracle|))."""
-    rng = np.random.default_rng(base_seed)
-    tol = 1e-9
-    worst = 0.0  # worst |delta| / (1 + |oracle|); pass needs <= tol
-
-    def rel(got, oracle):
-        got, oracle = np.asarray(got), np.asarray(oracle)
-        return float(np.max(np.abs(got - oracle) / (1.0 + np.abs(oracle))))
-
-    for _ in range(100):
-        n = int(rng.integers(1, 21))
-        pos = np.sort(rng.uniform(0, 1, size=n))
-        while n > 1 and np.min(np.diff(pos)) < 1e-4:  # keep K honestly invertible
-            pos = np.sort(rng.uniform(0, 1, size=n))
-        labels = rng.choice([-1, 1], size=n)
-        h = float(rng.uniform(0.05, 1.0))
-        s = laplace1d.SortedLabeled1D(pos, labels, h)
-        K = np.exp(-np.abs(pos[:, None] - pos[None, :]) / h)
-        K_inv = np.linalg.inv(K)
-        y = labels.astype(float)
-        worst = max(worst, rel(laplace1d.tridiagonal_inverse(s).to_dense(), K_inv))
-        worst = max(worst, rel(laplace1d.norm_closed_form(s), y @ K_inv @ y))
-        worst = max(worst, rel(laplace1d.interpolant_coefficients(s), K_inv @ y))
-    return CheckResult("sorted-1D closed forms vs dense",
-                       worst <= tol, f"worst scaled err={worst:.2e}")
 
 
 def first_point_spec(h: float = 0.5) -> synthetic.ClusterSpec:
@@ -388,5 +358,5 @@ SUITES = {
     "clusters": (check_first_point_largest_ball, check_cluster_exploration),
     "splines": (check_spline_properties, check_spline_data_norm_value),
     "identities": (check_midpoint_closed_forms, check_rank_one_identity,
-                   check_tridiagonal_closed_forms, check_zero_crossing),
+                   check_zero_crossing),
 }

@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import acceptance
-from .harness import (ExperimentConfig, run_experiment, sample_task, summarize,
-                      write_dataset_csv)
+from .harness import (ExperimentConfig, _check_object, run_experiment, sample_task,
+                      summarize, write_dataset_csv)
 
 
 def _parse_seed_range(text: str) -> range:
@@ -85,8 +85,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     with open(args.spec) as fh:
-        spec = json.load(fh)
-    points, labels, _ = _load(sample_task, {**spec, "kind": args.task}, args.seed)
+        task = _load(lambda: {**_check_object("spec", json.load(fh)), "kind": args.task})
+    points, labels, _ = _load(sample_task, task, args.seed)
     write_dataset_csv(args.out, points, labels)
     print(f"wrote {len(points)} rows to {args.out}")
     return 0

@@ -65,19 +65,27 @@ TASK_KEYS = {
 }
 
 
+def _check_object(what: str, given) -> dict:
+    """``given``, if it is a JSON object; else a ValueError naming ``what``."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{what} must be a JSON object, got {given!r}")
+    return given
+
+
 def _check_keys(what: str, given, required, optional=()) -> None:
-    """Reject a mapping that lacks a required key or has an unknown one, naming it."""
-    missing = sorted(set(required) - set(given))
+    """Reject a non-object, or one that lacks a required key or has an unknown one."""
+    missing = sorted(set(required) - set(_check_object(what, given)))
     unknown = sorted(set(given) - set(required) - set(optional))
     if missing or unknown:
         raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
 def _check_task(task: dict, kinds=tuple(TASK_KEYS)) -> None:
-    """Reject a task whose kind is not in ``kinds``, or with a missing or unknown key."""
-    if task.get("kind") not in kinds:
-        raise ValueError(f"task kind must be one of {kinds}, got {task.get('kind')!r}")
-    _check_keys(f"{task['kind']} task", task, *TASK_KEYS[task["kind"]])
+    """Reject a non-object task, a kind not in ``kinds``, or a missing or unknown key."""
+    kind = _check_object("task", task).get("kind")
+    if kind not in kinds:
+        raise ValueError(f"task kind must be one of {kinds}, got {kind!r}")
+    _check_keys(f"{kind} task", task, *TASK_KEYS[kind])
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, ("task", "model", "score", "budget", "seed"),
                     ("init", "stop_at_zero"))
+        model = _check_object("model", raw["model"])
         # h and p belong to the kernel; the spline would ignore them.
-        _check_keys("model", raw["model"], ("kind",),
-                    ("h", "p") if raw["model"].get("kind") == "kernel" else ())
-        return cls(**{**raw, "model": ModelConfig(**raw["model"])})
+        _check_keys("model", model, ("kind",),
+                    ("h", "p") if model.get("kind") == "kernel" else ())
+        return cls(**{**raw, "model": ModelConfig(**model)})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

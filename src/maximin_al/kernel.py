@@ -35,6 +35,7 @@ takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +60,19 @@ class KernelConfig:
     Parameters
     ----------
     bandwidth : float
-        Length scale ``h``; must be strictly positive.
+        Length scale ``h``; a real number (not a boolean), strictly positive.
     exponent : float, default=2.0
-        Distance order ``p``; any real ``p >= 1`` is accepted.
+        Distance order ``p``; any real ``p >= 1`` (not a boolean) is accepted.
     """
 
     bandwidth: float
     exponent: float = 2.0
 
     def __post_init__(self):
+        for name in ("bandwidth", "exponent"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if not np.isfinite(self.exponent) or self.exponent < 1:

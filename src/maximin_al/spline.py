@@ -30,6 +30,7 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +230,7 @@ class SplineState(SortedIntervals):
 
     def __init__(self, points, kind: ScoreKind):
         x = np.asarray(points, dtype=float).ravel()
-        self._positions, self._repeated = set(), False
+        self._repeated = False
         self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x)) for _ in range(4))
         super().__init__(x, kind)
 
@@ -237,16 +238,16 @@ class SplineState(SortedIntervals):
         if label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {label}")
         r = self._rank[i]
-        if self._x[r] in self._positions:
+        # Equal points have adjacent ranks: a repeat is a (labeled) neighbour of r.
+        k = bisect.bisect(self._labeled, r)
+        if self._x[r] in (self._x[self._labeled[k - 1]], self._x[self._labeled[k]]):
             raise DuplicatePointError("labeled positions must be distinct")
-        self._positions.add(self._x[r])
-        # Equal points have adjacent ranks, and labeling an unlabeled repeat raises.
         self._repeated |= self._x[r] in (self._x[r - 1], self._x[r + 1])
         self._split(i, label)
 
     def scores(self, pool_idx: np.ndarray, weight_norm: float):
         """Scores and labels of ``pool_idx``, every unlabeled point, for ``weight_norm``."""
-        if len(pool_idx) != len(self._order) - len(self._positions):
+        if len(pool_idx) != len(self._order) - (len(self._labeled) - 2):
             raise ValueError("pool_idx must hold every unlabeled point")
         if self._repeated:
             raise DuplicatePointError("candidate coincides with a labeled position")

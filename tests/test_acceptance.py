@@ -30,10 +30,6 @@ def test_rank_one_identity():
     _run(acceptance.check_rank_one_identity)
 
 
-def test_tridiagonal_closed_forms():
-    _run(acceptance.check_tridiagonal_closed_forms)
-
-
 def test_first_point_in_largest_ball():
     _run(acceptance.check_first_point_largest_ball)
 

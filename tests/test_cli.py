@@ -96,6 +96,7 @@ class TestGen:
         ("clusters", {"centers": [[0.0]], "radii": [0.1], "labels": [1]},
          "missing keys .*'counts'"),
         ("threshold", {"n": 50, "k": 3, "holdout": 0.2}, "unknown keys .*'holdout'"),
+        ("threshold", [1], r"spec must be a JSON object, got \[1\]"),
     ])
     def test_malformed_spec_names_the_key(self, tmp_path, capsys, task, spec, match):
         spec_path = write_json(tmp_path / "spec.json", spec)
@@ -135,6 +136,11 @@ class TestRun:
     ({"model": {"kind": "spline", "h": 0.5}}, "unknown keys .*'h'"),
     ({"task": {"kind": "threshold", "n": 64}}, "missing keys .*'k'"),
     ({"score": "best"}, "score must be one of"),
+    ({"task": "threshold"}, "task must be a JSON object, got 'threshold'"),
+    ({"model": "kernel"}, "model must be a JSON object, got 'kernel'"),
+    ({"model": {"kind": "kernel", "h": "0.1"}}, "bandwidth must be a real number, got '0.1'"),
+    ({"model": {"kind": "kernel", "h": 0.1, "p": True}},
+     "exponent must be a real number, got True"),
 ])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):
     config = run_config(tmp_path, **overrides)
@@ -173,7 +179,7 @@ class TestCheck:
         rc = main(["check", "--suite", "identities", "--seed", "0"])
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert rc == 0
-        assert len(lines) == 4
+        assert len(lines) == len(acceptance.SUITES["identities"])
         assert all(line.startswith("PASS") for line in lines)
 
     def test_failing_suite_exits_nonzero(self, capsys, monkeypatch):
