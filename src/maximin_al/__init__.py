@@ -6,7 +6,13 @@ maximizer bisects 1-D decision boundaries and explores separated clusters.
 The package provides the kernel and linear-spline models, both selection
 scores (with closed-form interval-local states for 1-D runs), synthetic task
 generators, and a reproducible experiment harness with a CLI (``maximin-al``).
+
+The package logs through the ``maximin_al`` logger, which has a
+``NullHandler`` and so prints nothing unless the application configures
+logging; :func:`fit` logs each jitter escalation at DEBUG.
 """
+
+import logging
 
 from .exceptions import (ConditioningError, DuplicatePointError, EmptyPoolError,
                          IngestionError, OutOfRangeError)
@@ -23,6 +29,8 @@ from .synthetic import (ClusterSpec, RegimeReport, ThresholdTask1D, gen_clusters
                         gen_threshold_task, validate_theorem_regime)
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ConditioningError", "DuplicatePointError", "EmptyPoolError",

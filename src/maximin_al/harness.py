@@ -8,12 +8,16 @@ the task sample, the tie-breaking stream, and the random baseline all derive
 from ``seed`` through independent ``SeedSequence`` children, so replaying a
 config reproduces the trace bit for bit.
 
-Learners score from incremental states.  The 1-D ``p = 1`` kernel learner
-with a score is state-only: it reads f off its
-:class:`~maximin_al.scoring.IntervalState` and fits no interpolant.  Random
-kernel runs and those with d > 1 or p != 1 still grow a ``KernelInterpolator``
-and evaluate it, because the benchmark's per-layer counts are taken on those
-calls.  The spline learner scores from a :class:`~maximin_al.spline.SplineState`.
+Learners score from incremental states, built over the points sorted once.
+The 1-D ``p = 1`` kernel learner with a score is state-only: its
+:class:`~maximin_al.scoring.IntervalState` selects per labeled interval and
+counts the wrong signs on the split interval only; the training error is
+that count over n, the same correctly rounded ratio as a mean over all
+points.  Random kernel runs and those with d > 1 or p != 1 still grow a
+``KernelInterpolator`` and evaluate it at every point, and the spline
+learner, which selects per interval from a
+:class:`~maximin_al.spline.SplineState`, still evaluates its refit spline at
+every point: the benchmark's per-layer counts are taken on those calls.
 
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,12 +84,22 @@ def _check_keys(what: str, given, required, optional=()) -> None:
         raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not an integer (a boolean, a float or a string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_task(task: dict, kinds=tuple(TASK_KEYS)) -> None:
-    """Reject a non-object task, a kind not in ``kinds``, or a missing or unknown key."""
+    """Reject a non-object task, a kind not in ``kinds``, a missing or unknown key,
+    or a threshold task whose ``n`` or ``k`` is not an integer."""
     kind = _check_object("task", task).get("kind")
     if kind not in kinds:
         raise ValueError(f"task kind must be one of {kinds}, got {kind!r}")
     _check_keys(f"{kind} task", task, *TASK_KEYS[kind])
+    if kind == "threshold":
+        _check_int("n", task["n"])
+        _check_int("k", task["k"])
 
 
 @dataclass(frozen=True)
@@ -117,10 +131,8 @@ class ExperimentConfig:
             raise ValueError(f"score must be one of {SCORE_CHOICES}, got {self.score!r}")
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
-        for name in ("budget", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_int("budget", self.budget)
+        _check_int("seed", self.seed)
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if not isinstance(self.stop_at_zero, bool):
@@ -255,27 +267,35 @@ def write_dataset_csv(path, points: np.ndarray, labels: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
-class _KernelLearner:
-    """The run loop's learner interface: ``add``, ``values``, ``predict`` and ``select``.
+def _count_wrong(f: np.ndarray, truth: np.ndarray) -> int:
+    """Points whose sign ``f >= 0`` disagrees with ``truth`` (oracle label > 0)."""
+    return int(np.count_nonzero((f >= 0) != truth))
 
-    Learners are built over the task's points and score kind (None for random
-    selection), take labels and pool candidates by index, and give f at task
-    points by index (``values``) and elsewhere (``predict``).  The kernel
-    learner is only a :class:`~maximin_al.scoring.IntervalState` for 1-D points
-    with ``p = 1``; else it fits a model beside a
-    :class:`~maximin_al.scoring.ScoringState` (room for ``capacity`` labels),
-    or, for random selection, alone.
+
+class _KernelLearner:
+    """The run loop's learner interface: ``add``, ``values``, ``predict``, ``wrong`` and ``select``.
+
+    Learners are built over the task's points, their stable order by the first
+    coordinate, their oracle labels and the score kind (None for random
+    selection).  They take labels by index, give f at task points by index
+    (``values``) and elsewhere (``predict``), count the task points whose sign
+    is wrong (``wrong``) and pick the next point by index (``select``, given
+    the unlabeled mask).  The kernel learner is only a
+    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``;
+    else it fits a model beside a :class:`~maximin_al.scoring.ScoringState`
+    (room for ``capacity`` labels), or, for random selection, alone.
     """
 
     def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
-                 capacity: int):
+                 capacity: int, order: np.ndarray, oracle: np.ndarray):
         kernel = KernelConfig(bandwidth=config.h, exponent=config.p)
-        self.points = points
+        self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
         self.model = KernelInterpolator.empty(kernel, dim=points.shape[1])
         if kind is None:
             self.state = None
         elif points.shape[1] == 1 and config.p == 1:
-            self.state, self.model = scoring.IntervalState(points, kernel, kind), None
+            self.state = scoring.IntervalState(points, kernel, kind, order, oracle)
+            self.model = None
         else:
             self.state = scoring.ScoringState(points, kernel, kind, capacity)
 
@@ -293,8 +313,17 @@ class _KernelLearner:
     def predict(self, points) -> np.ndarray:
         return (self.state if self.model is None else self.model).predict(points)
 
-    def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
-        return scoring.pick(*self.state.scores(pool_idx), rng)
+    def wrong(self) -> int:
+        if self.model is None:
+            return self.state.n_wrong
+        return _count_wrong(self.model.predict(self.ordered), self.truth)
+
+    def select(self, unlabeled: np.ndarray, rng) -> scoring.ScoredCandidate:
+        if self.model is None:
+            return self.state.select(rng)
+        pool_idx = np.flatnonzero(unlabeled)
+        chosen = scoring.pick(*self.state.scores(pool_idx), rng)
+        return replace(chosen, index=int(pool_idx[chosen.index]))
 
 
 class _SplineLearner:
@@ -303,9 +332,11 @@ class _SplineLearner:
     A :class:`~maximin_al.spline.SplineState` scores; the refit spline gives f.
     """
 
-    def __init__(self, points: np.ndarray, kind: ScoreKind | None):
-        self.points = points[:, 0]
-        self.state = None if kind is None else spline.SplineState(self.points, kind)
+    def __init__(self, points: np.ndarray, kind: ScoreKind | None, order: np.ndarray,
+                 oracle: np.ndarray):
+        self.points, self.truth = points[:, 0], oracle[order] > 0
+        self.ordered = self.points[order]
+        self.state = None if kind is None else spline.SplineState(self.points, kind, order)
         self.positions: list[float] = []
         self.labels: list[int] = []
         self.model: spline.SplineInterpolator | None = None
@@ -325,15 +356,18 @@ class _SplineLearner:
             return np.zeros(len(points))
         return self.model.predict(np.asarray(points).ravel())
 
-    def select(self, pool_idx: np.ndarray, rng) -> scoring.ScoredCandidate:
-        return scoring.pick(*self.state.scores(pool_idx, self.model.weight_norm), rng)
+    def wrong(self) -> int:
+        return _count_wrong(self.predict(self.ordered), self.truth)
+
+    def select(self, unlabeled: np.ndarray, rng) -> scoring.ScoredCandidate:
+        return self.state.select(rng, self.model.weight_norm)
 
 
 def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
     """Sample a threshold or clusters task: (points, oracle labels, cluster spec or None)."""
     _check_task(task, ("threshold", "clusters"))
     if task["kind"] == "threshold":
-        _, pool = gen_threshold_task(int(task["n"]), int(task["k"]), seed)
+        _, pool = gen_threshold_task(task["n"], task["k"], seed)
         return pool.points, pool.hidden_labels, None
     spec = ClusterSpec(task["centers"], task["radii"], task["labels"],
                        task["counts"], task.get("p", 2.0))
@@ -381,8 +415,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     rng = np.random.default_rng(select_ss)
     kind = None if cfg.score == "random" else ScoreKind(cfg.score)
-    learner = (_SplineLearner(points, kind) if cfg.model.kind == "spline"
-               else _KernelLearner(cfg.model, points, kind, cfg.budget))
+    # The training error is a count, so it is taken over the points sorted by
+    # their first coordinate: 1-D models then locate the queries in order.
+    # The 1-D states sort by the same order.
+    order = np.argsort(points[:, 0], kind="stable")
+    learner = (_SplineLearner(points, kind, order, oracle) if cfg.model.kind == "spline"
+               else _KernelLearner(cfg.model, points, kind, cfg.budget, order, oracle))
 
     record = RunRecord(config=cfg, task_kind=cfg.task["kind"])
     if cluster_spec is not None:
@@ -391,11 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     if test_points is not None:
         record.test_errors = []
 
-    # The training error is a count, so it is taken over the points sorted by
-    # their first coordinate: 1-D models then locate the queries in order.
-    order = np.argsort(points[:, 0], kind="stable")
-    eval_oracle = oracle[order]
-
+    # budget <= n, so the pool never runs out.
     unlabeled = np.ones(n, dtype=bool)
     forced = []
     if init == "extremes":
@@ -404,25 +438,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         forced = list(dict.fromkeys(forced))[:cfg.budget]
 
     for step in range(1, cfg.budget + 1):
-        pool_idx = np.flatnonzero(unlabeled)
-        if len(pool_idx) == 0:
-            break
         if forced or kind is None:
-            idx = forced.pop(0) if forced else int(rng.choice(pool_idx))
+            idx = forced.pop(0) if forced else int(rng.choice(np.flatnonzero(unlabeled)))
             est = int(scoring.sign_labels(learner.values([idx])[0]))
             score_val = float("nan")
         else:
-            chosen = learner.select(pool_idx, rng)
-            idx = int(pool_idx[chosen.index])
-            est = chosen.label
-            score_val = chosen.score
+            chosen = learner.select(unlabeled, rng)
+            idx, est, score_val = chosen.index, chosen.label, chosen.score
 
         truth = int(oracle[idx])
         learner.add(idx, truth)
         unlabeled[idx] = False
 
-        pred = np.where(learner.values(order) >= 0, 1, -1)
-        err = float(np.mean(pred != eval_oracle))
+        err = learner.wrong() / n
         record.steps.append(StepRecord(step, idx, est, truth, score_val, err))
         if record.queries_to_zero is None and err == 0.0:
             record.queries_to_zero = step

@@ -35,6 +35,7 @@ takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
 
 from __future__ import annotations
 
+import logging
 import numbers
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .exceptions import ConditioningError, DuplicatePointError
+
+_log = logging.getLogger(__name__)
 
 # Escalating diagonal jitter used before declaring the system singular.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -295,6 +298,9 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     y = labeled.labels.astype(float)
     last_cond = None
     for jitter in JITTER_LADDER:
+        if jitter:
+            _log.debug("fit: escalating the diagonal jitter to %g on %d labels",
+                       jitter, len(K))
         Kj = K + jitter * np.eye(len(K)) if jitter else K
         try:
             chol = np.linalg.cholesky(Kj)

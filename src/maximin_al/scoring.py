@@ -24,6 +24,18 @@ scores from an incremental state: :class:`IntervalState` (closed forms on each
 labeled interval) for 1-D points with ``p = 1``, else :class:`ScoringState`
 (one residual column per label).  All turn ``(f, S_u, mean_x R(u, x)^2)`` into
 scores and labels through one helper.
+
+The 1-D states (:class:`SortedIntervals`) also select per labeled interval:
+each keeps every point's score less its common term (its *key*) and each
+interval's largest key, scans the L + 1 maxima, and reads keys only between
+the first and the last interval that may reach the best.  It rescores exactly
+only the points whose key, turned into a score, lies within the tie
+tolerance plus a few-ulp rounding slack of the best, and hands them in
+ascending index to :func:`pick`.  The rounding from key to score is exact or
+within a few ulps, so those points hold the whole pool's tie set, and the
+pick, its index, score and random draw equal :func:`pick` on every unlabeled
+point's scores.  A step then costs O(n_b + L) instead of O(n) when the best
+scores sit in one interval, as they do between ties.
 """
 
 from __future__ import annotations
@@ -41,6 +53,12 @@ from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel
                      kernel_matrix, markov_1d)
 
 TIE_TOLERANCE = 1e-12
+
+# Relative slack, about 90 ulps, for the rounding between an interval's cached
+# key maximum and the scores of its points (see SortedIntervals._select).
+_ROUNDING_SLACK = 1e-14
+
+_DUPLICATE = "a candidate is numerically indistinguishable from a labeled point"
 
 
 class ScoreKind(Enum):
@@ -131,21 +149,24 @@ def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
     return f, schur, A, C
 
 
+def _score_values(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: float,
+                  mean_r2: np.ndarray | None) -> np.ndarray:
+    """Scores from f(u), S_u and, for the data score, ``mean_x R(u, x)^2``; the
+    one place the score formulas are written."""
+    if kind is ScoreKind.FUNCTION_NORM:
+        return norm_sq + (1.0 - np.abs(f)) ** 2 / schur
+    return ((1.0 - np.abs(f)) / schur) ** 2 * mean_r2
+
+
 def _scores_from(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: float,
                  mean_r2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and estimated labels from f(u), S_u and, for the data score,
-    ``mean_x R(u, x)^2``; the one place the score formulas are written.
+    """Scores (:func:`_score_values`) and estimated labels.
 
     Raises DuplicatePointError when any S_u falls below the duplicate floor.
     """
-    if np.any(schur < SCHUR_FLOOR):
-        raise DuplicatePointError(
-            "a candidate is numerically indistinguishable from a labeled point"
-        )
-    labels = sign_labels(f)
-    if kind is ScoreKind.FUNCTION_NORM:
-        return norm_sq + (1.0 - np.abs(f)) ** 2 / schur, labels
-    return ((1.0 - np.abs(f)) / schur) ** 2 * mean_r2, labels
+    if (schur < SCHUR_FLOOR).any():
+        raise DuplicatePointError(_DUPLICATE)
+    return _score_values(kind, f, schur, norm_sq, mean_r2), sign_labels(f)
 
 
 def _score(model: KernelInterpolator, points, kind: ScoreKind,
@@ -264,9 +285,12 @@ class ScoringState:
         """
         if len(pool_idx) != len(self.points) - self._count:
             raise ValueError("pool_idx must hold every unlabeled point")
-        mean_r2 = None if self._r2 is None else self._r2[pool_idx] / len(pool_idx)
-        return _scores_from(self.kind, self.f[pool_idx], self.schur[pool_idx],
-                       self.norm_sq, mean_r2)
+        return self._scores_at(pool_idx, len(pool_idx), self.norm_sq)
+
+    def _scores_at(self, idx: np.ndarray, m: int, norm_sq: float):
+        """Scores and labels of the points ``idx`` when ``m`` points are unlabeled."""
+        mean_r2 = None if self._r2 is None else self._r2[idx] / m
+        return _scores_from(self.kind, self.f[idx], self.schur[idx], norm_sq, mean_r2)
 
 
 class SortedIntervals:
@@ -274,28 +298,64 @@ class SortedIntervals:
 
     Sentinel ranks 0 and n + 1 are labeled 0 at -inf and +inf.  A label at rank
     ``r`` between labeled ``lo`` and ``hi`` recomputes only the points between,
-    by ``_fill(lo, r)`` and ``_fill(r, hi)``.
+    by ``_fill(lo, r)`` and ``_fill(r, hi)``.  Per-point terms are kept by
+    rank, so a fill writes slices.  Each fill also stores each point's *key*,
+    its score less the common term (the function score's offset) or its data
+    score times the number ``m`` of unlabeled points, and the interval's
+    largest key at its left rank; a labeled rank's key is -inf.  A subclass
+    fills the first interval ``(0, n + 1)`` once its own arrays exist (the
+    spline's lies outside the hull and needs none).  ``order`` is ``x``'s
+    stable argsort when the caller already has it.
     """
 
-    def __init__(self, x: np.ndarray, kind: ScoreKind):
+    def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None):
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
         n, self.kind = len(x), kind
-        self._order = np.argsort(x, kind="stable")
+        self._order = np.argsort(x, kind="stable") if order is None else order
         self._rank = np.empty(n, dtype=np.intp)
         self._rank[self._order] = np.arange(1, n + 1)
         self._x = np.concatenate([[-np.inf], x[self._order], [np.inf]])
         self._y = np.zeros(n + 2)
+        self._key = np.full(n + 2, -np.inf)  # -inf at the labeled ranks
+        self._top = np.full(n + 2, -np.inf)  # largest key of each interval, by left rank
         self._labeled = [0, n + 1]  # labeled ranks, increasing
-        self._fill(0, n + 1)
 
     def _split(self, i: int, label: int) -> None:
-        r = self._rank[i]
+        r = int(self._rank[i])
         k = bisect.bisect(self._labeled, r)
         self._labeled.insert(k, r)
-        self._y[r] = label
+        self._y[r], self._key[r] = label, -np.inf
         self._fill(self._labeled[k - 1], r)
         self._fill(r, self._labeled[k + 1])
+
+    def _select(self, rng, offset: float) -> ScoredCandidate:
+        """:func:`pick` over every unlabeled point in ascending index; ``index`` is the point's.
+
+        A key turned into a score (``offset + key`` or ``key / m``) is the
+        point's score exactly for the function score (rounding a sum is
+        monotone) and within a few ulps of it for the data score, so the points
+        that pass the cut hold the whole pool's tie set (see the module
+        docstring).  O(L + n_c) for L labels and the n_c points from the first to
+        the last interval that may reach the best.
+        """
+        m = len(self._order) + 2 - len(self._labeled)
+        if m == 0:
+            raise EmptyPoolError("cannot select from an empty pool")
+
+        def as_score(key):
+            return offset + key if self.kind is ScoreKind.FUNCTION_NORM else key / m
+
+        near = as_score(self._top[self._labeled[:-1]])
+        best = float(near.max())
+        cut = best - TIE_TOLERANCE - _ROUNDING_SLACK * (abs(best) + TIE_TOLERANCE)
+        # Points of intervals below the cut, and labeled points, fail it too.
+        kept = (near >= cut).nonzero()[0]
+        lo, hi = self._labeled[kept[0]] + 1, self._labeled[kept[-1] + 1]
+        ranks = lo + (as_score(self._key[lo:hi]) >= cut).nonzero()[0]
+        idx = np.sort(self._order[ranks - 1])
+        chosen = pick(*self._scores_at(idx, m, offset), rng)
+        return ScoredCandidate(int(idx[chosen.index]), chosen.label, chosen.score)
 
 
 class IntervalState(SortedIntervals, ScoringState):
@@ -313,28 +373,60 @@ class IntervalState(SortedIntervals, ScoringState):
 
     A label recomputes only the ``n_b`` points between its labeled neighbours,
     in O(n_b); the row sums of ``R^2`` are two prefix scans in log space, which
-    cannot overflow.  No n-by-n array and no rows of ``W`` are kept.
+    cannot overflow.  No n-by-n array and no rows of ``W`` are kept.  Per
+    labeled interval it also counts the points with ``S`` below the duplicate
+    floor and, given the points' ``oracle`` labels, those whose sign ``f >= 0``
+    is wrong; ``n_wrong`` is the total over all points.
     """
 
-    def __init__(self, points, config: KernelConfig, kind: ScoreKind):
+    def __init__(self, points, config: KernelConfig, kind: ScoreKind,
+                 order: np.ndarray | None = None, oracle: np.ndarray | None = None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
-        self.points, self.config = points, config
-        self.f, self.schur, self.norm_sq, self._count = np.zeros(n), np.ones(n), 0.0, 0
-        self._r2 = np.empty(n) if kind is ScoreKind.DATA_NORM else None
-        super().__init__(points[:, 0], kind)
+        self.points, self.config, self.norm_sq, self._count = points, config, 0.0, 0
+        # f, S and the row sums of R^2 by rank; the sentinel ranks stay unused.
+        self._f, self._s = np.zeros(n + 2), np.ones(n + 2)
+        self._r2 = np.empty(n + 2) if kind is ScoreKind.DATA_NORM else None
+        self._low, self._wrong = [0] * (n + 2), [0] * (n + 2)
+        self._n_low = self.n_wrong = 0
+        super().__init__(points[:, 0], kind, order)
+        # The oracle's signs by rank - 1.
+        self._truth = None if oracle is None else np.asarray(oracle)[self._order] > 0
+        self._fill(0, n + 1)
+
+    @property
+    def f(self) -> np.ndarray:
+        """The interpolant at every point, by index."""
+        return self._f[self._rank]
+
+    @property
+    def schur(self) -> np.ndarray:
+        """S at every point, by index (0 at the labeled ones)."""
+        return self._s[self._rank]
 
     def add(self, i: int, label: int) -> None:
         """Condition on the label ``label`` at point ``i`` (see :meth:`ScoringState.add`)."""
         if label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {label}")
-        if self.schur[i] < SCHUR_FLOOR:
+        r = self._rank[i]
+        if self._s[r] < SCHUR_FLOOR:
             raise DuplicatePointError(
                 "candidate is numerically indistinguishable from a labeled point")
         self._count += 1
-        self.norm_sq += (label - self.f[i]) ** 2 / self.schur[i]
-        self.f[i], self.schur[i] = label, 0.0
+        self.norm_sq += (label - self._f[r]) ** 2 / self._s[r]
+        self._f[r], self._s[r] = label, 0.0
+        if self._truth is not None:
+            self.n_wrong += int((label > 0) != self._truth[r - 1])
         self._split(i, label)
+
+    def select(self, rng) -> ScoredCandidate:
+        """``pick(*self.scores(unlabeled), rng)`` with the point's index, in O(n_b + L).
+
+        Raises DuplicatePointError where :meth:`scores` would.
+        """
+        if self._n_low:
+            raise DuplicatePointError(_DUPLICATE)
+        return self._select(rng, self.norm_sq)
 
     def predict(self, points) -> np.ndarray:
         """The interpolant at the rows of ``points``, as ``KernelInterpolator.predict``."""
@@ -342,27 +434,47 @@ class IntervalState(SortedIntervals, ScoringState):
         return markov_1d(self._x[self._labeled], self._y[self._labeled], x,
                          self.config.bandwidth)
 
+    def _scores_at(self, idx: np.ndarray, m: int, norm_sq: float):
+        r = self._rank[idx]
+        mean_r2 = None if self._r2 is None else self._r2[r] / m
+        return _scores_from(self.kind, self._f[r], self._s[r], norm_sq, mean_r2)
+
+    def _count_at(self, lo: int, low: int, wrong: int) -> None:
+        """Replace the counts of the interval at left rank ``lo`` and their totals."""
+        self._n_low += low - self._low[lo]
+        self.n_wrong += wrong - self._wrong[lo]
+        self._low[lo], self._wrong[lo] = low, wrong
+
     def _fill(self, lo: int, hi: int) -> None:
-        """f, S and the row sums of R^2 at the ranks strictly between labeled ``lo`` and ``hi``."""
+        """f, S, the row sums of R^2, the keys and the counts strictly between labeled ``lo`` and ``hi``."""
         if hi - lo < 2:
+            self._top[lo] = -np.inf
+            self._count_at(lo, 0, 0)
             return
-        x, h, idx = self._x[lo + 1:hi], self.config.bandwidth, self._order[lo:hi - 1]
+        x, h = self._x[lo + 1:hi], self.config.bandwidth
         da, db = (x - self._x[lo]) / h, (self._x[hi] - x) / h
         A, B = -np.expm1(-2.0 * da), -np.expm1(-2.0 * db)
         D = -np.expm1(-2.0 * (self._x[hi] - self._x[lo]) / h)
-        self.f[idx] = (self._y[lo] * np.exp(-da) * B + self._y[hi] * np.exp(-db) * A) / D
-        self.schur[idx] = A * B / D
-        if self._r2 is None:
-            return
-        # sum_x R(u, x)^2 = B(u)^2 sum_{x <= u} e^{-2(u-x)/h} A(x)^2
-        #                 + A(u)^2 sum_{x > u} e^{-2(x-u)/h} B(x)^2, all over D^2.
-        t = 2.0 * (x - x[0]) / h
-        with np.errstate(divide="ignore"):  # log 0 at a repeat of a labeled point
-            log_a2, log_b2 = 2.0 * np.log(A), 2.0 * np.log(B)
-        below = np.exp(np.logaddexp.accumulate(t + log_a2) - t)
-        above = np.logaddexp.accumulate((log_b2 - t)[::-1])[::-1]
-        above = np.exp(np.append(above[1:], -np.inf) + t)
-        self._r2[idx] = (B * B * below + A * A * above) / (D * D)
+        f = self._f[lo + 1:hi] = (self._y[lo] * np.exp(-da) * B
+                                  + self._y[hi] * np.exp(-db) * A) / D
+        schur = self._s[lo + 1:hi] = A * B / D
+        wrong = 0 if self._truth is None else int(np.count_nonzero(
+            (f >= 0) != self._truth[lo:hi - 1]))
+        self._count_at(lo, int(np.count_nonzero(schur < SCHUR_FLOOR)), wrong)
+        r2 = None
+        # A repeat of a labeled point has A or B = 0, so S = 0 (select raises there).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self._r2 is not None:
+                # sum_x R(u, x)^2 = B(u)^2 sum_{x <= u} e^{-2(u-x)/h} A(x)^2
+                #                 + A(u)^2 sum_{x > u} e^{-2(x-u)/h} B(x)^2, all over D^2.
+                t = 2.0 * (x - x[0]) / h
+                log_a2, log_b2 = 2.0 * np.log(A), 2.0 * np.log(B)
+                below = np.exp(np.logaddexp.accumulate(t + log_a2) - t)
+                above = np.logaddexp.accumulate((log_b2 - t)[::-1])[::-1]
+                above = np.exp(np.append(above[1:], -np.inf) + t)
+                r2 = self._r2[lo + 1:hi] = (B * B * below + A * A * above) / (D * D)
+            key = self._key[lo + 1:hi] = _score_values(self.kind, f, schur, 0.0, r2)
+        self._top[lo] = key.max()
 
 
 def score_pool(model: KernelInterpolator, pool: UnlabeledPool,
@@ -409,7 +521,7 @@ def pick(scores: np.ndarray, labels: np.ndarray, rng_seed) -> ScoredCandidate:
     maximum is unique.  Deterministic given the seed and inputs.
     """
     best = np.max(scores)
-    tied = np.flatnonzero(scores >= best - TIE_TOLERANCE)
+    tied = (scores >= best - TIE_TOLERANCE).nonzero()[0]
     rng = np.random.default_rng(rng_seed)
     index = int(tied[rng.integers(len(tied))]) if len(tied) > 1 else int(tied[0])
     return ScoredCandidate(index, int(labels[index]), float(scores[index]))

@@ -225,14 +225,16 @@ class SplineState(SortedIntervals):
     """Spline scores of fixed 1-D points, recomputed only on the interval a label splits.
 
     It keeps the terms of :func:`spline_score_pool` (the reference) per point,
-    so :meth:`scores` equals it on the unlabeled points and raises as it does.
+    so :meth:`scores` equals it on the unlabeled points and raises as it does;
+    :meth:`select` picks from them as ``pick`` does on :meth:`scores`.
     """
 
-    def __init__(self, points, kind: ScoreKind):
+    def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None):
         x = np.asarray(points, dtype=float).ravel()
         self._repeated = False
-        self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x)) for _ in range(4))
-        super().__init__(x, kind)
+        # The terms by rank; the sentinel ranks stay unused.
+        self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
+        super().__init__(x, kind, order)
 
     def add(self, i: int, label: int) -> None:
         if label not in (-1, 1):
@@ -249,32 +251,49 @@ class SplineState(SortedIntervals):
         """Scores and labels of ``pool_idx``, every unlabeled point, for ``weight_norm``."""
         if len(pool_idx) != len(self._order) - (len(self._labeled) - 2):
             raise ValueError("pool_idx must hold every unlabeled point")
+        self._check()
+        return self._scores_at(pool_idx, len(pool_idx), weight_norm)
+
+    def select(self, rng, weight_norm: float) -> ScoredCandidate:
+        """``pick(*self.scores(unlabeled, weight_norm), rng)`` with the point's index,
+        in O(n_b + L); raises where :meth:`scores` would."""
+        self._check()
+        return self._select(rng, weight_norm)
+
+    def _check(self) -> None:
         if self._repeated:
             raise DuplicatePointError("candidate coincides with a labeled position")
         if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
             raise OutOfRangeError("candidate lies outside the labeled hull")
-        dplus, dminus = self._dplus[pool_idx], self._dminus[pool_idx]
+
+    def _scores_at(self, idx: np.ndarray, m: int, weight_norm: float):
+        return self._score(self._rank[idx], weight_norm, m)
+
+    def _score(self, ranks, weight_norm: float, m: int):
+        """Scores and labels of the points at ``ranks``, with ``m`` unlabeled points."""
+        dplus, dminus = self._dplus[ranks], self._dminus[ranks]
         labels = np.where(dplus <= dminus, 1, -1)
         if self.kind is ScoreKind.FUNCTION_NORM:
             return weight_norm + np.minimum(dplus, dminus), labels
-        peak = labels - self._f[pool_idx]
-        return peak ** 2 * (self._hat[pool_idx] / len(pool_idx)), labels
+        return (labels - self._f[ranks]) ** 2 * (self._hat[ranks] / m), labels
 
     def _fill(self, lo: int, hi: int) -> None:
+        self._top[lo] = -np.inf
         if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
             return  # outside the hull, where scores raise, or empty
-        u, idx = self._x[lo + 1:hi], self._order[lo:hi - 1]
+        u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
         xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
         with np.errstate(divide="ignore", invalid="ignore"):  # repeats, where scores raise
-            self._dplus[idx], self._dminus[idx] = _roughness_deltas(u, xl, xr, yl, yr)
-            if self.kind is ScoreKind.FUNCTION_NORM:
-                return
-            self._f[idx] = np.interp(u, (xl, xr), (yl, yr))
-            rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
-            np.cumsum((u - xl) ** 2, out=rise[1:])
-            np.cumsum(((xr - u) ** 2)[::-1], out=fall[:-1][::-1])
-            at = np.searchsorted(u, u, side="left")
-            self._hat[idx] = rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2
+            self._dplus[ranks], self._dminus[ranks] = _roughness_deltas(u, xl, xr, yl, yr)
+            if self.kind is ScoreKind.DATA_NORM:
+                self._f[ranks] = np.interp(u, (xl, xr), (yl, yr))
+                rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
+                np.cumsum((u - xl) ** 2, out=rise[1:])
+                np.cumsum(((xr - u) ** 2)[::-1], out=fall[:-1][::-1])
+                at = np.searchsorted(u, u, side="left")
+                self._hat[ranks] = rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2
+            key = self._key[ranks] = self._score(ranks, 0.0, 1)[0]
+        self._top[lo] = key.max()
 
 
 def spline_score_function_norm(m: SplineInterpolator, u) -> ScoredCandidate:

@@ -97,6 +97,10 @@ class TestGen:
          "missing keys .*'counts'"),
         ("threshold", {"n": 50, "k": 3, "holdout": 0.2}, "unknown keys .*'holdout'"),
         ("threshold", [1], r"spec must be a JSON object, got \[1\]"),
+        ("threshold", {"n": 50.9, "k": True}, "n must be an integer, got 50.9"),
+        ("threshold", {"n": 50, "k": True}, "k must be an integer, got True"),
+        ("threshold", {"n": "50", "k": 2}, "n must be an integer, got '50'"),
+        ("threshold", {"n": 50, "k": 2.0}, r"k must be an integer, got 2\.0"),
     ])
     def test_malformed_spec_names_the_key(self, tmp_path, capsys, task, spec, match):
         spec_path = write_json(tmp_path / "spec.json", spec)
@@ -141,6 +145,9 @@ class TestRun:
     ({"model": {"kind": "kernel", "h": "0.1"}}, "bandwidth must be a real number, got '0.1'"),
     ({"model": {"kind": "kernel", "h": 0.1, "p": True}},
      "exponent must be a real number, got True"),
+    ({"task": {"kind": "threshold", "n": 64.5, "k": 2}}, "n must be an integer, got 64.5"),
+    ({"task": {"kind": "threshold", "n": 64, "k": "2"}}, "k must be an integer, got '2'"),
+    ({"task": {"kind": "threshold", "n": False, "k": 2}}, "n must be an integer, got False"),
 ])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):
     config = run_config(tmp_path, **overrides)

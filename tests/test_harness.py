@@ -165,6 +165,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             threshold_config(**{field: value})
 
+    @pytest.mark.parametrize("key", ["n", "k"])
+    @pytest.mark.parametrize("value", [True, 3.0, 3.5, "3", None])
+    def test_non_integer_threshold_size_rejected(self, key, value):
+        task = {"kind": "threshold", "n": 64, "k": 3, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            threshold_config(task=task)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            harness.sample_task(task, 0)
+
     def test_with_seed(self):
         cfg = threshold_config()
         assert cfg.with_seed(9).seed == 9

@@ -5,6 +5,8 @@ Oracle strategy: every score is checked against an explicit double refit
 and tie-breaking uniformity is checked with a chi-square test.
 """
 
+import copy
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from maximin_al.acceptance import cluster_explore_spec
-from maximin_al.exceptions import DuplicatePointError, EmptyPoolError
+from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
 from maximin_al.kernel import (
     KernelConfig,
     KernelInterpolator,
@@ -36,6 +38,7 @@ from maximin_al.scoring import (
     select_next,
     sign_labels,
 )
+from maximin_al.spline import SplineState, fit_spline
 from maximin_al.synthetic import gen_clusters
 
 
@@ -427,7 +430,7 @@ class TestIntervalState:
         for points, p, cls in ((line, 1.0, IntervalState), (line, 2.0, ScoringState),
                                (plane, 1.0, ScoringState)):
             learner = _KernelLearner(ModelConfig("kernel", 0.1, p), points,
-                                     ScoreKind.DATA_NORM, 3)
+                                     ScoreKind.DATA_NORM, 3, np.arange(5), np.ones(5, int))
             assert type(learner.state) is cls
 
     def test_pool_must_be_every_unlabeled_point(self):
@@ -444,6 +447,150 @@ class TestIntervalState:
         state = IntervalState([[0.0]], KernelConfig(0.5, 1.0), ScoreKind.DATA_NORM)
         with pytest.raises(ValueError, match="label must be"):
             state.add(0, 0)
+
+
+@st.composite
+def interval_runs(draw):
+    """A 1-D run of 2 to 60 labels: points on a coarse grid (mirror images
+    common) or a fine one, distinct or with repeats, oracle labels, the model,
+    the score kind and a generator seed.  Runs start at the two extremes, as
+    1-D runs do."""
+    grid, unique = draw(st.sampled_from([16, 256, 2**30])), draw(st.booleans())
+    n = draw(st.integers(3, min(80, grid + 1) if unique else 80))
+    x = np.array(draw(st.lists(st.integers(0, grid), min_size=n, max_size=n,
+                               unique=unique))) / grid
+    oracle = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    model = draw(st.sampled_from(["kernel", "spline"]))
+    h = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    labels = draw(st.integers(2, min(60, n)))
+    random_steps = draw(st.sets(st.integers(2, max(2, labels - 1))))
+    return x, oracle, model, h, draw(st.sampled_from(list(ScoreKind))), labels, \
+        random_steps, draw(st.integers(0, 2**32 - 1))
+
+
+def _state_and_reference(x, oracle, model, h, kind):
+    """The run's state, its select, and the reference: ``pick`` on the full pool's scores."""
+    if model == "kernel":
+        state = IntervalState(x[:, None], KernelConfig(h, 1.0), kind, oracle=oracle)
+        return (state, lambda labeled, rng: state.select(rng),
+                lambda pool_idx, labeled, rng: pick(*state.scores(pool_idx), rng))
+    state = SplineState(x, kind)
+
+    def weight_norm(labeled):
+        return fit_spline(x[labeled], oracle[labeled]).weight_norm
+    return (state, lambda labeled, rng: state.select(rng, weight_norm(labeled)),
+            lambda pool_idx, labeled, rng: pick(
+                *state.scores(pool_idx, weight_norm(labeled)), rng))
+
+
+def _check_select_matches_reference(x, oracle, model, h, kind, labels, random_steps, seed):
+    """Each step's select equals ``pick`` on every unlabeled point's scores (index,
+    label, score, the generator after the draw), or both raise the same error."""
+    state, select, reference = _state_and_reference(x, oracle, model, h, kind)
+    rng = np.random.default_rng(seed)
+    labeled = []
+    for step in range(labels):
+        pool_idx = np.setdiff1d(np.arange(len(x)), labeled)
+        if step < 2:
+            i = int((np.argmin if step == 0 else np.argmax)(x))
+        else:
+            ref_rng = copy.deepcopy(rng)
+            try:
+                want = reference(pool_idx, labeled, ref_rng)
+            except (DuplicatePointError, OutOfRangeError) as err:
+                with pytest.raises(type(err)):
+                    select(labeled, rng)
+                return "raised"
+            got = select(labeled, rng)
+            assert (got.index, got.label, got.score) == \
+                (int(pool_idx[want.index]), want.label, want.score)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            i = int(rng.choice(pool_idx)) if step in random_steps else got.index
+        if i in labeled:
+            return "repeat"  # both extremes are one point
+        try:
+            state.add(i, int(oracle[i]))
+        except DuplicatePointError:
+            assert np.any(x[labeled] == x[i])
+            return "raised"
+        labeled.append(i)
+        if model == "kernel":
+            assert state.n_wrong == np.count_nonzero((state.f >= 0) != (oracle > 0))
+    return "done"
+
+
+class TestIntervalSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(interval_runs())
+    def test_matches_pick_on_the_full_pool(self, case):
+        _check_select_matches_reference(*case)
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_equal_extreme_labels_tie_the_whole_spline_pool(self, kind):
+        # Between equal labels every function score is the current roughness
+        # and every data score 0: the whole pool ties and one draw is made.
+        x = np.random.default_rng(40).permutation(np.linspace(0.0, 1.0, 200))
+        oracle = np.where(np.abs(x - 0.5) < 0.2, -1, 1)
+        state = SplineState(x, kind)
+        state.add(int(np.argmin(x)), 1)
+        state.add(int(np.argmax(x)), 1)
+        assert len(set(state.scores(np.arange(1, 199), 0.0)[0])) == 1
+        rng = np.random.default_rng(41)
+        before = rng.bit_generator.state
+        state.select(rng, 0.0)
+        assert rng.bit_generator.state != before
+        assert _check_select_matches_reference(x, oracle, "spline", 0.1, kind, 40,
+                                               set(), 42) == "done"
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_mirror_images_about_a_zero_crossing_tie(self, kind):
+        # -1 at 0.25 and +1 at 1: f = 0 exactly at the midpoint 0.625 (label
+        # +1), and 0.5, 0.75 mirror each other about it.
+        for x in ([0.25, 1.0, 0.5, 0.75], [0.25, 1.0, 0.5, 0.625, 0.75]):
+            state = IntervalState(np.array(x)[:, None], KernelConfig(0.2, 1.0), kind)
+            state.add(0, -1)
+            state.add(1, 1)
+            scores, labels = state.scores(np.arange(2, len(x)))
+            for seed in range(8):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = state.select(rng), pick(scores, labels, ref)
+                assert (got.index, got.label, got.score) == \
+                    (want.index + 2, want.label, want.score)
+                assert rng.bit_generator.state == ref.bit_generator.state
+            if len(x) == 5:
+                assert state.f[3] == 0.0 and labels[1] == 1
+
+    @pytest.mark.parametrize("model", ["kernel", "spline"])
+    def test_a_repeat_of_a_labeled_point_raises(self, model):
+        x = np.array([0.0, 1.0, 0.5, 0.5, 0.25])
+        for kind in ScoreKind:
+            state, select, _ = _state_and_reference(x, np.array([1, -1, 1, 1, -1]),
+                                                    model, 0.1, kind)
+            for i in (0, 1, 2):
+                state.add(i, [1, -1, 1][i])
+            with pytest.raises(DuplicatePointError):
+                select([0, 1, 2], np.random.default_rng(0))
+
+    def test_empty_pool_rejected(self):
+        kernel = IntervalState([[0.0], [1.0]], KernelConfig(0.5, 1.0), ScoreKind.DATA_NORM)
+        spline = SplineState([0.0, 1.0], ScoreKind.DATA_NORM)
+        for state in (kernel, spline):
+            state.add(0, 1)
+            state.add(1, -1)
+        with pytest.raises(EmptyPoolError):
+            kernel.select(np.random.default_rng(0))
+        with pytest.raises(EmptyPoolError):
+            spline.select(np.random.default_rng(0), 2.0)
+
+    def test_error_count_follows_the_labels(self):
+        x = np.linspace(0.0, 1.0, 101)
+        oracle = np.where(x < 0.3, 1, -1)
+        state = IntervalState(x[:, None], KernelConfig(0.1, 1.0), ScoreKind.FUNCTION_NORM,
+                              oracle=oracle)
+        assert state.n_wrong == np.count_nonzero(oracle < 0)  # f = 0 reads +1
+        for i, y in ((0, 1), (100, -1), (50, 1), (30, -1)):  # (50, +1) is a wrong label
+            state.add(i, y)
+            assert state.n_wrong == np.count_nonzero((state.f >= 0) != (oracle > 0))
 
 
 class TestPick:
