@@ -20,10 +20,8 @@ from .harness import (ExperimentConfig, ModelConfig, RunRecord, load_csv_dataset
                       run_experiment, summarize, write_dataset_csv)
 from .kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
                      fit, kernel_matrix)
-from .scoring import (ScoredCandidate, ScoreKind, UnlabeledPool, estimate_label,
-                      score_data_norm, score_function_norm, score_pool, select_next)
+from .scoring import ScoredCandidate, ScoreKind, UnlabeledPool, score_pool, select_next
 from .spline import (Empirical1D, SplineInterpolator, Uniform1D, fit_spline,
-                     spline_score_data_norm, spline_score_function_norm,
                      spline_select_next)
 from .synthetic import (ClusterSpec, RegimeReport, ThresholdTask1D, gen_clusters,
                         gen_threshold_task, validate_theorem_regime)
@@ -37,11 +35,8 @@ __all__ = [
     "IngestionError", "OutOfRangeError",
     "KernelConfig", "LabeledSet", "KernelInterpolator",
     "kernel_matrix", "fit", "augmented_fit",
-    "ScoreKind", "ScoredCandidate", "UnlabeledPool",
-    "estimate_label", "score_function_norm", "score_data_norm",
-    "score_pool", "select_next",
-    "SplineInterpolator", "Uniform1D", "Empirical1D", "fit_spline",
-    "spline_score_function_norm", "spline_score_data_norm", "spline_select_next",
+    "ScoreKind", "ScoredCandidate", "UnlabeledPool", "score_pool", "select_next",
+    "SplineInterpolator", "Uniform1D", "Empirical1D", "fit_spline", "spline_select_next",
     "ThresholdTask1D", "ClusterSpec", "RegimeReport",
     "gen_threshold_task", "gen_clusters", "validate_theorem_regime",
     "ExperimentConfig", "ModelConfig", "RunRecord",

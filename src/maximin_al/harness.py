@@ -17,7 +17,9 @@ points.  Random kernel runs and those with d > 1 or p != 1 still grow a
 ``KernelInterpolator`` and evaluate it at every point, and the spline
 learner, which selects per interval from a
 :class:`~maximin_al.spline.SplineState`, still evaluates its refit spline at
-every point: the benchmark's per-layer counts are taken on those calls.
+every point: the benchmark's per-layer counts are taken on those calls.  A
+forced or random pick records the sign of the learner's ``predict`` at the
+point as its estimated label.
 
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
@@ -157,8 +159,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return ExperimentConfig(self.task, self.model, self.score, self.budget,
-                                int(seed), self.init, self.stop_at_zero)
+        return replace(self, seed=int(seed))
 
 
 @dataclass(slots=True)
@@ -273,17 +274,17 @@ def _count_wrong(f: np.ndarray, truth: np.ndarray) -> int:
 
 
 class _KernelLearner:
-    """The run loop's learner interface: ``add``, ``values``, ``predict``, ``wrong`` and ``select``.
+    """The run loop's learner interface: ``add``, ``predict``, ``wrong`` and ``select``.
 
     Learners are built over the task's points, their stable order by the first
     coordinate, their oracle labels and the score kind (None for random
-    selection).  They take labels by index, give f at task points by index
-    (``values``) and elsewhere (``predict``), count the task points whose sign
-    is wrong (``wrong``) and pick the next point by index (``select``, given
-    the unlabeled mask).  The kernel learner is only a
-    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``;
-    else it fits a model beside a :class:`~maximin_al.scoring.ScoringState`
-    (room for ``capacity`` labels), or, for random selection, alone.
+    selection).  They take labels by index, give f at any points
+    (``predict``), count the task points whose sign is wrong (``wrong``) and
+    pick the next point by index (``select``, given the unlabeled mask).  The
+    kernel learner is only a :class:`~maximin_al.scoring.IntervalState` for
+    1-D points with ``p = 1``; else it fits a model beside a
+    :class:`~maximin_al.scoring.ScoringState` (room for ``capacity`` labels),
+    or, for random selection, alone.
     """
 
     def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
@@ -304,11 +305,6 @@ class _KernelLearner:
             self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
-
-    def values(self, idx) -> np.ndarray:
-        if self.model is None:
-            return self.state.f[idx]
-        return self.model.predict(self.points[idx])
 
     def predict(self, points) -> np.ndarray:
         return (self.state if self.model is None else self.model).predict(points)
@@ -347,9 +343,6 @@ class _SplineLearner:
         self.model = spline.fit_spline(self.positions, self.labels)
         if self.state is not None:
             self.state.add(i, label)
-
-    def values(self, idx) -> np.ndarray:
-        return self.predict(self.points[idx])
 
     def predict(self, points) -> np.ndarray:
         if self.model is None:
@@ -440,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     for step in range(1, cfg.budget + 1):
         if forced or kind is None:
             idx = forced.pop(0) if forced else int(rng.choice(np.flatnonzero(unlabeled)))
-            est = int(scoring.sign_labels(learner.values([idx])[0]))
+            est = int(scoring.sign_labels(learner.predict(points[[idx]])[0]))
             score_val = float("nan")
         else:
             chosen = learner.select(unlabeled, rng)

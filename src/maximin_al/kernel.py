@@ -31,6 +31,10 @@ and beyond the outermost labeled points ``f`` decays as ``v e^{-|x - x_end|/h}``
 ``expm1`` per point instead of the n-by-L kernel matrix; every other case
 takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
 :class:`~maximin_al.scoring.IntervalState`; all others the generic ``ScoringState``.
+
+Runs score from those states; a model grown by :func:`augmented_fit` gives
+``f`` to random runs and to those with d > 1 or p != 1, and :func:`fit` is the
+acceptance checks' oracle.
 """
 
 from __future__ import annotations
@@ -264,11 +268,6 @@ class KernelInterpolator:
                 [[0.0], (self.base.labels - self.jitter * self.coefficients)[order], [0.0]])
             return markov_1d(knots, values, X[:, 0], self.config.bandwidth)
         return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
-
-    def evaluate(self, x) -> float:
-        """Evaluate the interpolant at a single point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict(x[None, :])[0])
 
 
 def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:

@@ -17,13 +17,13 @@ seed.  With no labeled data both rules are still defined: ``f == 0``, every
 function-norm score is 1, and the data-based score of ``u`` reduces to
 ``mean_x k(u, x)^2``.
 
-:func:`score_pool`, :func:`select_next`, :func:`score_function_norm` and
-:func:`score_data_norm` work from a fitted model and recompute ``f``, ``S_u``
-and the residual kernel on every call; they are the reference.  The run loop
-scores from an incremental state: :class:`IntervalState` (closed forms on each
-labeled interval) for 1-D points with ``p = 1``, else :class:`ScoringState`
-(one residual column per label).  All turn ``(f, S_u, mean_x R(u, x)^2)`` into
-scores and labels through one helper.
+Runs and the acceptance checks score from an incremental state built over
+every point: :class:`IntervalState` (closed forms on each labeled interval)
+for 1-D points with ``p = 1``, else :class:`ScoringState` (one residual column
+per label).  :func:`score_pool` and :func:`select_next` score a whole pool from
+a fitted model, recomputing ``f``, ``S_u`` and the residual kernel on every
+call; they are the reference the states are tested against.  All turn
+``(f, S_u, mean_x R(u, x)^2)`` into scores and labels through one helper.
 
 The 1-D states (:class:`SortedIntervals`) also select per labeled interval:
 each keeps every point's score less its common term (its *key*) and each
@@ -68,9 +68,9 @@ class ScoreKind(Enum):
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """A candidate's pool index (None when scored standalone), estimated label, and score."""
+    """A candidate's pool index, estimated label, and score."""
 
-    index: int | None
+    index: int
     label: int
     score: float
 
@@ -129,26 +129,6 @@ def sign_labels(f):
     return np.where(f >= -TIE_TOLERANCE, 1, -1)
 
 
-def estimate_label(model: KernelInterpolator, u) -> int:
-    """Label whose augmented interpolant has the smaller norm (see :func:`sign_labels`)."""
-    return int(sign_labels(model.evaluate(u)))
-
-
-def _pool_statistics(model: KernelInterpolator, points: np.ndarray):
-    """Per-candidate f(u) and Schur complement S_u, plus cross matrices A, C.
-
-    A = K(X_L, points) and C = K^{-1} A; both are None for the empty model.
-    """
-    n = len(points)
-    if len(model) == 0:
-        return np.zeros(n), np.ones(n), None, None
-    A = kernel_matrix(model.base.points, points, model.config)
-    C = model.solve(A)
-    f = A.T @ model.coefficients
-    schur = 1.0 + model.jitter - np.einsum("ij,ij->j", A, C)
-    return f, schur, A, C
-
-
 def _score_values(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: float,
                   mean_r2: np.ndarray | None) -> np.ndarray:
     """Scores from f(u), S_u and, for the data score, ``mean_x R(u, x)^2``; the
@@ -167,28 +147,6 @@ def _scores_from(kind: ScoreKind, f: np.ndarray, schur: np.ndarray, norm_sq: flo
     if (schur < SCHUR_FLOOR).any():
         raise DuplicatePointError(_DUPLICATE)
     return _score_values(kind, f, schur, norm_sq, mean_r2), sign_labels(f)
-
-
-def _score(model: KernelInterpolator, points, kind: ScoreKind,
-           density: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and estimated labels of the rows of ``points`` (or of one 1-D point).
-
-    The data score averages over ``density``; by default over ``points``
-    themselves, which reuses their solves.
-    """
-    if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
-        raise ValueError(f"unknown score kind {kind!r}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    f, schur, A, C = _pool_statistics(model, points)
-    if kind is ScoreKind.FUNCTION_NORM:
-        return _scores_from(kind, f, schur, model.norm_sq)
-    # Residual kernel R = K(points, density) - A^T K^{-1} K(X_L, density).
-    R = kernel_matrix(points, points if density is None else density, model.config)
-    if A is not None and density is None:
-        R = R - A.T @ C
-    elif A is not None:
-        R = R - A.T @ model.solve(kernel_matrix(model.base.points, density, model.config))
-    return _scores_from(kind, f, schur, model.norm_sq, np.mean(R ** 2, axis=1))
 
 
 class ScoringState:
@@ -261,8 +219,7 @@ class ScoringState:
         c -= W.T @ W[:, i]
         s = c[i]
         if s < SCHUR_FLOOR:
-            raise DuplicatePointError(
-                "candidate is numerically indistinguishable from a labeled point")
+            raise DuplicatePointError(_DUPLICATE)
         gamma = (label - self.f[i]) / s
         self.norm_sq += (label - self.f[i]) * gamma
         self.f += gamma * c
@@ -285,12 +242,9 @@ class ScoringState:
         """
         if len(pool_idx) != len(self.points) - self._count:
             raise ValueError("pool_idx must hold every unlabeled point")
-        return self._scores_at(pool_idx, len(pool_idx), self.norm_sq)
-
-    def _scores_at(self, idx: np.ndarray, m: int, norm_sq: float):
-        """Scores and labels of the points ``idx`` when ``m`` points are unlabeled."""
-        mean_r2 = None if self._r2 is None else self._r2[idx] / m
-        return _scores_from(self.kind, self.f[idx], self.schur[idx], norm_sq, mean_r2)
+        mean_r2 = None if self._r2 is None else self._r2[pool_idx] / len(pool_idx)
+        return _scores_from(self.kind, self.f[pool_idx], self.schur[pool_idx],
+                            self.norm_sq, mean_r2)
 
 
 class SortedIntervals:
@@ -302,10 +256,12 @@ class SortedIntervals:
     rank, so a fill writes slices.  Each fill also stores each point's *key*,
     its score less the common term (the function score's offset) or its data
     score times the number ``m`` of unlabeled points, and the interval's
-    largest key at its left rank; a labeled rank's key is -inf.  A subclass
-    fills the first interval ``(0, n + 1)`` once its own arrays exist (the
-    spline's lies outside the hull and needs none).  ``order`` is ``x``'s
-    stable argsort when the caller already has it.
+    largest key at its left rank; a labeled rank's key is -inf, and the number
+    of its points that are numerically indistinguishable from an end, where
+    scores and selection raise DuplicatePointError.  A subclass fills the first
+    interval ``(0, n + 1)`` once its own arrays exist (the spline's lies outside
+    the hull and needs none).  ``order`` is ``x``'s stable argsort when the
+    caller already has it.
     """
 
     def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None):
@@ -320,6 +276,7 @@ class SortedIntervals:
         self._key = np.full(n + 2, -np.inf)  # -inf at the labeled ranks
         self._top = np.full(n + 2, -np.inf)  # largest key of each interval, by left rank
         self._labeled = [0, n + 1]  # labeled ranks, increasing
+        self._low, self._n_low = [0] * (n + 2), 0  # duplicate-like points, by left rank
 
     def _split(self, i: int, label: int) -> None:
         r = int(self._rank[i])
@@ -329,6 +286,25 @@ class SortedIntervals:
         self._fill(self._labeled[k - 1], r)
         self._fill(r, self._labeled[k + 1])
 
+    def _count_low(self, lo: int, low: int) -> None:
+        """Replace the duplicate-like count of the interval at left rank ``lo`` and the total."""
+        self._n_low += low - self._low[lo]
+        self._low[lo] = low
+
+    def _check(self) -> None:
+        """Raise where a score is undefined: here, next to a labeled point."""
+        if self._n_low:
+            raise DuplicatePointError(_DUPLICATE)
+
+    def _scores(self, pool_idx: np.ndarray, offset: float):
+        """Scores and labels of ``pool_idx``, which must hold every unlabeled point
+        (the data score averages over them), with the common term ``offset``."""
+        m = len(self._order) + 2 - len(self._labeled)
+        if len(pool_idx) != m:
+            raise ValueError("pool_idx must hold every unlabeled point")
+        self._check()
+        return self._score(self._rank[pool_idx], offset, m)
+
     def _select(self, rng, offset: float) -> ScoredCandidate:
         """:func:`pick` over every unlabeled point in ascending index; ``index`` is the point's.
 
@@ -337,8 +313,9 @@ class SortedIntervals:
         monotone) and within a few ulps of it for the data score, so the points
         that pass the cut hold the whole pool's tie set (see the module
         docstring).  O(L + n_c) for L labels and the n_c points from the first to
-        the last interval that may reach the best.
+        the last interval that may reach the best.  Raises where :meth:`_scores` would.
         """
+        self._check()
         m = len(self._order) + 2 - len(self._labeled)
         if m == 0:
             raise EmptyPoolError("cannot select from an empty pool")
@@ -354,12 +331,12 @@ class SortedIntervals:
         lo, hi = self._labeled[kept[0]] + 1, self._labeled[kept[-1] + 1]
         ranks = lo + (as_score(self._key[lo:hi]) >= cut).nonzero()[0]
         idx = np.sort(self._order[ranks - 1])
-        chosen = pick(*self._scores_at(idx, m, offset), rng)
+        chosen = pick(*self._score(self._rank[idx], offset, m), rng)
         return ScoredCandidate(int(idx[chosen.index]), chosen.label, chosen.score)
 
 
-class IntervalState(SortedIntervals, ScoringState):
-    """:class:`ScoringState` of 1-D points under the ``p = 1`` kernel, from closed forms.
+class IntervalState(SortedIntervals):
+    """The :class:`ScoringState` of 1-D points under the ``p = 1`` kernel, from closed forms.
 
     ``exp(-|x - x'|/h)`` is the Markov Ornstein-Uhlenbeck covariance
     (Hartikainen & Sarkka, 2010), so between adjacent labeled points ``a < b``
@@ -383,12 +360,11 @@ class IntervalState(SortedIntervals, ScoringState):
                  order: np.ndarray | None = None, oracle: np.ndarray | None = None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
-        self.points, self.config, self.norm_sq, self._count = points, config, 0.0, 0
+        self.config, self.norm_sq = config, 0.0
         # f, S and the row sums of R^2 by rank; the sentinel ranks stay unused.
         self._f, self._s = np.zeros(n + 2), np.ones(n + 2)
         self._r2 = np.empty(n + 2) if kind is ScoreKind.DATA_NORM else None
-        self._low, self._wrong = [0] * (n + 2), [0] * (n + 2)
-        self._n_low = self.n_wrong = 0
+        self._wrong, self.n_wrong = [0] * (n + 2), 0
         super().__init__(points[:, 0], kind, order)
         # The oracle's signs by rank - 1.
         self._truth = None if oracle is None else np.asarray(oracle)[self._order] > 0
@@ -410,22 +386,19 @@ class IntervalState(SortedIntervals, ScoringState):
             raise ValueError(f"label must be +1 or -1, got {label}")
         r = self._rank[i]
         if self._s[r] < SCHUR_FLOOR:
-            raise DuplicatePointError(
-                "candidate is numerically indistinguishable from a labeled point")
-        self._count += 1
+            raise DuplicatePointError(_DUPLICATE)
         self.norm_sq += (label - self._f[r]) ** 2 / self._s[r]
         self._f[r], self._s[r] = label, 0.0
         if self._truth is not None:
             self.n_wrong += int((label > 0) != self._truth[r - 1])
         self._split(i, label)
 
-    def select(self, rng) -> ScoredCandidate:
-        """``pick(*self.scores(unlabeled), rng)`` with the point's index, in O(n_b + L).
+    def scores(self, pool_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and labels of ``pool_idx``, as :meth:`ScoringState.scores`."""
+        return self._scores(pool_idx, self.norm_sq)
 
-        Raises DuplicatePointError where :meth:`scores` would.
-        """
-        if self._n_low:
-            raise DuplicatePointError(_DUPLICATE)
+    def select(self, rng) -> ScoredCandidate:
+        """``pick(*self.scores(unlabeled), rng)`` with the point's index, in O(n_b + L)."""
         return self._select(rng, self.norm_sq)
 
     def predict(self, points) -> np.ndarray:
@@ -434,16 +407,16 @@ class IntervalState(SortedIntervals, ScoringState):
         return markov_1d(self._x[self._labeled], self._y[self._labeled], x,
                          self.config.bandwidth)
 
-    def _scores_at(self, idx: np.ndarray, m: int, norm_sq: float):
-        r = self._rank[idx]
+    def _score(self, r: np.ndarray, norm_sq: float, m: int):
+        """Scores and labels of the points at ranks ``r``, with ``m`` points unlabeled."""
         mean_r2 = None if self._r2 is None else self._r2[r] / m
         return _scores_from(self.kind, self._f[r], self._s[r], norm_sq, mean_r2)
 
     def _count_at(self, lo: int, low: int, wrong: int) -> None:
         """Replace the counts of the interval at left rank ``lo`` and their totals."""
-        self._n_low += low - self._low[lo]
+        self._count_low(lo, low)
         self.n_wrong += wrong - self._wrong[lo]
-        self._low[lo], self._wrong[lo] = low, wrong
+        self._wrong[lo] = wrong
 
     def _fill(self, lo: int, hi: int) -> None:
         """f, S, the row sums of R^2, the keys and the counts strictly between labeled ``lo`` and ``hi``."""
@@ -488,28 +461,22 @@ def score_pool(model: KernelInterpolator, pool: UnlabeledPool,
     """
     if len(model) and pool.dim != model.base.dim:
         raise ValueError(f"pool dimension {pool.dim} does not match model {model.base.dim}")
-    return _score(model, pool.points, kind)
-
-
-def score_function_norm(model: KernelInterpolator, u) -> ScoredCandidate:
-    """Squared norm of the interpolant after adding ``u`` with its estimated label.
-
-    Equals ``||f||^2 + (1 - |f(u)|)^2 / (1 - a_u^T K^{-1} a_u)``; for an empty
-    model this is 1 for every candidate.
-    """
-    scores, labels = _score(model, u, ScoreKind.FUNCTION_NORM)
-    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
-
-
-def score_data_norm(model: KernelInterpolator, u, pool: UnlabeledPool) -> ScoredCandidate:
-    """Mean squared change of the interpolant over the pool after adding ``u``.
-
-    The average runs over all pool points, including ``u`` itself when present.
-    """
-    if len(pool) == 0:
-        raise EmptyPoolError("data-based score needs a nonempty pool")
-    scores, labels = _score(model, u, ScoreKind.DATA_NORM, pool.points)
-    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
+    if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
+        raise ValueError(f"unknown score kind {kind!r}")
+    points = pool.points
+    f, schur, A = np.zeros(len(points)), np.ones(len(points)), None
+    if len(model):
+        A = kernel_matrix(model.base.points, points, model.config)
+        C = model.solve(A)
+        f = A.T @ model.coefficients
+        schur = 1.0 + model.jitter - np.einsum("ij,ij->j", A, C)
+    if kind is ScoreKind.FUNCTION_NORM:
+        return _scores_from(kind, f, schur, model.norm_sq)
+    # Residual kernel R = K(pool, pool) - A^T K^{-1} A.
+    R = kernel_matrix(points, points, model.config)
+    if A is not None:
+        R = R - A.T @ C
+    return _scores_from(kind, f, schur, model.norm_sq, np.mean(R ** 2, axis=1))
 
 
 def pick(scores: np.ndarray, labels: np.ndarray, rng_seed) -> ScoredCandidate:

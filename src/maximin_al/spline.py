@@ -25,7 +25,15 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   prefers *wider* oppositely-labeled pairs, vanishing between equal labels.
   Under an empirical density every candidate reads its hat sums off running
   sums kept per labeled interval, so scoring a pool costs one sort and one
-  pass over the density instead of one pass per candidate.
+  pass over the density instead of one pass per candidate.  The sums are
+  divided by ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0
+  within about 1e-154 of a labeled point: such a candidate raises
+  DuplicatePointError.
+
+Runs score from a :class:`SplineState`, which keeps these terms per point and
+recomputes them only on the interval a label splits; :func:`spline_score_pool`
+and :func:`spline_select_next` score a pool from a fitted spline and are its
+reference.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
-from .scoring import ScoredCandidate, ScoreKind, SortedIntervals, pick
+from .scoring import _DUPLICATE, ScoredCandidate, ScoreKind, SortedIntervals, pick
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,10 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
         np.cumsum((seg - lo[k]) ** 2, out=rise[o + 1:o + 1 + len(seg)])
         np.cumsum(((hi[k] - seg) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
     at = offsets[j] + np.searchsorted(pts, u, side="left") - starts[j]
-    return (rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2) / len(pts)
+    dl, dr = (u - xl) ** 2, (xr - u) ** 2
+    if not (dl.all() and dr.all()):
+        raise DuplicatePointError(_DUPLICATE)
+    return (rise[at] / dl + fall[at] / dr) / len(pts)
 
 
 def _ramp_sq_integral(a, b, x0, x1):
@@ -249,15 +260,11 @@ class SplineState(SortedIntervals):
 
     def scores(self, pool_idx: np.ndarray, weight_norm: float):
         """Scores and labels of ``pool_idx``, every unlabeled point, for ``weight_norm``."""
-        if len(pool_idx) != len(self._order) - (len(self._labeled) - 2):
-            raise ValueError("pool_idx must hold every unlabeled point")
-        self._check()
-        return self._scores_at(pool_idx, len(pool_idx), weight_norm)
+        return self._scores(pool_idx, weight_norm)
 
     def select(self, rng, weight_norm: float) -> ScoredCandidate:
         """``pick(*self.scores(unlabeled, weight_norm), rng)`` with the point's index,
         in O(n_b + L); raises where :meth:`scores` would."""
-        self._check()
         return self._select(rng, weight_norm)
 
     def _check(self) -> None:
@@ -265,9 +272,7 @@ class SplineState(SortedIntervals):
             raise DuplicatePointError("candidate coincides with a labeled position")
         if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
             raise OutOfRangeError("candidate lies outside the labeled hull")
-
-    def _scores_at(self, idx: np.ndarray, m: int, weight_norm: float):
-        return self._score(self._rank[idx], weight_norm, m)
+        super()._check()
 
     def _score(self, ranks, weight_norm: float, m: int):
         """Scores and labels of the points at ``ranks``, with ``m`` unlabeled points."""
@@ -279,44 +284,25 @@ class SplineState(SortedIntervals):
 
     def _fill(self, lo: int, hi: int) -> None:
         self._top[lo] = -np.inf
+        self._count_low(lo, 0)
         if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
             return  # outside the hull, where scores raise, or empty
         u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
         xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
-        with np.errstate(divide="ignore", invalid="ignore"):  # repeats, where scores raise
+        # Repeats, and points within about 1e-154 of an end: scores raise there.
+        with np.errstate(divide="ignore", invalid="ignore"):
             self._dplus[ranks], self._dminus[ranks] = _roughness_deltas(u, xl, xr, yl, yr)
             if self.kind is ScoreKind.DATA_NORM:
                 self._f[ranks] = np.interp(u, (xl, xr), (yl, yr))
+                dl, dr = (u - xl) ** 2, (xr - u) ** 2
+                self._count_low(lo, int(np.count_nonzero((dl == 0) | (dr == 0))))
                 rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
-                np.cumsum((u - xl) ** 2, out=rise[1:])
-                np.cumsum(((xr - u) ** 2)[::-1], out=fall[:-1][::-1])
+                np.cumsum(dl, out=rise[1:])
+                np.cumsum(dr[::-1], out=fall[:-1][::-1])
                 at = np.searchsorted(u, u, side="left")
-                self._hat[ranks] = rise[at] / (u - xl) ** 2 + fall[at] / (xr - u) ** 2
+                self._hat[ranks] = rise[at] / dl + fall[at] / dr
             key = self._key[ranks] = self._score(ranks, 0.0, 1)[0]
         self._top[lo] = key.max()
-
-
-def spline_score_function_norm(m: SplineInterpolator, u) -> ScoredCandidate:
-    """Roughness of the augmented spline with the norm-minimizing label at ``u``.
-
-    Between equal labels the score is constantly ``weight_norm``; between
-    opposite labels it is ``weight_norm - 4/(x_{j+1} - x_j)
-    + min(4/(x_{j+1} - u), 4/(u - x_j))``, peaking at the midpoint.
-    """
-    scores, labels = spline_score_pool(m, [u], ScoreKind.FUNCTION_NORM)
-    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
-
-
-def spline_score_data_norm(m: SplineInterpolator, u,
-                           density: Density1D) -> ScoredCandidate:
-    """Integrated squared change of the spline after adding ``u``.
-
-    ``f^u - f`` is a hat supported on the interval containing ``u`` with peak
-    ``t - f(u)``, so the integral is evaluated exactly (piecewise quadratic)
-    under a uniform density, or as the pool mean under an empirical one.
-    """
-    scores, labels = spline_score_pool(m, [u], ScoreKind.DATA_NORM, density)
-    return ScoredCandidate(None, int(labels[0]), float(scores[0]))
 
 
 def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind,

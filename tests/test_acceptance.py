@@ -4,12 +4,13 @@ Each test runs one named check from :mod:`maximin_al.acceptance`, prints its
 single PASS/FAIL line (visible with ``pytest -s`` or in failure output), and
 asserts the verdict. The checks pin the kernel and spline learners to their
 closed-form predictions, the guarantee regimes, and the active-vs-random
-label-complexity gap, at fixed seeds and tolerances.
+label-complexity gap, at fixed seeds and tolerances. The kernel checks
+score on the runs' own states, so a defect planted in a state fails them.
 """
 
-import pytest
-
 from maximin_al import acceptance
+from maximin_al.kernel import fit
+from maximin_al.scoring import IntervalState, ScoringState
 
 
 def _run(check, *args):
@@ -58,3 +59,37 @@ def test_zero_crossing_maximizer():
 
 def test_active_vs_random_dominance(tmp_path):
     _run(acceptance.check_active_vs_random, tmp_path)
+
+
+def test_rank_one_identity_fails_without_the_schur_downdate(monkeypatch):
+    # A ScoringState whose add leaves S at its old values.
+    add = ScoringState.add
+
+    def add_without_downdate(self, i, label):
+        schur = self.schur.copy()
+        add(self, i, label)
+        self.schur[:] = schur
+    monkeypatch.setattr(ScoringState, "add", add_without_downdate)
+    assert not acceptance.check_rank_one_identity(0).passed
+
+
+def test_rank_one_identity_requires_unjittered_refits(monkeypatch):
+    # The state is unjittered, so a refit it is compared with must be too.
+    def jittered_fit(labeled, config):
+        model = fit(labeled, config)
+        model.jitter = 1e-12
+        return model
+    monkeypatch.setattr(acceptance, "fit", jittered_fit)
+    result = acceptance.check_rank_one_identity(0)
+    assert not result.passed and "jittered refits=200" in result.detail
+
+
+def test_midpoint_closed_forms_fail_on_a_wrong_interval_schur(monkeypatch):
+    # An IntervalState whose fill gets S wrong by one part in a million.
+    fill = IntervalState._fill
+
+    def fill_with_wrong_schur(self, lo, hi):
+        fill(self, lo, hi)
+        self._s[lo + 1:hi] *= 1.0 + 1e-6
+    monkeypatch.setattr(IntervalState, "_fill", fill_with_wrong_schur)
+    assert not acceptance.check_midpoint_closed_forms(0).passed

@@ -400,7 +400,7 @@ class TestRunExperiment:
         fitted = KernelInterpolator.empty(KernelConfig(0.2, 2.0), dim=2)
         negative_zeros = 0
         for step in run_experiment(cfg).steps:
-            f = fitted.evaluate(points[step.index])
+            f = fitted.predict(points[[step.index]])[0]
             negative_zeros += -1e-12 <= f < 0
             assert step.estimated_label == (1 if f >= -1e-12 else -1)
             fitted = augmented_fit(fitted, points[step.index], step.true_label)

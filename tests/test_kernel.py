@@ -221,7 +221,7 @@ class TestFit:
         m = fit(LabeledSet([[0.5]], [1]), KernelConfig(1.0, 1.0))
         assert np.array_equal(m.coefficients, [1.0])
         assert m.norm_sq == 1.0
-        assert m.evaluate([1.5]) == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert m.predict([[1.5]])[0] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_two_point_opposite_norm(self):
         # closed form 2 / (1 - exp(-gap/h)) for labels (+1, -1)
@@ -304,7 +304,7 @@ class TestEvaluate:
         labeled, _, cfg = random_config(rng, max_n=30)
         m = fit(labeled, cfg)
         for x, y in zip(labeled.points, labeled.labels):
-            assert m.evaluate(x) == pytest.approx(float(y), abs=1e-8)
+            assert m.predict(x[None, :])[0] == pytest.approx(float(y), abs=1e-8)
 
     def test_far_field_decay(self):
         rng = np.random.default_rng(15)
@@ -313,17 +313,18 @@ class TestEvaluate:
         far = labeled.points[0] + 40.0 * cfg.bandwidth  # distance >= 40 h
         direct = sum(a * kernel_eval(far, x, cfg)
                      for a, x in zip(m.coefficients, labeled.points))
-        assert abs(m.evaluate(far)) < 1e-6
-        assert m.evaluate(far) == pytest.approx(direct, abs=1e-12)
+        got = m.predict(far[None, :])[0]
+        assert abs(got) < 1e-6
+        assert got == pytest.approx(direct, abs=1e-12)
 
-    def test_predict_matches_evaluate(self):
+    def test_batch_predict_matches_row_by_row(self):
         rng = np.random.default_rng(16)
         labeled, _, cfg = random_config(rng)
         m = fit(labeled, cfg)
         X = rng.uniform(size=(20, labeled.dim))
         preds = m.predict(X)
         for i in range(20):
-            assert preds[i] == pytest.approx(m.evaluate(X[i]), rel=1e-14, abs=1e-14)
+            assert preds[i] == pytest.approx(m.predict(X[i:i + 1])[0], rel=1e-14, abs=1e-14)
 
     def test_empty_model_is_zero(self):
         m = KernelInterpolator.empty(KernelConfig(0.5), dim=3)

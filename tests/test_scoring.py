@@ -30,10 +30,7 @@ from maximin_al.scoring import (
     ScoreKind,
     ScoringState,
     UnlabeledPool,
-    estimate_label,
     pick,
-    score_data_norm,
-    score_function_norm,
     score_pool,
     select_next,
     sign_labels,
@@ -49,6 +46,12 @@ def random_model(rng, max_n=20, max_d=3):
     pts = rng.uniform(0.0, 1.0, size=(n, d))
     labels = rng.choice([-1, 1], size=n)
     return fit(LabeledSet(pts, labels), cfg)
+
+
+def score_one(m, u, kind=ScoreKind.FUNCTION_NORM):
+    """``score_pool``'s score and label of the pool holding the one point ``u``."""
+    scores, labels = score_pool(m, UnlabeledPool(np.atleast_2d(u)), kind)
+    return float(scores[0]), int(labels[0])
 
 
 class TestUnlabeledPool:
@@ -67,20 +70,20 @@ class TestUnlabeledPool:
 class TestEstimateLabel:
     def test_sign_rule(self):
         m = fit(LabeledSet([[0.0]], [1]), KernelConfig(1.0, 1.0))
-        assert estimate_label(m, [0.1]) == 1        # f > 0
+        assert score_one(m, [0.1])[1] == 1        # f > 0
         m2 = fit(LabeledSet([[0.0]], [-1]), KernelConfig(1.0, 1.0))
-        assert estimate_label(m2, [0.1]) == -1      # f < 0
+        assert score_one(m2, [0.1])[1] == -1      # f < 0
 
     def test_zero_goes_to_plus_one(self):
         # Far from every labeled point the kernel underflows to exactly zero,
         # so f(u) == 0.0 and the tie must resolve to +1.
         m = fit(LabeledSet([[-1.0], [1.0]], [1, -1]), KernelConfig(1.0, 1.0))
-        assert m.evaluate([1e6]) == 0.0
-        assert estimate_label(m, [1e6]) == 1
+        assert m.predict([[1e6]])[0] == 0.0
+        assert score_one(m, [1e6])[1] == 1
 
     def test_empty_model_gives_plus_one(self):
         m = KernelInterpolator.empty(KernelConfig(1.0), dim=1)
-        assert estimate_label(m, [3.0]) == 1
+        assert score_one(m, [3.0])[1] == 1
 
     def test_values_within_the_tie_tolerance_go_to_plus_one(self):
         f = np.array([-1.1e-12, -1e-12, -3.3e-17, 0.0, 1e-12, 0.3, -0.3])
@@ -92,8 +95,8 @@ class TestEstimateLabel:
         cfg = KernelConfig(0.2, 1.0)
         points = np.array([[0.0, 0.25], [0.0, 1.0], [0.0, 0.625]])
         m = fit(LabeledSet(points[:2], [-1, 1]), cfg)
-        assert abs(m.evaluate(points[2])) <= 1e-12
-        assert estimate_label(m, points[2]) == 1
+        assert abs(m.predict(points[2:])[0]) <= 1e-12
+        assert score_one(m, points[2])[1] == 1
         for kind in ScoreKind:
             state = ScoringState(points, cfg, kind)
             state.add(0, -1)
@@ -108,7 +111,7 @@ class TestEstimateLabel:
             u = rng.uniform(size=m.base.dim)
             n_plus = augmented_fit(m, u, 1).norm_sq
             n_minus = augmented_fit(m, u, -1).norm_sq
-            est = estimate_label(m, u)
+            est = score_one(m, u)[1]
             if abs(n_plus - n_minus) > 1e-10:
                 assert est == (1 if n_plus < n_minus else -1)
 
@@ -117,13 +120,13 @@ class TestFunctionNormScore:
     def test_empty_model_scores_one(self):
         m = KernelInterpolator.empty(KernelConfig(0.5), dim=2)
         for u in ([0.0, 0.0], [3.0, -1.0]):
-            assert score_function_norm(m, u).score == 1.0
+            assert score_one(m, u)[0] == 1.0
 
     def test_isolated_pair_midpoint_value(self):
         # 4 / (1 - exp(-gap/h)) - 1 at the midpoint of an opposite pair.
         for gap, h in ((1.0, 0.5), (0.4, 0.1), (3.0, 1.0)):
             m = fit(LabeledSet([[0.0], [gap]], [1, -1]), KernelConfig(h, 1.0))
-            got = score_function_norm(m, [gap / 2]).score
+            got = score_one(m, [gap / 2])[0]
             want = 4.0 / (1.0 - np.exp(-gap / h)) - 1.0
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -132,21 +135,20 @@ class TestFunctionNormScore:
         for _ in range(100):
             m = random_model(rng)
             u = rng.uniform(size=m.base.dim)
-            cand = score_function_norm(m, u)
             both = (augmented_fit(m, u, 1).norm_sq, augmented_fit(m, u, -1).norm_sq)
-            assert cand.score == pytest.approx(min(both), rel=1e-8)
+            assert score_one(m, u)[0] == pytest.approx(min(both), rel=1e-8)
 
     def test_never_below_current_norm(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             m = random_model(rng)
             u = rng.uniform(size=m.base.dim)
-            assert score_function_norm(m, u).score >= m.norm_sq - 1e-12
+            assert score_one(m, u)[0] >= m.norm_sq - 1e-12
 
     def test_duplicate_candidate_rejected(self):
         m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5, 1.0))
         with pytest.raises(DuplicatePointError):
-            score_function_norm(m, [1.0])
+            score_one(m, [1.0])
 
     def test_separated_balls_unlabeled_ball_outranks_labeled(self):
         # Cross-ball kernels are <= 26^-13, so a candidate in an unlabeled
@@ -172,8 +174,8 @@ class TestFunctionNormScore:
 class TestDataNormScore:
     def test_empty_model_is_mean_squared_kernel(self):
         m = KernelInterpolator.empty(KernelConfig(0.7, 1.0), dim=1)
-        pool = UnlabeledPool([[0.0], [0.5], [2.0]])
-        got = score_data_norm(m, [0.25], pool).score
+        pool = UnlabeledPool([[0.25], [0.0], [0.5], [2.0]])
+        got = score_pool(m, pool, ScoreKind.DATA_NORM)[0][0]
         want = np.mean(np.exp(-np.abs(0.25 - pool.points[:, 0]) / 0.7) ** 2)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -181,10 +183,9 @@ class TestDataNormScore:
         # Mirror-image candidates under a mirror-symmetric configuration
         # receive exactly equal scores.
         m = fit(LabeledSet([[-1.0], [1.0]], [1, -1]), KernelConfig(0.5, 1.0))
-        pool = UnlabeledPool([[-0.75], [-0.25], [0.25], [0.75]])
-        left = score_data_norm(m, [-0.4], pool).score
-        right = score_data_norm(m, [0.4], pool).score
-        assert left == pytest.approx(right, rel=1e-12)
+        pool = UnlabeledPool([[-0.75], [-0.4], [-0.25], [0.25], [0.4], [0.75]])
+        scores = score_pool(m, pool, ScoreKind.DATA_NORM)[0]
+        assert scores[1] == pytest.approx(scores[4], rel=1e-12)
 
     def test_matches_explicit_double_fit_average(self):
         rng = np.random.default_rng(24)
@@ -192,34 +193,31 @@ class TestDataNormScore:
             m = random_model(rng)
             d = m.base.dim
             pool = UnlabeledPool(rng.uniform(size=(int(rng.integers(2, 30)), d)))
-            u = rng.uniform(size=d)
-            got = score_data_norm(m, u, pool).score
-            t = estimate_label(m, u)
-            aug = augmented_fit(m, u, t)
+            scores, labels = score_pool(m, pool, ScoreKind.DATA_NORM)
+            aug = augmented_fit(m, pool.points[0], int(labels[0]))
             diff = aug.predict(pool.points) - m.predict(pool.points)
             want = float(np.mean(diff ** 2))
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-    def test_empty_pool_rejected(self):
-        m = fit(LabeledSet([[0.0]], [1]), KernelConfig(1.0))
-        with pytest.raises(EmptyPoolError):
-            score_data_norm(m, [0.5], UnlabeledPool(np.empty((0, 1))))
+            assert scores[0] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 class TestScorePool:
     def test_matches_single_point_scores(self):
+        # Every candidate's score is its own refit's: the augmented norm, or the
+        # mean squared change over the pool.
         rng = np.random.default_rng(25)
         for kind in ScoreKind:
             m = random_model(rng)
             pool = UnlabeledPool(rng.uniform(size=(15, m.base.dim)))
             scores, labels = score_pool(m, pool, kind)
             for i, u in enumerate(pool.points):
+                aug = augmented_fit(m, u, int(labels[i]))
                 if kind is ScoreKind.FUNCTION_NORM:
-                    single = score_function_norm(m, u)
+                    want = min(aug.norm_sq, augmented_fit(m, u, -int(labels[i])).norm_sq)
+                    assert scores[i] == pytest.approx(score_one(m, u)[0], rel=1e-10, abs=1e-12)
                 else:
-                    single = score_data_norm(m, u, pool)
-                assert scores[i] == pytest.approx(single.score, rel=1e-10, abs=1e-12)
-                assert labels[i] == single.label
+                    want = np.mean((aug.predict(pool.points) - m.predict(pool.points)) ** 2)
+                assert scores[i] == pytest.approx(want, rel=1e-8, abs=1e-12)
+                assert labels[i] == score_one(m, u)[1]
 
     def test_labels_follow_sign_of_f(self):
         rng = np.random.default_rng(26)

@@ -19,8 +19,6 @@ from maximin_al.spline import (
     Uniform1D,
     _hat_mean_sq,
     fit_spline,
-    spline_score_data_norm,
-    spline_score_function_norm,
     spline_score_pool,
     spline_select_next,
 )
@@ -33,6 +31,14 @@ def random_spline(rng, max_n=10, min_gap=0.05):
         positions = np.sort(rng.uniform(0.0, 5.0, size=n))
     values = rng.choice([-1, 1], size=n)
     return fit_spline(positions, values)
+
+
+def score_one(m: SplineInterpolator, u, density=None):
+    """``spline_score_pool``'s score and label at the one candidate ``u``: the
+    function score, or the data score under ``density``."""
+    kind = ScoreKind.FUNCTION_NORM if density is None else ScoreKind.DATA_NORM
+    scores, labels = spline_score_pool(m, [u], kind, density)
+    return float(scores[0]), int(labels[0])
 
 
 def hat_mean_sq_loop(m: SplineInterpolator, u, j, pts) -> np.ndarray:
@@ -147,12 +153,11 @@ class TestFunctionNormScore:
     def test_opposite_pair_midpoint_value(self):
         for g in (0.5, 1.0, 4.0):
             m = fit_spline([0.0, g], [1, -1])
-            got = spline_score_function_norm(m, g / 2)
-            assert got.score == pytest.approx(m.weight_norm + 4.0 / g, rel=1e-12)
+            assert score_one(m, g / 2)[0] == pytest.approx(m.weight_norm + 4.0 / g, rel=1e-12)
 
     def test_equal_pair_constant_in_u(self):
         m = fit_spline([0.0, 2.0, 3.0], [1, 1, -1])
-        vals = [spline_score_function_norm(m, u).score for u in (0.2, 1.0, 1.9)]
+        vals = [score_one(m, u)[0] for u in (0.2, 1.0, 1.9)]
         assert vals[0] == vals[1] == vals[2] == pytest.approx(m.weight_norm)
 
     def test_generic_u_formula(self):
@@ -162,15 +167,15 @@ class TestFunctionNormScore:
             u = float(rng.uniform(0.01, 1.49))
             want = (m.weight_norm - 4.0 / 1.5
                     + min(4.0 / (1.5 - u), 4.0 / u))
-            assert spline_score_function_norm(m, u).score == pytest.approx(want,
+            assert score_one(m, u)[0] == pytest.approx(want,
                                                                            rel=1e-12)
 
     def test_label_is_roughness_minimizer(self):
         # Between opposite labels the estimated label matches the closer knot.
         m = fit_spline([0.0, 1.0], [1, -1])
-        assert spline_score_function_norm(m, 0.25).label == 1
-        assert spline_score_function_norm(m, 0.75).label == -1
-        assert spline_score_function_norm(m, 0.5).label == 1  # midpoint tie -> +1
+        assert score_one(m, 0.25)[1] == 1
+        assert score_one(m, 0.75)[1] == -1
+        assert score_one(m, 0.5)[1] == 1  # midpoint tie -> +1
 
     def test_score_equals_refit_weight_norm(self):
         rng = np.random.default_rng(45)
@@ -181,20 +186,20 @@ class TestFunctionNormScore:
             u = float(rng.uniform(m.positions[0] + 1e-6, m.positions[-1] - 1e-6))
             if np.min(np.abs(u - m.positions)) < 1e-9:
                 continue
-            got = spline_score_function_norm(m, u)
+            score, label = score_one(m, u)
             refit = fit_spline(np.append(m.positions, u),
-                               np.append(m.values, got.label))
-            assert got.score == pytest.approx(refit.weight_norm, rel=1e-9, abs=1e-9)
+                               np.append(m.values, label))
+            assert score == pytest.approx(refit.weight_norm, rel=1e-9, abs=1e-9)
             other = fit_spline(np.append(m.positions, u),
-                               np.append(m.values, -got.label))
-            assert got.score <= other.weight_norm + 1e-9
+                               np.append(m.values, -label))
+            assert score <= other.weight_norm + 1e-9
 
     def test_errors(self):
         m = fit_spline([0.0, 1.0], [1, -1])
         with pytest.raises(DuplicatePointError):
-            spline_score_function_norm(m, 1.0)
+            score_one(m, 1.0)
         with pytest.raises(OutOfRangeError):
-            spline_score_function_norm(m, 1.5)
+            score_one(m, 1.5)
 
 
 class TestDataNormScore:
@@ -202,17 +207,17 @@ class TestDataNormScore:
         m = fit_spline([0.0, 1.0, 3.0], [1, 1, -1])
         density = Uniform1D(0.0, 3.0)
         for u in (0.1, 0.5, 0.99):
-            assert spline_score_data_norm(m, u, density).score == 0.0
+            assert score_one(m, u, density)[0] == 0.0
 
     def test_unit_example_is_one_third(self):
         m = fit_spline([0.0, 1.0], [1, -1])
-        got = spline_score_data_norm(m, 0.5, Uniform1D(0.0, 1.0)).score
+        got = score_one(m, 0.5, Uniform1D(0.0, 1.0))[0]
         assert got == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_vanishes_as_u_approaches_a_knot(self):
         m = fit_spline([0.0, 1.0], [1, -1])
         density = Uniform1D(0.0, 1.0)
-        vals = [spline_score_data_norm(m, u, density).score
+        vals = [score_one(m, u, density)[0]
                 for u in (1e-3, 1e-5, 1e-7)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
@@ -227,13 +232,13 @@ class TestDataNormScore:
             if np.min(np.abs(u - m.positions)) < 1e-6:
                 continue
             lo, hi = m.positions[0] - 0.5, m.positions[-1] + 0.5
-            got = spline_score_data_norm(m, u, Uniform1D(lo, hi))
+            score, label = score_one(m, u, Uniform1D(lo, hi))
             aug = fit_spline(np.append(m.positions, u),
-                             np.append(m.values, got.label))
+                             np.append(m.values, label))
             xs = np.linspace(lo, hi, 200_001)
             diff = (aug.predict(xs) - m.predict(xs)) ** 2
             want = np.trapezoid(diff, xs) / (hi - lo)
-            assert got.score == pytest.approx(want, rel=1e-6, abs=1e-9)
+            assert score == pytest.approx(want, rel=1e-6, abs=1e-9)
 
     def test_empirical_density_matches_pool_average(self):
         rng = np.random.default_rng(47)
@@ -245,11 +250,11 @@ class TestDataNormScore:
             u = float(rng.uniform(m.positions[0] + 0.01, m.positions[-1] - 0.01))
             if np.min(np.abs(u - m.positions)) < 1e-6:
                 continue
-            got = spline_score_data_norm(m, u, Empirical1D(pts))
+            score, label = score_one(m, u, Empirical1D(pts))
             aug = fit_spline(np.append(m.positions, u),
-                             np.append(m.values, got.label))
+                             np.append(m.values, label))
             want = float(np.mean((aug.predict(pts) - m.predict(pts)) ** 2))
-            assert got.score == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert score == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_empirical_interval_sums_match_per_candidate_loop(self):
         rng = np.random.default_rng(49)
@@ -277,11 +282,11 @@ class TestDataNormScore:
         density = Uniform1D(0.0, 1.0)
         deltas = np.linspace(0.01, 0.45, 20)
         for d in deltas:
-            left = spline_score_data_norm(m, 0.5 - d, density).score
-            right = spline_score_data_norm(m, 0.5 + d, density).score
+            left = score_one(m, 0.5 - d, density)[0]
+            right = score_one(m, 0.5 + d, density)[0]
             assert left == pytest.approx(right, rel=1e-9)
         grid = np.linspace(0.02, 0.98, 97)
-        vals = np.array([spline_score_data_norm(m, u, density).score for u in grid])
+        vals = np.array([score_one(m, u, density)[0] for u in grid])
         signs = np.sign(np.diff(vals))
         changes = np.sum(np.diff(signs[signs != 0]) != 0)
         assert changes == 1  # rises to the midpoint peak, then falls
@@ -297,7 +302,7 @@ class TestLocality:
             j = int(rng.integers(0, len(m) - 1))
             xl, xr = m.positions[j], m.positions[j + 1]
             u = float(rng.uniform(xl + 1e-4, xr - 1e-4))
-            t = int(spline_score_function_norm(m, u).label)
+            t = score_one(m, u)[1]
             aug = fit_spline(np.append(m.positions, u), np.append(m.values, t))
             xs = np.linspace(m.positions[0] - 2, m.positions[-1] + 2, 500)
             outside = (xs <= xl) | (xs >= xr)
@@ -423,3 +428,32 @@ class TestSplineState:
             SplineState([0.0, 1.0], "data")
         with pytest.raises(ValueError, match="label must be"):
             SplineState([0.0, 1.0], ScoreKind.FUNCTION_NORM).add(0, 0)
+
+    @pytest.mark.parametrize("knots, u", [((0.0, 1.0), 1e-200), ((-1.0, 0.0), -1e-200)])
+    def test_data_score_next_to_a_labeled_point_raises(self, knots, u):
+        # u is 1e-200 from the left or the right knot: (u - x_j)^2 or
+        # (x_{j+1} - u)^2 underflows to 0, and the hat sums would read 0/0.
+        x = np.array([*knots, 0.5 * sum(knots), u])
+        m, pool = fit_spline(knots, [1, -1]), np.array([2, 3])
+        data = SplineState(x, ScoreKind.DATA_NORM)
+        function = SplineState(x, ScoreKind.FUNCTION_NORM)
+        for state in (data, function):
+            state.add(0, 1)
+            state.add(1, -1)
+        for call in (lambda: data.scores(pool, m.weight_norm),
+                     lambda: data.select(np.random.default_rng(0), m.weight_norm),
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
+                                               Empirical1D(x[pool])),
+                     lambda: spline_select_next(m, x[pool], ScoreKind.DATA_NORM, 0)):
+            with pytest.raises(DuplicatePointError, match="indistinguishable"):
+                call()
+        # The function score stays finite there.
+        scores, labels = function.scores(pool, m.weight_norm)
+        assert np.all(np.isfinite(scores))
+        want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
+        assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
+        # Labeling u splits it off, and the data score is defined again.
+        data.add(3, 1)
+        m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
+        want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, Empirical1D(x[[2]]))
+        assert np.array_equal(data.scores(np.array([2]), m.weight_norm)[0], want[0])
