@@ -277,14 +277,14 @@ class _KernelLearner:
     """The run loop's learner interface: ``add``, ``predict``, ``wrong`` and ``select``.
 
     Learners are built over the task's points, their stable order by the first
-    coordinate, their oracle labels and the score kind (None for random
-    selection).  They take labels by index, give f at any points
-    (``predict``), count the task points whose sign is wrong (``wrong``) and
-    pick the next point by index (``select``, given the unlabeled mask).  The
-    kernel learner is only a :class:`~maximin_al.scoring.IntervalState` for
-    1-D points with ``p = 1``; else it fits a model beside a
-    :class:`~maximin_al.scoring.ScoringState` (room for ``capacity`` labels),
-    or, for random selection, alone.
+    coordinate (:func:`~maximin_al.scoring.sort_order`), their oracle labels
+    and the score kind (None for random selection).  They take labels by
+    index, give f at any points (``predict``), count the task points whose
+    sign is wrong (``wrong``) and pick the next point by index (``select``,
+    given the unlabeled mask).  The kernel learner is only a
+    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``;
+    else it fits a model beside a :class:`~maximin_al.scoring.ScoringState`
+    (room for ``capacity`` labels), or, for random selection, alone.
     """
 
     def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
@@ -411,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     # The training error is a count, so it is taken over the points sorted by
     # their first coordinate: 1-D models then locate the queries in order.
     # The 1-D states sort by the same order.
-    order = np.argsort(points[:, 0], kind="stable")
+    order = scoring.sort_order(points[:, 0])
     learner = (_SplineLearner(points, kind, order, oracle) if cfg.model.kind == "spline"
                else _KernelLearner(cfg.model, points, kind, cfg.budget, order, oracle))
 

@@ -34,7 +34,10 @@ takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
 
 Runs score from those states; a model grown by :func:`augmented_fit` gives
 ``f`` to random runs and to those with d > 1 or p != 1, and :func:`fit` is the
-acceptance checks' oracle.
+acceptance checks' oracle.  SciPy is imported only where a kernel system is
+factored or solved (:func:`fit`, :func:`augmented_fit` and the model's solves)
+and where distances in d > 1 are taken, so importing the package, and the
+1-D states, load none of it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import ConditioningError, DuplicatePointError
 
@@ -154,6 +156,20 @@ class LabeledSet:
         return out
 
 
+def require_positive_definite(dim: int, config: KernelConfig) -> None:
+    """Raise ValueError where ``exp(-||x||_p / h)`` is not positive definite.
+
+    For ``d >= 3`` and ``p > 2`` it is not (Koldobsky 1991; Zastavnyi 1991),
+    so a Gram matrix can be indefinite and no interpolant is guaranteed; a
+    Schur complement that turns negative would otherwise read as a duplicate
+    point.
+    """
+    if dim >= 3 and config.exponent > 2:
+        raise ValueError(
+            f"exp(-||x||_p/h) with p = {config.exponent} is not positive definite in "
+            f"d = {dim}; use p <= 2 when d >= 3 (Koldobsky 1991; Zastavnyi 1991)")
+
+
 def kernel_matrix(X, Y, config: KernelConfig) -> np.ndarray:
     """Cross-kernel matrix ``[k(x_i, y_j)]`` of shape (len(X), len(Y))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -245,11 +261,13 @@ class KernelInterpolator:
         """Apply ``(K + jitter*I)^{-1}`` to the columns of ``B``."""
         if len(self) == 0:
             return np.zeros_like(B)
+        from scipy.linalg import solve_triangular
         W = solve_triangular(self._chol, B, lower=True)
         return solve_triangular(self._chol.T, W, lower=False)
 
     def half_solve(self, B: np.ndarray) -> np.ndarray:
         """Apply ``L^{-1}`` where ``K + jitter*I = L L^T``."""
+        from scipy.linalg import solve_triangular
         return solve_triangular(self._chol, B, lower=True)
 
     def predict(self, X) -> np.ndarray:
@@ -281,18 +299,16 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     ------
     ValueError
         If the labeled set is empty (use :meth:`KernelInterpolator.empty`), or
-        if ``d >= 3`` and ``p > 2``: there ``exp(-||x||_p / h)`` is not
-        positive definite (Koldobsky 1991; Zastavnyi 1991), so the Gram
-        matrix can be indefinite and no interpolant is guaranteed.
+        if the kernel is not positive definite in its dimension
+        (:func:`require_positive_definite`).
     ConditioningError
         If no jitter level yields an acceptable factorization.
     """
+    from scipy.linalg import solve_triangular  # loaded only to factor a kernel system
+
     if len(labeled) == 0:
         raise ValueError("fit requires a nonempty labeled set")
-    if labeled.dim >= 3 and config.exponent > 2:
-        raise ValueError(
-            f"exp(-||x||_p/h) with p = {config.exponent} is not positive definite in "
-            f"d = {labeled.dim}; use p <= 2 when d >= 3 (Koldobsky 1991; Zastavnyi 1991)")
+    require_positive_definite(labeled.dim, config)
     K = kernel_matrix(labeled.points, labeled.points, config)
     y = labeled.labels.astype(float)
     last_cond = None
@@ -336,6 +352,7 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
     base = model.base.append(u, t)  # checks the label, the dimension and exact repeats
     if len(model) == 0:
         return fit(base, model.config)
+    from scipy.linalg import solve_triangular
 
     a = kernel_matrix(base.points[-1:], model.base.points, model.config)[0]
     w = model.half_solve(a)

@@ -36,6 +36,9 @@ within a few ulps, so those points hold the whole pool's tie set, and the
 pick, its index, score and random draw equal :func:`pick` on every unlabeled
 point's scores.  A step then costs O(n_b + L) instead of O(n) when the best
 scores sit in one interval, as they do between ties.
+
+The 1-D states are pure NumPy; SciPy's BLAS is imported only by the data-score
+:class:`ScoringState`, at its first label.
 """
 
 from __future__ import annotations
@@ -46,11 +49,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .exceptions import DuplicatePointError, EmptyPoolError
 from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel,
-                     kernel_matrix, markov_1d)
+                     kernel_matrix, markov_1d, require_positive_definite)
 
 TIE_TOLERANCE = 1e-12
 
@@ -175,7 +177,9 @@ class ScoringState:
     ``capacity`` bounds the number of labels (default ``n``).  A state whose
     rows and residual (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
     data score) exceed the physical memory raises MemoryError before it
-    allocates anything.
+    allocates anything, and one whose kernel is not positive definite in the
+    points' dimension raises ValueError
+    (:func:`~maximin_al.kernel.require_positive_definite`).
     """
 
     def __init__(self, points, config: KernelConfig, kind: ScoreKind,
@@ -183,6 +187,7 @@ class ScoringState:
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        require_positive_definite(points.shape[1], config)
         n = len(points)
         capacity = n if capacity is None else capacity
         needed = 8 * n * (capacity + (n if kind is ScoreKind.DATA_NORM else 0))
@@ -228,6 +233,7 @@ class ScoringState:
         self._count += 1
         R = self._residual
         if R is not None:
+            from scipy.linalg.blas import dger  # loaded by data-score states only
             dger(-1.0 / s, c, c, a=R, overwrite_a=True)
             R[i, :] = 0.0
             R[:, i] = 0.0
@@ -247,6 +253,20 @@ class ScoringState:
                             self.norm_sq, mean_r2)
 
 
+def sort_order(x: np.ndarray) -> np.ndarray:
+    """The stable argsort of 1-D ``x``, by NumPy's default (SIMD) sort when it can be.
+
+    The default sort is not stable, but on keys that strictly increase once
+    sorted no two orders differ; equal keys (a csv may repeat a first
+    coordinate) or NaN fall back to the stable sort.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if not (xs[1:] > xs[:-1]).all():
+        order = np.argsort(x, kind="stable")
+    return order
+
+
 class SortedIntervals:
     """Scoring state of 1-D points sorted once and split by the labeled ones.
 
@@ -260,15 +280,15 @@ class SortedIntervals:
     of its points that are numerically indistinguishable from an end, where
     scores and selection raise DuplicatePointError.  A subclass fills the first
     interval ``(0, n + 1)`` once its own arrays exist (the spline's lies outside
-    the hull and needs none).  ``order`` is ``x``'s stable argsort when the
-    caller already has it.
+    the hull and needs none).  ``order`` is ``x``'s stable argsort
+    (:func:`sort_order`) when the caller already has it.
     """
 
     def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None):
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
         n, self.kind = len(x), kind
-        self._order = np.argsort(x, kind="stable") if order is None else order
+        self._order = sort_order(x) if order is None else order
         self._rank = np.empty(n, dtype=np.intp)
         self._rank[self._order] = np.arange(1, n + 1)
         self._x = np.concatenate([[-np.inf], x[self._order], [np.inf]])

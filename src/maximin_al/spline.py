@@ -95,7 +95,7 @@ class SplineInterpolator:
             raise ValueError("need at least one labeled point")
         if values.shape != positions.shape:
             raise ValueError("positions and values must have equal length")
-        if not np.all(np.isin(values, (-1, 1))):
+        if not np.all((values == 1) | (values == -1)):
             raise ValueError("values must be +1 or -1")
         order = np.argsort(positions)
         positions = positions[order]
@@ -166,8 +166,11 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     j = m.interval_of(us)
-    dplus, dminus = _roughness_deltas(us, m.positions[j], m.positions[j + 1],
-                                      m.values[j], m.values[j + 1])
+    # Within about 1e-308 of a labeled point the delta of the label opposite
+    # to it overflows to inf; the other stays finite, and so does the score.
+    with np.errstate(over="ignore"):
+        dplus, dminus = _roughness_deltas(us, m.positions[j], m.positions[j + 1],
+                                          m.values[j], m.values[j + 1])
     labels = np.where(dplus <= dminus, 1, -1)
     if kind is ScoreKind.FUNCTION_NORM:
         return m.weight_norm + np.minimum(dplus, dminus), labels
@@ -290,7 +293,8 @@ class SplineState(SortedIntervals):
         u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
         xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
         # Repeats, and points within about 1e-154 of an end: scores raise there.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Within about 1e-308 of an end one delta overflows (see spline_score_pool).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._dplus[ranks], self._dminus[ranks] = _roughness_deltas(u, xl, xr, yl, yr)
             if self.kind is ScoreKind.DATA_NORM:
                 self._f[ranks] = np.interp(u, (xl, xr), (yl, yr))

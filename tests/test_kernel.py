@@ -28,6 +28,37 @@ from maximin_al.kernel import (
     fit,
     kernel_matrix,
 )
+from maximin_al.scoring import ScoreKind, ScoringState
+
+
+def _fitted(points, labels, config):
+    """f at the labeled points of a fit."""
+    return fit(LabeledSet(points, labels), config).predict(points)
+
+
+def _state_of(kind):
+    def labeled(points, labels, config):
+        """f at the labeled points of a scoring state labeled in order."""
+        state = ScoringState(points, config, kind)
+        for i, y in enumerate(labels):
+            state.add(i, y)
+        return state.f
+    return labeled
+
+
+# Ways to interpolate labeled points: a fit, and the scoring states.
+INTERPOLANTS = [pytest.param(_fitted, id="fit")] + [
+    pytest.param(_state_of(kind), id=f"{kind.value}-state") for kind in ScoreKind]
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Standard output of ``script`` run with ``args`` in a fresh interpreter on this package."""
+    src = str(Path(maximin_al.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
 
 
 def kernel_eval(x, x2, config: KernelConfig) -> float:
@@ -150,12 +181,37 @@ class TestKernelMatrix:
             "            'model': {'kind': 'kernel', 'h': 0.1, 'p': p},\n"
             "            'score': score, 'budget': 8, 'seed': 0}))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
-        src = str(Path(maximin_al.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert run_fresh(script) == "[]"
+
+    def test_scipy_loads_only_to_factor_a_kernel_system(self, tmp_path):
+        # Importing the package, the 1-D states' runs (kernel p = 1 and
+        # spline, scored) and `gen` load no SciPy module; the first fit of a
+        # random kernel run loads scipy.linalg.
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n": 64, "k": 2}')
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import maximin_al\n"
+            "from maximin_al import cli\n"
+            "print(scipy_modules())\n"
+            "def run(model, score):\n"
+            "    maximin_al.run_experiment(maximin_al.ExperimentConfig.from_dict({\n"
+            "        'task': {'kind': 'threshold', 'n': 64, 'k': 2}, 'model': model,\n"
+            "        'score': score, 'budget': 8, 'seed': 0}))\n"
+            "for model in ({'kind': 'kernel', 'h': 0.1, 'p': 1}, {'kind': 'spline'}):\n"
+            "    for score in ('function', 'data'):\n"
+            "        run(model, score)\n"
+            "print(scipy_modules())\n"
+            "cli.main(['gen', '--task', 'threshold', '--spec', sys.argv[1],\n"
+            "          '--out', sys.argv[2]])\n"
+            "print(scipy_modules())\n"
+            "run({'kind': 'kernel', 'h': 0.1, 'p': 1}, 'random')\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        lines = run_fresh(script, str(spec), str(tmp_path / "data.csv")).splitlines()
+        assert lines == ["[]", "[]", "wrote 64 rows to " + str(tmp_path / "data.csv"),
+                         "[]", "True"]
 
 
 class TestLabeledSet:
@@ -242,18 +298,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(empty, KernelConfig(1.0))
 
-    def test_not_positive_definite_kernel_rejected(self):
+    @pytest.mark.parametrize("interpolate", INTERPOLANTS)
+    def test_not_positive_definite_kernel_rejected(self, interpolate):
         # exp(-||x||_p / h) is not positive definite for d >= 3 and p > 2.
-        labeled = LabeledSet(np.eye(3), [1, -1, 1])
+        # Unchecked, a scoring state over 300 uniform 3-D points with p = 8
+        # meets a negative Schur complement after 33 labels, which reads as
+        # a duplicate point.
         with pytest.raises(ValueError, match="not positive definite in d = 3"):
-            fit(labeled, KernelConfig(1.0, 4.0))
+            interpolate(np.eye(3), [1, -1, 1], KernelConfig(1.0, 4.0))
 
-    def test_positive_definite_dimension_exponent_pairs_accepted(self):
+    @pytest.mark.parametrize("interpolate", INTERPOLANTS)
+    def test_positive_definite_dimension_exponent_pairs_accepted(self, interpolate):
         rng = np.random.default_rng(15)
         for d, p in ((1, 8.0), (2, 4.0), (3, 2.0), (5, 1.5)):
-            pts = rng.uniform(size=(6, d))
-            m = fit(LabeledSet(pts, rng.choice([-1, 1], size=6)), KernelConfig(0.5, p))
-            assert len(m) == 6
+            pts, labels = rng.uniform(size=(6, d)), rng.choice([-1, 1], size=6)
+            f = interpolate(pts, labels, KernelConfig(0.5, p))
+            assert np.max(np.abs(f - labels)) <= 1e-8
 
     def test_interpolation_constraint(self):
         rng = np.random.default_rng(11)

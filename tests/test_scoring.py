@@ -34,6 +34,7 @@ from maximin_al.scoring import (
     score_pool,
     select_next,
     sign_labels,
+    sort_order,
 )
 from maximin_al.spline import SplineState, fit_spline
 from maximin_al.synthetic import gen_clusters
@@ -331,6 +332,22 @@ class TestScoringState:
             ScoringState(points, KernelConfig(0.5), ScoreKind.DATA_NORM)
         with pytest.raises(MemoryError, match="n = 10000000 points needs 800000000000000 "):
             ScoringState(points, KernelConfig(0.5), ScoreKind.FUNCTION_NORM)
+
+
+class TestSortOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats()), max_size=300))
+    def test_equals_the_stable_argsort(self, keys):
+        # Repeats, -0.0 next to 0.0, infinities and NaN take the stable fallback.
+        x = np.array(keys, dtype=float)
+        assert np.array_equal(sort_order(x), np.argsort(x, kind="stable"))
+
+    def test_large_pools_with_and_without_repeats(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=20000)
+        assert np.array_equal(sort_order(x), np.argsort(x, kind="stable"))
+        x[rng.integers(len(x), size=50)] = x[:50]
+        assert np.array_equal(sort_order(x), np.argsort(x, kind="stable"))
 
 
 @st.composite

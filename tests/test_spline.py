@@ -457,3 +457,29 @@ class TestSplineState:
         m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
         want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, Empirical1D(x[[2]]))
         assert np.array_equal(data.scores(np.array([2]), m.weight_norm)[0], want[0])
+
+    @pytest.mark.parametrize("x", [(0.0, 1e-310, 0.5, 1.0), (-1.0, -0.5, -1e-310, 0.0)])
+    def test_function_score_within_1e_308_of_a_labeled_point(self, x):
+        # A candidate 1e-310 from the labeled -1 (left) or +1 (right) end: the
+        # delta of the opposite label, 4 / 1e-310, overflows to inf.  The
+        # smaller delta, and so the score, stays finite, and no warning is
+        # raised (the suite turns RuntimeWarnings into errors).
+        x = np.array(x)
+        m, pool = fit_spline(x[[0, 3]], [-1, 1]), np.array([1, 2])
+        function = SplineState(x, ScoreKind.FUNCTION_NORM)
+        data = SplineState(x, ScoreKind.DATA_NORM)
+        for state in (function, data):
+            state.add(0, -1)
+            state.add(3, 1)
+        scores, labels = function.scores(pool, m.weight_norm)
+        assert np.all(np.isfinite(scores))
+        want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
+        assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
+        # The midpoint of the opposite pair scores highest.
+        chosen = function.select(np.random.default_rng(0), m.weight_norm)
+        assert abs(x[chosen.index]) == 0.5
+        for call in (lambda: data.scores(pool, m.weight_norm),
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
+                                               Empirical1D(x[pool]))):
+            with pytest.raises(DuplicatePointError, match="indistinguishable"):
+                call()
