@@ -3,10 +3,10 @@
 Each check reproduces one headline guarantee of the selection scores at desk
 scale and reports a structured pass/fail.  The same functions back the
 acceptance test module, so the CLI and the test suite cannot drift apart.
-The kernel checks score on the state a run's learner scores from
+The kernel checks score and pick on the state a run's learner scores from
 (:class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``,
-else :class:`~maximin_al.scoring.ScoringState`), so they test the code that
-makes every selection.
+else :class:`~maximin_al.scoring.ScoringState`), through the calls a run
+makes, so they test the code that makes every selection.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _run(task, model, score, budget, seed, **kw) -> "object":
 
 def _state(points, config: KernelConfig, labels, kind=ScoreKind.FUNCTION_NORM):
     """The state a run scores from, over the rows of ``points``, with ``labels``
-    added at the first of them."""
+    added at the first of them; it scores the rest, in order."""
     if points.shape[1] == 1 and config.exponent == 1:
         state = scoring.IntervalState(points, config, kind)
     else:
@@ -88,7 +88,7 @@ def check_midpoint_closed_forms(base_seed: int = 0) -> CheckResult:
             labels = (1, 1) if same else (1, -1)
             grid = np.linspace(x1, x2, 10_000 + 1)[1:-1]
             state = _state(np.r_[x1, x2, grid][:, None], KernelConfig(h, 1.0), labels)
-            scores, _ = state.scores(np.arange(2, len(grid) + 2))
+            scores, _ = state.scores()
             step = gap / 10_000
             mid = 0.5 * (x1 + x2)
             argmax = grid[int(np.argmax(scores))]
@@ -119,7 +119,7 @@ def check_rank_one_identity(base_seed: int = 0) -> CheckResult:
             pts = rng.uniform(0, 1, size=(L + 1, d))
         labels = rng.choice([-1, 1], size=L)
         config = KernelConfig(h, p)
-        scores, est = _state(pts, config, labels).scores(np.array([L]))
+        scores, est = _state(pts, config, labels).scores()
         base = LabeledSet(pts[:L], labels)
         refits = {t: fit(base.append(pts[L], t), config) for t in (1, -1)}
         jittered += any(m.jitter for m in refits.values())
@@ -161,7 +161,7 @@ def check_first_point_largest_ball(base_seed: int = 0) -> CheckResult:
     for seed in range(base_seed, base_seed + 10):
         points = synthetic.gen_clusters(spec, seed).points
         state = _state(points, KernelConfig(h, 2.0), [], ScoreKind.DATA_NORM)
-        chosen = scoring.pick(*state.scores(np.arange(len(points))), seed)
+        chosen = state.select(seed)
         hits.append(int(spec.locate(points[chosen.index][None, :])[0]))
     ok = regime.ok and all(b == 0 for b in hits)
     return CheckResult("first pick in largest ball", ok,
@@ -326,7 +326,7 @@ def check_zero_crossing(base_seed: int = 0) -> CheckResult:
         grid = np.linspace(xs[1] + delta / 2, xs[2] - delta / 2, 2001)
         step = grid[1] - grid[0]
         state = _state(np.r_[xs, grid][:, None], KernelConfig(h, p), [1, 1, -1])
-        scores, _ = state.scores(np.arange(3, len(grid) + 3))
+        scores, _ = state.scores()
         f = state.f[3:]
         flip = int(np.flatnonzero((f[:-1] >= 0) & (f[1:] < 0))[0])
         crossing = grid[flip] + step * f[flip] / (f[flip] - f[flip + 1])

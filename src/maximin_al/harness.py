@@ -8,18 +8,22 @@ the task sample, the tie-breaking stream, and the random baseline all derive
 from ``seed`` through independent ``SeedSequence`` children, so replaying a
 config reproduces the trace bit for bit.
 
-Learners score from incremental states, built over the points sorted once.
-The 1-D ``p = 1`` kernel learner with a score is state-only: its
-:class:`~maximin_al.scoring.IntervalState` selects per labeled interval and
-counts the wrong signs on the split interval only; the training error is
-that count over n, the same correctly rounded ratio as a mean over all
-points.  Random kernel runs and those with d > 1 or p != 1 still grow a
+A run's learner takes labels by point index (``add``), gives the interpolant
+at any points (``predict``), counts the task points whose sign is wrong
+(``n_wrong``) and picks the next point by index (``select``): the protocol of
+the scoring states, which own the pool and score their own unlabeled points.
+A scored 1-D ``p = 1`` kernel run's learner is its
+:class:`~maximin_al.scoring.IntervalState`, which selects per labeled
+interval and counts the wrong signs on the split interval only; the training
+error is that count over n, the same correctly rounded ratio as a mean over
+all points.  Random kernel runs and those with d > 1 or p != 1 still grow a
 ``KernelInterpolator`` and evaluate it at every point, and the spline
 learner, which selects per interval from a
 :class:`~maximin_al.spline.SplineState`, still evaluates its refit spline at
 every point: the benchmark's per-layer counts are taken on those calls.  A
 forced or random pick records the sign of the learner's ``predict`` at the
-point as its estimated label.
+point as its estimated label; only random picks build the index array of
+the unlabeled points.
 
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
@@ -274,56 +278,39 @@ def _count_wrong(f: np.ndarray, truth: np.ndarray) -> int:
 
 
 class _KernelLearner:
-    """The run loop's learner interface: ``add``, ``predict``, ``wrong`` and ``select``.
+    """A kernel model refit per label, beside a :class:`~maximin_al.scoring.ScoringState`
+    (room for ``capacity`` labels) when the run is scored.
 
-    Learners are built over the task's points, their stable order by the first
-    coordinate (:func:`~maximin_al.scoring.sort_order`), their oracle labels
-    and the score kind (None for random selection).  They take labels by
-    index, give f at any points (``predict``), count the task points whose
-    sign is wrong (``wrong``) and pick the next point by index (``select``,
-    given the unlabeled mask).  The kernel learner is only a
-    :class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``;
-    else it fits a model beside a :class:`~maximin_al.scoring.ScoringState`
-    (room for ``capacity`` labels), or, for random selection, alone.
+    Built over the task's points, their stable order by the first coordinate
+    (:func:`~maximin_al.scoring.sort_order`) and their oracle labels; it
+    serves random runs and runs with d > 1 or p != 1 (see :func:`_learner`).
     """
 
-    def __init__(self, config: ModelConfig, points: np.ndarray, kind: ScoreKind | None,
+    def __init__(self, config: KernelConfig, points: np.ndarray, kind: ScoreKind | None,
                  capacity: int, order: np.ndarray, oracle: np.ndarray):
-        kernel = KernelConfig(bandwidth=config.h, exponent=config.p)
         self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
-        self.model = KernelInterpolator.empty(kernel, dim=points.shape[1])
-        if kind is None:
-            self.state = None
-        elif points.shape[1] == 1 and config.p == 1:
-            self.state = scoring.IntervalState(points, kernel, kind, order, oracle)
-            self.model = None
-        else:
-            self.state = scoring.ScoringState(points, kernel, kind, capacity)
+        self.model = KernelInterpolator.empty(config, dim=points.shape[1])
+        self.state = None if kind is None else scoring.ScoringState(points, config, kind,
+                                                                    capacity)
 
     def add(self, i: int, label: int) -> None:
-        if self.model is not None:
-            self.model = augmented_fit(self.model, self.points[i], label)
+        self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
 
     def predict(self, points) -> np.ndarray:
-        return (self.state if self.model is None else self.model).predict(points)
+        return self.model.predict(points)
 
-    def wrong(self) -> int:
-        if self.model is None:
-            return self.state.n_wrong
+    @property
+    def n_wrong(self) -> int:
         return _count_wrong(self.model.predict(self.ordered), self.truth)
 
-    def select(self, unlabeled: np.ndarray, rng) -> scoring.ScoredCandidate:
-        if self.model is None:
-            return self.state.select(rng)
-        pool_idx = np.flatnonzero(unlabeled)
-        chosen = scoring.pick(*self.state.scores(pool_idx), rng)
-        return replace(chosen, index=int(pool_idx[chosen.index]))
+    def select(self, rng) -> scoring.ScoredCandidate:
+        return self.state.select(rng)
 
 
 class _SplineLearner:
-    """The spline model behind the same interface; it predicts 0 before any label.
+    """The spline model behind the same protocol; it predicts 0 before any label.
 
     A :class:`~maximin_al.spline.SplineState` scores; the refit spline gives f.
     """
@@ -349,11 +336,27 @@ class _SplineLearner:
             return np.zeros(len(points))
         return self.model.predict(np.asarray(points).ravel())
 
-    def wrong(self) -> int:
+    @property
+    def n_wrong(self) -> int:
         return _count_wrong(self.predict(self.ordered), self.truth)
 
-    def select(self, unlabeled: np.ndarray, rng) -> scoring.ScoredCandidate:
+    def select(self, rng) -> scoring.ScoredCandidate:
         return self.state.select(rng, self.model.weight_norm)
+
+
+def _learner(model: ModelConfig, points: np.ndarray, kind: ScoreKind | None, budget: int,
+             order: np.ndarray, oracle: np.ndarray):
+    """The run's learner for score ``kind`` (None for random selection), over the
+    task's points, their stable ``order`` by the first coordinate and their
+    oracle labels: a :class:`_SplineLearner`, the
+    :class:`~maximin_al.scoring.IntervalState` of a scored 1-D ``p = 1`` kernel
+    run, or a :class:`_KernelLearner`."""
+    if model.kind == "spline":
+        return _SplineLearner(points, kind, order, oracle)
+    config = KernelConfig(bandwidth=model.h, exponent=model.p)
+    if kind is not None and points.shape[1] == 1 and model.p == 1:
+        return scoring.IntervalState(points, config, kind, order, oracle)
+    return _KernelLearner(config, points, kind, budget, order, oracle)
 
 
 def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
@@ -399,10 +402,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     init = cfg.init
     if init == "auto":
         init = "extremes" if dim == 1 else "none"
-    if cfg.model.kind == "spline":
-        if dim != 1:
-            raise ValueError("the spline model is 1-D only")
-        init = "extremes"
+    if cfg.model.kind == "spline" and dim != 1:
+        raise ValueError("the spline model is 1-D only")
     if init == "extremes" and dim != 1:
         raise ValueError("extremes initialization requires a 1-D task")
 
@@ -412,8 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     # their first coordinate: 1-D models then locate the queries in order.
     # The 1-D states sort by the same order.
     order = scoring.sort_order(points[:, 0])
-    learner = (_SplineLearner(points, kind, order, oracle) if cfg.model.kind == "spline"
-               else _KernelLearner(cfg.model, points, kind, cfg.budget, order, oracle))
+    learner = _learner(cfg.model, points, kind, cfg.budget, order, oracle)
 
     record = RunRecord(config=cfg, task_kind=cfg.task["kind"])
     if cluster_spec is not None:
@@ -436,14 +436,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             est = int(scoring.sign_labels(learner.predict(points[[idx]])[0]))
             score_val = float("nan")
         else:
-            chosen = learner.select(unlabeled, rng)
+            chosen = learner.select(rng)
             idx, est, score_val = chosen.index, chosen.label, chosen.score
 
         truth = int(oracle[idx])
         learner.add(idx, truth)
         unlabeled[idx] = False
 
-        err = learner.wrong() / n
+        err = learner.n_wrong / n
         record.steps.append(StepRecord(step, idx, est, truth, score_val, err))
         if record.queries_to_zero is None and err == 0.0:
             record.queries_to_zero = step
@@ -454,8 +454,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                 if record.per_cluster_counts[ball] == 2:
                     record.first_cluster_repeat_step = record.first_cluster_repeat_step or step
         if test_points is not None:
-            tpred = np.where(learner.predict(test_points) >= 0, 1, -1)
-            record.test_errors.append(float(np.mean(tpred != test_labels)))
+            wrong = _count_wrong(learner.predict(test_points), test_labels > 0)
+            record.test_errors.append(wrong / len(test_labels))
         if cfg.stop_at_zero and err == 0.0:
             break
 

@@ -20,9 +20,12 @@ function-norm score is 1, and the data-based score of ``u`` reduces to
 Runs and the acceptance checks score from an incremental state built over
 every point: :class:`IntervalState` (closed forms on each labeled interval)
 for 1-D points with ``p = 1``, else :class:`ScoringState` (one residual column
-per label).  :func:`score_pool` and :func:`select_next` score a whole pool from
-a fitted model, recomputing ``f``, ``S_u`` and the residual kernel on every
-call; they are the reference the states are tested against.  All turn
+per label).  A state owns its pool: it takes labels by point index (``add``),
+scores every point it has no label for, in ascending index (``scores``), and
+returns the :func:`pick` among them by point index (``select``).
+:func:`score_pool` and :func:`select_next` score a whole pool from a fitted
+model, recomputing ``f``, ``S_u`` and the residual kernel on every call; they
+are the reference the states are tested against.  All turn
 ``(f, S_u, mean_x R(u, x)^2)`` into scores and labels through one helper.
 
 The 1-D states (:class:`SortedIntervals`) also select per labeled interval:
@@ -200,6 +203,7 @@ class ScoringState:
         self.f = np.zeros(n)
         self.schur = np.ones(n)
         self.norm_sq = 0.0
+        self._unlabeled = np.ones(n, dtype=bool)
         self._rows = np.empty((capacity, n))
         self._count = 0
         self._residual = self._r2 = None
@@ -231,6 +235,7 @@ class ScoringState:
         self.schur -= c * c / s
         np.divide(c, np.sqrt(s), out=self._rows[self._count])
         self._count += 1
+        self._unlabeled[i] = False
         R = self._residual
         if R is not None:
             from scipy.linalg.blas import dger  # loaded by data-score states only
@@ -239,18 +244,23 @@ class ScoringState:
             R[:, i] = 0.0
             np.einsum("ij,ij->j", R, R, out=self._r2)
 
-    def scores(self, pool_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and estimated labels of the points ``pool_idx``, in that order.
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and estimated labels of the unlabeled points, in ascending index.
 
-        ``pool_idx`` must hold every unlabeled point: the data score averages
-        over it, and labeled rows of ``R`` are zero, so the row sums of ``R^2``
-        run over exactly the unlabeled points.
+        The data score averages over them: labeled rows of ``R`` are zero, so
+        the row sums of ``R^2`` run over exactly the unlabeled points.
         """
-        if len(pool_idx) != len(self.points) - self._count:
-            raise ValueError("pool_idx must hold every unlabeled point")
-        mean_r2 = None if self._r2 is None else self._r2[pool_idx] / len(pool_idx)
-        return _scores_from(self.kind, self.f[pool_idx], self.schur[pool_idx],
-                            self.norm_sq, mean_r2)
+        pool = self._unlabeled
+        mean_r2 = None if self._r2 is None else self._r2[pool] / (len(pool) - self._count)
+        return _scores_from(self.kind, self.f[pool], self.schur[pool], self.norm_sq, mean_r2)
+
+    def select(self, rng) -> ScoredCandidate:
+        """``pick(*self.scores(), rng)`` with the point's index; EmptyPoolError if none is left."""
+        pool_idx = np.flatnonzero(self._unlabeled)
+        if len(pool_idx) == 0:
+            raise EmptyPoolError("cannot select from an empty pool")
+        chosen = pick(*self.scores(), rng)
+        return ScoredCandidate(int(pool_idx[chosen.index]), chosen.label, chosen.score)
 
 
 def sort_order(x: np.ndarray) -> np.ndarray:
@@ -316,17 +326,16 @@ class SortedIntervals:
         if self._n_low:
             raise DuplicatePointError(_DUPLICATE)
 
-    def _scores(self, pool_idx: np.ndarray, offset: float):
-        """Scores and labels of ``pool_idx``, which must hold every unlabeled point
-        (the data score averages over them), with the common term ``offset``."""
-        m = len(self._order) + 2 - len(self._labeled)
-        if len(pool_idx) != m:
-            raise ValueError("pool_idx must hold every unlabeled point")
+    def _scores(self, offset: float):
+        """Scores and labels of the unlabeled points, in ascending index, with
+        the common term ``offset`` (the data score averages over them)."""
         self._check()
-        return self._score(self._rank[pool_idx], offset, m)
+        unlabeled = np.ones(len(self._order), dtype=bool)
+        unlabeled[self._order[np.array(self._labeled[1:-1], dtype=np.intp) - 1]] = False
+        return self._score(self._rank[unlabeled], offset, int(unlabeled.sum()))
 
     def _select(self, rng, offset: float) -> ScoredCandidate:
-        """:func:`pick` over every unlabeled point in ascending index; ``index`` is the point's.
+        """:func:`pick` over :meth:`_scores`; ``index`` is the point's.
 
         A key turned into a score (``offset + key`` or ``key / m``) is the
         point's score exactly for the function score (rounding a sum is
@@ -413,12 +422,12 @@ class IntervalState(SortedIntervals):
             self.n_wrong += int((label > 0) != self._truth[r - 1])
         self._split(i, label)
 
-    def scores(self, pool_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and labels of ``pool_idx``, as :meth:`ScoringState.scores`."""
-        return self._scores(pool_idx, self.norm_sq)
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and labels of the unlabeled points, as :meth:`ScoringState.scores`."""
+        return self._scores(self.norm_sq)
 
     def select(self, rng) -> ScoredCandidate:
-        """``pick(*self.scores(unlabeled), rng)`` with the point's index, in O(n_b + L)."""
+        """:meth:`ScoringState.select`, in O(n_b + L)."""
         return self._select(rng, self.norm_sq)
 
     def predict(self, points) -> np.ndarray:

@@ -75,8 +75,17 @@ class Empirical1D:
 Density1D = Uniform1D | Empirical1D
 
 
+# Oppositely labeled positions closer than 2^-1021 (about 4.5e-308): the slope
+# 2 / gap between them would pass 2^1022, and the roughness could overflow.
+_MIN_OPPOSITE_GAP = 2.0 ** -1021
+_STEEP = "oppositely labeled positions are numerically indistinguishable"
+
+
 class SplineInterpolator:
     """Minimal-roughness linear spline through labeled 1-D points.
+
+    Raises DuplicatePointError for a repeated position, and for two adjacent
+    oppositely labeled positions less than about 4.5e-308 apart.
 
     Attributes
     ----------
@@ -100,8 +109,13 @@ class SplineInterpolator:
         order = np.argsort(positions)
         positions = positions[order]
         values = values[order].astype(float)
-        if np.any(np.diff(positions) == 0):
-            raise DuplicatePointError("labeled positions must be distinct")
+        gaps = np.diff(positions)
+        close = gaps < _MIN_OPPOSITE_GAP
+        if close.any():
+            if not gaps.all():
+                raise DuplicatePointError("labeled positions must be distinct")
+            if (values[1:][close] != values[:-1][close]).any():
+                raise DuplicatePointError(_STEEP)
         self.positions = positions
         self.values = values
         span = positions[-1] - positions[0]
@@ -256,18 +270,24 @@ class SplineState(SortedIntervals):
         r = self._rank[i]
         # Equal points have adjacent ranks: a repeat is a (labeled) neighbour of r.
         k = bisect.bisect(self._labeled, r)
-        if self._x[r] in (self._x[self._labeled[k - 1]], self._x[self._labeled[k]]):
+        lo, hi = self._labeled[k - 1], self._labeled[k]
+        x, y = self._x, self._y
+        if x[r] in (x[lo], x[hi]):
             raise DuplicatePointError("labeled positions must be distinct")
-        self._repeated |= self._x[r] in (self._x[r - 1], self._x[r + 1])
+        # SplineInterpolator's test on both new pairs; a sentinel is infinitely far.
+        if (label != y[lo] and x[r] - x[lo] < _MIN_OPPOSITE_GAP
+                or label != y[hi] and x[hi] - x[r] < _MIN_OPPOSITE_GAP):
+            raise DuplicatePointError(_STEEP)
+        self._repeated |= x[r] in (x[r - 1], x[r + 1])
         self._split(i, label)
 
-    def scores(self, pool_idx: np.ndarray, weight_norm: float):
-        """Scores and labels of ``pool_idx``, every unlabeled point, for ``weight_norm``."""
-        return self._scores(pool_idx, weight_norm)
+    def scores(self, weight_norm: float):
+        """Scores and labels of the unlabeled points, in ascending index, for ``weight_norm``."""
+        return self._scores(weight_norm)
 
     def select(self, rng, weight_norm: float) -> ScoredCandidate:
-        """``pick(*self.scores(unlabeled, weight_norm), rng)`` with the point's index,
-        in O(n_b + L); raises where :meth:`scores` would."""
+        """``pick(*self.scores(weight_norm), rng)`` with the point's index, in
+        O(n_b + L); raises where :meth:`scores` would."""
         return self._select(rng, weight_norm)
 
     def _check(self) -> None:

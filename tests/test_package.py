@@ -1,7 +1,9 @@
-"""The package's public surface and its logger."""
+"""The package's public surface, its logger and the README's quick start."""
 
+import ast
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,14 @@ def test_package_logger_prints_nothing_by_default():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout == "" and done.stderr == ""
+
+
+def test_readme_quick_start_runs_and_brackets_the_boundary(capsys):
+    # The README's first python block, run as written: it must query a point
+    # on each side of the 0.37 boundary, within 0.015 of it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    queried = ast.literal_eval(capsys.readouterr().out.strip().splitlines()[-1])
+    assert any(0.355 <= x < 0.37 for x in queried)
+    assert any(0.37 <= x <= 0.385 for x in queried)

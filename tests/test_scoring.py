@@ -24,7 +24,7 @@ from maximin_al.kernel import (
     fit,
     kernel_matrix,
 )
-from maximin_al.harness import ModelConfig, _KernelLearner
+from maximin_al.harness import ModelConfig, _KernelLearner, _learner
 from maximin_al.scoring import (
     IntervalState,
     ScoreKind,
@@ -102,7 +102,7 @@ class TestEstimateLabel:
             state = ScoringState(points, cfg, kind)
             state.add(0, -1)
             state.add(1, 1)
-            assert state.scores(np.array([2]))[1][0] == 1
+            assert state.scores()[1][0] == 1
             assert score_pool(m, UnlabeledPool(points[2:]), kind)[1][0] == 1
 
     def test_matches_argmin_of_augmented_norms(self):
@@ -300,18 +300,60 @@ class TestScoringState:
                     want, want_labels = score_pool(model, pool, kind)
                 except DuplicatePointError:
                     with pytest.raises(DuplicatePointError):
-                        state.scores(pool_idx)
+                        state.scores()
                     continue
-                got, got_labels = state.scores(pool_idx)
+                got, got_labels = state.scores()
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
                 assert np.array_equal(got_labels, want_labels)
 
-    def test_pool_must_be_every_unlabeled_point(self):
-        state = ScoringState([[0.0], [0.5], [1.0]], KernelConfig(0.5), ScoreKind.DATA_NORM)
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scores_cover_the_unlabeled_points_in_index_order(self, kind):
+        # The unlabeled points 0, 2, 3 lie at x = 0, 0.9, 0.2: not in x order.
+        points, cfg = np.array([[0.0], [0.5], [0.9], [0.2]]), KernelConfig(0.5)
+        state = ScoringState(points, cfg, kind)
         state.add(1, 1)
-        assert len(state.scores(np.array([0, 2]))[0]) == 2
-        with pytest.raises(ValueError, match="every unlabeled point"):
-            state.scores(np.array([0]))
+        want = score_pool(fit(LabeledSet(points[[1]], [1]), cfg),
+                          UnlabeledPool(points[[0, 2, 3]]), kind)
+        got = state.scores()
+        assert len(got[0]) == 3 and len(set(got[0])) == 3
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(label_sequences(), st.integers(0, 2**32 - 1))
+    def test_select_matches_pick_on_its_scores(self, case, seed):
+        # Before each label, and after the last: the pick among scores(), by
+        # the unlabeled points' indices, with the generator in the same state
+        # afterwards, or the same error.
+        points, cfg, order, labels = case
+        rng = np.random.default_rng(seed)
+        for kind in ScoreKind:
+            state = ScoringState(points, cfg, kind)
+            labeled = []
+            for step in range(len(order) + 1):
+                pool_idx = np.setdiff1d(np.arange(len(points)), labeled)
+                ref_rng = copy.deepcopy(rng)
+                if len(pool_idx) == 0:
+                    with pytest.raises(EmptyPoolError):
+                        state.select(rng)
+                    break
+                try:
+                    want = pick(*state.scores(), ref_rng)
+                except DuplicatePointError:
+                    with pytest.raises(DuplicatePointError):
+                        state.select(rng)
+                else:
+                    got = state.select(rng)
+                    assert (got.index, got.label, got.score) == \
+                        (int(pool_idx[want.index]), want.label, want.score)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if step == len(order):
+                    break
+                try:
+                    state.add(order[step], labels[step])
+                except DuplicatePointError:
+                    break
+                labeled.append(order[step])
 
     def test_capacity_bounds_the_labels(self):
         state = ScoringState([[0.0], [0.5], [1.0]], KernelConfig(0.5),
@@ -393,12 +435,12 @@ class TestIntervalState:
                                            rtol=1e-10, atol=1e-12)
                 assert fast.norm_sq == pytest.approx(generic.norm_sq, rel=1e-10)
                 try:
-                    want, want_labels = generic.scores(pool_idx)
+                    want, want_labels = generic.scores()
                 except DuplicatePointError:
                     with pytest.raises(DuplicatePointError):
-                        fast.scores(pool_idx)
+                        fast.scores()
                     continue
-                got, got_labels = fast.scores(pool_idx)
+                got, got_labels = fast.scores()
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
                 assert np.array_equal(got_labels, want_labels)
 
@@ -441,20 +483,33 @@ class TestIntervalState:
                 assert np.array_equal(state.predict(X), model.predict(X))
 
     def test_the_learner_takes_it_for_1d_p1_only(self):
+        # A scored 1-D p = 1 run learns with its IntervalState; other kernel runs
+        # refit a model, beside a ScoringState when scored.
         line, plane = np.linspace(0.0, 1.0, 5)[:, None], np.zeros((5, 2))
-        for points, p, cls in ((line, 1.0, IntervalState), (line, 2.0, ScoringState),
-                               (plane, 1.0, ScoringState)):
-            learner = _KernelLearner(ModelConfig("kernel", 0.1, p), points,
-                                     ScoreKind.DATA_NORM, 3, np.arange(5), np.ones(5, int))
-            assert type(learner.state) is cls
+        data, no_state = ScoreKind.DATA_NORM, type(None)
+        for points, p, kind, cls, state in (
+                (line, 1.0, data, IntervalState, None),
+                (line, 1.0, None, _KernelLearner, no_state),
+                (line, 2.0, data, _KernelLearner, ScoringState),
+                (plane, 1.0, data, _KernelLearner, ScoringState),
+                (plane, 1.0, None, _KernelLearner, no_state)):
+            learner = _learner(ModelConfig("kernel", 0.1, p), points, kind, 3,
+                               np.arange(5), np.ones(5, int))
+            assert type(learner) is cls
+            if state is not None:
+                assert type(learner.state) is state
 
-    def test_pool_must_be_every_unlabeled_point(self):
-        state = IntervalState([[0.0], [0.5], [1.0]], KernelConfig(0.5, 1.0),
-                              ScoreKind.DATA_NORM)
-        state.add(1, 1)
-        assert len(state.scores(np.array([0, 2]))[0]) == 2
-        with pytest.raises(ValueError, match="every unlabeled point"):
-            state.scores(np.array([0]))
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scores_cover_the_unlabeled_points_in_index_order(self, kind):
+        # The unlabeled points 0, 2, 3 lie at x = 0, 0.9, 0.2: not in x order.
+        points, cfg = np.array([[0.0], [0.5], [0.9], [0.2]]), KernelConfig(0.5, 1.0)
+        fast, generic = IntervalState(points, cfg, kind), ScoringState(points, cfg, kind)
+        for state in (fast, generic):
+            state.add(1, 1)
+        got, want = fast.scores(), generic.scores()
+        assert len(got[0]) == 3 and len(set(got[0])) == 3
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+        assert np.array_equal(got[1], want[1])
 
     def test_string_kind_and_bad_label_rejected(self):
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -488,14 +543,13 @@ def _state_and_reference(x, oracle, model, h, kind):
     if model == "kernel":
         state = IntervalState(x[:, None], KernelConfig(h, 1.0), kind, oracle=oracle)
         return (state, lambda labeled, rng: state.select(rng),
-                lambda pool_idx, labeled, rng: pick(*state.scores(pool_idx), rng))
+                lambda labeled, rng: pick(*state.scores(), rng))
     state = SplineState(x, kind)
 
     def weight_norm(labeled):
         return fit_spline(x[labeled], oracle[labeled]).weight_norm
     return (state, lambda labeled, rng: state.select(rng, weight_norm(labeled)),
-            lambda pool_idx, labeled, rng: pick(
-                *state.scores(pool_idx, weight_norm(labeled)), rng))
+            lambda labeled, rng: pick(*state.scores(weight_norm(labeled)), rng))
 
 
 def _check_select_matches_reference(x, oracle, model, h, kind, labels, random_steps, seed):
@@ -511,7 +565,7 @@ def _check_select_matches_reference(x, oracle, model, h, kind, labels, random_st
         else:
             ref_rng = copy.deepcopy(rng)
             try:
-                want = reference(pool_idx, labeled, ref_rng)
+                want = reference(labeled, ref_rng)
             except (DuplicatePointError, OutOfRangeError) as err:
                 with pytest.raises(type(err)):
                     select(labeled, rng)
@@ -549,7 +603,7 @@ class TestIntervalSelect:
         state = SplineState(x, kind)
         state.add(int(np.argmin(x)), 1)
         state.add(int(np.argmax(x)), 1)
-        assert len(set(state.scores(np.arange(1, 199), 0.0)[0])) == 1
+        assert len(set(state.scores(0.0)[0])) == 1
         rng = np.random.default_rng(41)
         before = rng.bit_generator.state
         state.select(rng, 0.0)
@@ -565,7 +619,7 @@ class TestIntervalSelect:
             state = IntervalState(np.array(x)[:, None], KernelConfig(0.2, 1.0), kind)
             state.add(0, -1)
             state.add(1, 1)
-            scores, labels = state.scores(np.arange(2, len(x)))
+            scores, labels = state.scores()
             for seed in range(8):
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 got, want = state.select(rng), pick(scores, labels, ref)
@@ -587,13 +641,16 @@ class TestIntervalSelect:
                 select([0, 1, 2], np.random.default_rng(0))
 
     def test_empty_pool_rejected(self):
-        kernel = IntervalState([[0.0], [1.0]], KernelConfig(0.5, 1.0), ScoreKind.DATA_NORM)
+        points, cfg = [[0.0], [1.0]], KernelConfig(0.5, 1.0)
+        kernels = [IntervalState(points, cfg, ScoreKind.DATA_NORM),
+                   *(ScoringState(points, cfg, kind) for kind in ScoreKind)]
         spline = SplineState([0.0, 1.0], ScoreKind.DATA_NORM)
-        for state in (kernel, spline):
+        for state in (*kernels, spline):
             state.add(0, 1)
             state.add(1, -1)
-        with pytest.raises(EmptyPoolError):
-            kernel.select(np.random.default_rng(0))
+        for kernel in kernels:
+            with pytest.raises(EmptyPoolError):
+                kernel.select(np.random.default_rng(0))
         with pytest.raises(EmptyPoolError):
             spline.select(np.random.default_rng(0), 2.0)
 

@@ -409,19 +409,24 @@ class TestSplineState:
                     want, want_labels = spline_score_pool(m, us, state.kind, density)
                 except (DuplicatePointError, OutOfRangeError) as err:
                     with pytest.raises(type(err)):
-                        state.scores(pool_idx, m.weight_norm)
+                        state.scores(m.weight_norm)
                     continue
-                got, got_labels = state.scores(pool_idx, m.weight_norm)
+                got, got_labels = state.scores(m.weight_norm)
                 assert np.array_equal(got, want)
                 assert np.array_equal(got_labels, want_labels)
 
-    def test_pool_must_be_every_unlabeled_point(self):
-        state = SplineState([0.0, 0.5, 1.0, 0.25], ScoreKind.DATA_NORM)
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scores_cover_the_unlabeled_points_in_index_order(self, kind):
+        # The unlabeled points 1, 3, 4 lie at x = 0.5, 0.2, 0.9: not in x order.
+        x = np.array([0.0, 0.5, 1.0, 0.2, 0.9])
+        state = SplineState(x, kind)
         state.add(0, 1)
         state.add(2, -1)
-        assert len(state.scores(np.array([1, 3]), 0.0)[0]) == 2
-        with pytest.raises(ValueError, match="every unlabeled point"):
-            state.scores(np.array([1]), 0.0)
+        m, us = fit_spline(x[[0, 2]], [1, -1]), x[[1, 3, 4]]
+        density = Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
+        got, want = state.scores(m.weight_norm), spline_score_pool(m, us, kind, density)
+        assert len(got[0]) == 3 and len(set(got[0])) == 3
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_bad_kind_and_label_rejected(self):
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -440,7 +445,7 @@ class TestSplineState:
         for state in (data, function):
             state.add(0, 1)
             state.add(1, -1)
-        for call in (lambda: data.scores(pool, m.weight_norm),
+        for call in (lambda: data.scores(m.weight_norm),
                      lambda: data.select(np.random.default_rng(0), m.weight_norm),
                      lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
                                                Empirical1D(x[pool])),
@@ -448,7 +453,7 @@ class TestSplineState:
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
         # The function score stays finite there.
-        scores, labels = function.scores(pool, m.weight_norm)
+        scores, labels = function.scores(m.weight_norm)
         assert np.all(np.isfinite(scores))
         want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
         assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
@@ -456,7 +461,7 @@ class TestSplineState:
         data.add(3, 1)
         m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
         want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, Empirical1D(x[[2]]))
-        assert np.array_equal(data.scores(np.array([2]), m.weight_norm)[0], want[0])
+        assert np.array_equal(data.scores(m.weight_norm)[0], want[0])
 
     @pytest.mark.parametrize("x", [(0.0, 1e-310, 0.5, 1.0), (-1.0, -0.5, -1e-310, 0.0)])
     def test_function_score_within_1e_308_of_a_labeled_point(self, x):
@@ -471,15 +476,41 @@ class TestSplineState:
         for state in (function, data):
             state.add(0, -1)
             state.add(3, 1)
-        scores, labels = function.scores(pool, m.weight_norm)
+        scores, labels = function.scores(m.weight_norm)
         assert np.all(np.isfinite(scores))
         want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
         assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
         # The midpoint of the opposite pair scores highest.
         chosen = function.select(np.random.default_rng(0), m.weight_norm)
         assert abs(x[chosen.index]) == 0.5
-        for call in (lambda: data.scores(pool, m.weight_norm),
+        for call in (lambda: data.scores(m.weight_norm),
                      lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
                                                Empirical1D(x[pool]))):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
+
+    @pytest.mark.parametrize("gap", [3e-310, 1.5e-308])
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("y0", [1, -1])
+    def test_opposite_labels_within_1e_308_are_duplicates(self, gap, first, y0):
+        # The slope 2 / 3e-310 overflows, and at 1.5e-308 the roughness
+        # 4 / gap does: the spline, and a candidate's function score between
+        # the pair, would be inf or NaN.  Both raise on the second label, in
+        # either order.  Equal labels, or opposite ones 5e-308 apart, are fine.
+        x, y = np.array([0.0, gap, 1.0]), np.array([y0, -y0, y0])
+        order = [first, 1 - first]
+        for kind in ScoreKind:
+            state = SplineState(x, kind)
+            state.add(order[0], int(y[order[0]]))
+            with pytest.raises(DuplicatePointError, match="oppositely labeled"):
+                state.add(order[1], int(y[order[1]]))
+        with pytest.raises(DuplicatePointError, match="oppositely labeled"):
+            fit_spline(x[order], y[order])
+        same = SplineState(x, ScoreKind.FUNCTION_NORM)
+        for i in (*order, 2):
+            same.add(i, y0)
+        assert fit_spline(x, [y0] * 3).weight_norm == 0.0
+        apart = SplineState([0.0, 5e-308], ScoreKind.FUNCTION_NORM)
+        for i in order:
+            apart.add(i, int(y[i]))
+        assert np.isfinite(fit_spline([0.0, 5e-308], y[:2]).weight_norm)
