@@ -3,10 +3,10 @@
 Each check reproduces one headline guarantee of the selection scores at desk
 scale and reports a structured pass/fail.  The same functions back the
 acceptance test module, so the CLI and the test suite cannot drift apart.
-The kernel checks score and pick on the state a run's learner scores from
-(:class:`~maximin_al.scoring.IntervalState` for 1-D points with ``p = 1``,
-else :class:`~maximin_al.scoring.ScoringState`), through the calls a run
-makes, so they test the code that makes every selection.
+The kernel checks score and pick on the state a run's learner scores from,
+chosen by the run's own rule (:func:`~maximin_al.harness.scoring_state`),
+through the calls a run makes, so they test the code that makes every
+selection.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import scoring, spline, synthetic
+from . import spline, synthetic
 from .harness import (ExperimentConfig, ModelConfig, load_csv_dataset,
-                      run_experiment, write_dataset_csv)
+                      run_experiment, scoring_state, write_dataset_csv)
 from .kernel import KernelConfig, LabeledSet, fit
 from .scoring import ScoreKind
 
@@ -42,13 +42,10 @@ def _run(task, model, score, budget, seed, **kw) -> "object":
     return run_experiment(cfg)
 
 
-def _state(points, config: KernelConfig, labels, kind=ScoreKind.FUNCTION_NORM):
-    """The state a run scores from, over the rows of ``points``, with ``labels``
-    added at the first of them; it scores the rest, in order."""
-    if points.shape[1] == 1 and config.exponent == 1:
-        state = scoring.IntervalState(points, config, kind)
-    else:
-        state = scoring.ScoringState(points, config, kind, capacity=len(labels))
+def _state(points, model: ModelConfig, labels, kind=ScoreKind.FUNCTION_NORM):
+    """The state a run of ``model`` scores from, over the rows of ``points``, with
+    ``labels`` added at the first of them; it scores the rest, in order."""
+    state = scoring_state(model, points, kind, capacity=len(labels))
     for i, y in enumerate(labels):
         state.add(i, int(y))
     return state
@@ -87,7 +84,8 @@ def check_midpoint_closed_forms(base_seed: int = 0) -> CheckResult:
             x1, x2 = 0.2, 0.2 + gap
             labels = (1, 1) if same else (1, -1)
             grid = np.linspace(x1, x2, 10_000 + 1)[1:-1]
-            state = _state(np.r_[x1, x2, grid][:, None], KernelConfig(h, 1.0), labels)
+            state = _state(np.r_[x1, x2, grid][:, None], ModelConfig("kernel", h, 1.0),
+                           labels)
             scores, _ = state.scores()
             step = gap / 10_000
             mid = 0.5 * (x1 + x2)
@@ -119,7 +117,7 @@ def check_rank_one_identity(base_seed: int = 0) -> CheckResult:
             pts = rng.uniform(0, 1, size=(L + 1, d))
         labels = rng.choice([-1, 1], size=L)
         config = KernelConfig(h, p)
-        scores, est = _state(pts, config, labels).scores()
+        scores, est = _state(pts, ModelConfig("kernel", h, p), labels).scores()
         base = LabeledSet(pts[:L], labels)
         refits = {t: fit(base.append(pts[L], t), config) for t in (1, -1)}
         jittered += any(m.jitter for m in refits.values())
@@ -160,7 +158,7 @@ def check_first_point_largest_ball(base_seed: int = 0) -> CheckResult:
     hits = []
     for seed in range(base_seed, base_seed + 10):
         points = synthetic.gen_clusters(spec, seed).points
-        state = _state(points, KernelConfig(h, 2.0), [], ScoreKind.DATA_NORM)
+        state = _state(points, ModelConfig("kernel", h, 2.0), [], ScoreKind.DATA_NORM)
         chosen = state.select(seed)
         hits.append(int(spec.locate(points[chosen.index][None, :])[0]))
     ok = regime.ok and all(b == 0 for b in hits)
@@ -325,7 +323,7 @@ def check_zero_crossing(base_seed: int = 0) -> CheckResult:
         xs = np.array([x1, x1 + g12, x1 + g12 + g23])
         grid = np.linspace(xs[1] + delta / 2, xs[2] - delta / 2, 2001)
         step = grid[1] - grid[0]
-        state = _state(np.r_[xs, grid][:, None], KernelConfig(h, p), [1, 1, -1])
+        state = _state(np.r_[xs, grid][:, None], ModelConfig("kernel", h, p), [1, 1, -1])
         scores, _ = state.scores()
         f = state.f[3:]
         flip = int(np.flatnonzero((f[:-1] >= 0) & (f[1:] < 0))[0])

@@ -35,8 +35,9 @@ def _parse_seed_range(text: str) -> range:
 
 
 def _load(load, *args):
-    """``load(*args)``; a malformed config or spec (ValueError) is reported in one
-    line with exit status 2, as argparse reports a bad flag."""
+    """``load(*args)``; a malformed config or spec, or a run that its task
+    cannot hold (ValueError), is reported in one line with exit status 2, as
+    argparse reports a bad flag."""
     try:
         return load(*args)
     except ValueError as error:
@@ -46,9 +47,9 @@ def _load(load, *args):
 
 def _cmd_run(args) -> int:
     cfg = _load(ExperimentConfig.from_json, args.config)
+    record = _load(run_experiment, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    record = run_experiment(cfg)
     record.write_trace(out / "trace.csv")
     record.write_summary(out / "summary.json")
     print(f"wrote {out / 'trace.csv'} ({len(record.steps)} steps), "
@@ -60,10 +61,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     base = _load(ExperimentConfig.from_json, args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     for seed in _parse_seed_range(args.seeds):
-        record = run_experiment(base.with_seed(seed))
+        record = _load(run_experiment, base.with_seed(seed))
+        out.mkdir(parents=True, exist_ok=True)
         record.write_trace(out / f"trace_seed{seed}.csv")
         records.append(record)
     summary = summarize(records)

@@ -10,16 +10,14 @@ config reproduces the trace bit for bit.
 
 A run's learner takes labels by point index (``add``), gives the interpolant
 at any points (``predict``), counts the task points whose sign is wrong
-(``n_wrong``) and picks the next point by index (``select``): the protocol of
-the scoring states, which own the pool and score their own unlabeled points.
-A scored 1-D ``p = 1`` kernel run's learner is its
-:class:`~maximin_al.scoring.IntervalState`, which selects per labeled
-interval and counts the wrong signs on the split interval only; the training
-error is that count over n, the same correctly rounded ratio as a mean over
-all points.  Random kernel runs and those with d > 1 or p != 1 still grow a
-``KernelInterpolator`` and evaluate it at every point, and the spline
-learner, which selects per interval from a
-:class:`~maximin_al.spline.SplineState`, still evaluates its refit spline at
+(``n_wrong``) and picks the next point by index (``select(rng)``): the
+protocol of the scoring states, which score their own unlabeled points from
+their labels alone.  :func:`scoring_state` picks a scored run's state.  A 1-D
+``p = 1`` kernel run's ``IntervalState`` is its learner: it selects per
+labeled interval and counts the wrong signs on the split interval only; the
+training error is that count over n, the same correctly rounded ratio as a
+mean over all points.  Every other run's learner grows a model per label
+beside its state (``augmented_fit`` or ``fit_spline``) and evaluates it at
 every point: the benchmark's per-layer counts are taken on those calls.  A
 forced or random pick records the sign of the learner's ``predict`` at the
 point as its estimated label; only random picks build the index array of
@@ -277,86 +275,72 @@ def _count_wrong(f: np.ndarray, truth: np.ndarray) -> int:
     return int(np.count_nonzero((f >= 0) != truth))
 
 
-class _KernelLearner:
-    """A kernel model refit per label, beside a :class:`~maximin_al.scoring.ScoringState`
-    (room for ``capacity`` labels) when the run is scored.
-
-    Built over the task's points, their stable order by the first coordinate
-    (:func:`~maximin_al.scoring.sort_order`) and their oracle labels; it
-    serves random runs and runs with d > 1 or p != 1 (see :func:`_learner`).
-    """
-
-    def __init__(self, config: KernelConfig, points: np.ndarray, kind: ScoreKind | None,
-                 capacity: int, order: np.ndarray, oracle: np.ndarray):
-        self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
-        self.model = KernelInterpolator.empty(config, dim=points.shape[1])
-        self.state = None if kind is None else scoring.ScoringState(points, config, kind,
-                                                                    capacity)
-
-    def add(self, i: int, label: int) -> None:
-        self.model = augmented_fit(self.model, self.points[i], label)
-        if self.state is not None:
-            self.state.add(i, label)
-
-    def predict(self, points) -> np.ndarray:
-        return self.model.predict(points)
-
-    @property
-    def n_wrong(self) -> int:
-        return _count_wrong(self.model.predict(self.ordered), self.truth)
-
-    def select(self, rng) -> scoring.ScoredCandidate:
-        return self.state.select(rng)
+def scoring_state(model: ModelConfig, points: np.ndarray, kind: ScoreKind, capacity: int,
+                  order: np.ndarray | None = None, oracle: np.ndarray | None = None):
+    """The state that scores a run of ``model`` over the n-by-d ``points``: the
+    spline's ``SplineState``, the ``IntervalState`` of 1-D points under the
+    ``p = 1`` kernel, else a ``ScoringState`` with room for ``capacity`` labels.
+    ``order`` (stable, by the first coordinate) and ``oracle`` are optional."""
+    if model.kind == "spline":
+        return spline.SplineState(points[:, 0], kind, order)
+    config = KernelConfig(bandwidth=model.h, exponent=model.p)
+    if points.shape[1] == 1 and model.p == 1:
+        return scoring.IntervalState(points, config, kind, order, oracle)
+    return scoring.ScoringState(points, config, kind, capacity)
 
 
-class _SplineLearner:
-    """The spline model behind the same protocol; it predicts 0 before any label.
+class _ModelLearner:
+    """A learner that grows a model per label beside the run's ``state`` (None
+    for random selection), which selects: the kernel by ``augmented_fit`` from
+    the empty model, the spline by ``fit_spline`` from the labeled positions,
+    kept sorted.  It predicts 0 before any label; ``n_wrong`` evaluates the
+    model at all n task points (``ordered``, by the first coordinate)."""
 
-    A :class:`~maximin_al.spline.SplineState` scores; the refit spline gives f.
-    """
-
-    def __init__(self, points: np.ndarray, kind: ScoreKind | None, order: np.ndarray,
+    def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
                  oracle: np.ndarray):
-        self.points, self.truth = points[:, 0], oracle[order] > 0
-        self.ordered = self.points[order]
-        self.state = None if kind is None else spline.SplineState(self.points, kind, order)
-        self.positions: list[float] = []
-        self.labels: list[int] = []
-        self.model: spline.SplineInterpolator | None = None
+        self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
+        self.state, self._spline = state, model.kind == "spline"
+        self.model = None if self._spline else KernelInterpolator.empty(
+            KernelConfig(model.h, model.p), points.shape[1])
+        # The spline's labels, sorted by position, in the first _count slots.
+        self._x, self._y, self._count = np.empty(len(points)), np.empty(len(points), int), 0
 
     def add(self, i: int, label: int) -> None:
-        self.positions.append(float(self.points[i]))
-        self.labels.append(label)
-        self.model = spline.fit_spline(self.positions, self.labels)
+        if self._spline:
+            x, m = self.points[i, 0], self._count
+            k = np.searchsorted(self._x[:m], x)
+            self._x[k + 1:m + 1], self._y[k + 1:m + 1] = self._x[k:m], self._y[k:m]
+            self._x[k], self._y[k], self._count = x, label, m + 1
+            self.model = spline.fit_spline(self._x[:m + 1], self._y[:m + 1])
+        else:
+            self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
 
-    def predict(self, points) -> np.ndarray:
+    def predict(self, points: np.ndarray) -> np.ndarray:
         if self.model is None:
             return np.zeros(len(points))
-        return self.model.predict(np.asarray(points).ravel())
+        return self.model.predict(points[:, 0] if self._spline else points)
 
     @property
     def n_wrong(self) -> int:
         return _count_wrong(self.predict(self.ordered), self.truth)
 
     def select(self, rng) -> scoring.ScoredCandidate:
-        return self.state.select(rng, self.model.weight_norm)
+        return self.state.select(rng)
 
 
 def _learner(model: ModelConfig, points: np.ndarray, kind: ScoreKind | None, budget: int,
              order: np.ndarray, oracle: np.ndarray):
     """The run's learner for score ``kind`` (None for random selection), over the
     task's points, their stable ``order`` by the first coordinate and their
-    oracle labels: a :class:`_SplineLearner`, the
-    :class:`~maximin_al.scoring.IntervalState` of a scored 1-D ``p = 1`` kernel
-    run, or a :class:`_KernelLearner`."""
-    if model.kind == "spline":
-        return _SplineLearner(points, kind, order, oracle)
-    config = KernelConfig(bandwidth=model.h, exponent=model.p)
-    if kind is not None and points.shape[1] == 1 and model.p == 1:
-        return scoring.IntervalState(points, config, kind, order, oracle)
-    return _KernelLearner(config, points, kind, budget, order, oracle)
+    oracle labels: the run's :func:`scoring_state` when it is an
+    :class:`~maximin_al.scoring.IntervalState`, else a :class:`_ModelLearner`
+    beside it."""
+    state = None if kind is None else scoring_state(model, points, kind, budget, order, oracle)
+    if isinstance(state, scoring.IntervalState):
+        return state
+    return _ModelLearner(model, points, state, order, oracle)
 
 
 def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
@@ -384,6 +368,8 @@ def _build_task(cfg: ExperimentConfig, task_seed):
         return points, labels, None, None, None
     rng = np.random.default_rng(task_seed)
     n_test = int(round(holdout * len(points)))
+    if n_test == 0:
+        raise ValueError(f"holdout {holdout} of {len(points)} rows leaves no test row")
     test = np.zeros(len(points), dtype=bool)
     test[rng.choice(len(points), size=n_test, replace=False)] = True
     return points[~test], labels[~test], None, points[test], labels[test]

@@ -18,11 +18,12 @@ function-norm score is 1, and the data-based score of ``u`` reduces to
 ``mean_x k(u, x)^2``.
 
 Runs and the acceptance checks score from an incremental state built over
-every point: :class:`IntervalState` (closed forms on each labeled interval)
-for 1-D points with ``p = 1``, else :class:`ScoringState` (one residual column
-per label).  A state owns its pool: it takes labels by point index (``add``),
-scores every point it has no label for, in ascending index (``scores``), and
-returns the :func:`pick` among them by point index (``select``).
+every point (:func:`maximin_al.harness.scoring_state` picks it):
+:class:`IntervalState` (closed forms on each labeled interval) for 1-D points
+with ``p = 1``, else :class:`ScoringState` (one residual column per label).
+Like the spline's, a state needs nothing but its labels: it takes them by
+point index (``add``), scores every point it has no label for, in ascending
+index (``scores()``), and returns the :func:`pick` among them (``select(rng)``).
 :func:`score_pool` and :func:`select_next` score a whole pool from a fitted
 model, recomputing ``f``, ``S_u`` and the residual kernel on every call; they
 are the reference the states are tested against.  All turn
@@ -60,7 +61,7 @@ from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel
 TIE_TOLERANCE = 1e-12
 
 # Relative slack, about 90 ulps, for the rounding between an interval's cached
-# key maximum and the scores of its points (see SortedIntervals._select).
+# key maximum and the scores of its points (see SortedIntervals.select).
 _ROUNDING_SLACK = 1e-14
 
 _DUPLICATE = "a candidate is numerically indistinguishable from a labeled point"
@@ -284,13 +285,14 @@ class SortedIntervals:
     ``r`` between labeled ``lo`` and ``hi`` recomputes only the points between,
     by ``_fill(lo, r)`` and ``_fill(r, hi)``.  Per-point terms are kept by
     rank, so a fill writes slices.  Each fill also stores each point's *key*,
-    its score less the common term (the function score's offset) or its data
-    score times the number ``m`` of unlabeled points, and the interval's
-    largest key at its left rank; a labeled rank's key is -inf, and the number
-    of its points that are numerically indistinguishable from an end, where
-    scores and selection raise DuplicatePointError.  A subclass fills the first
-    interval ``(0, n + 1)`` once its own arrays exist (the spline's lies outside
-    the hull and needs none).  ``order`` is ``x``'s stable argsort
+    its function score less the subclass's common term ``_offset`` (``norm_sq``,
+    or the spline's roughness) or its data score times the number ``m`` of
+    unlabeled points, and the interval's largest key at its left rank; a
+    labeled rank's key is -inf, and the number of its points that are
+    numerically indistinguishable from an end, where scores and selection
+    raise DuplicatePointError.  A subclass fills the first interval
+    ``(0, n + 1)`` once its own arrays exist (the spline's lies outside the
+    hull and needs none).  ``order`` is ``x``'s stable argsort
     (:func:`sort_order`) when the caller already has it.
     """
 
@@ -326,28 +328,30 @@ class SortedIntervals:
         if self._n_low:
             raise DuplicatePointError(_DUPLICATE)
 
-    def _scores(self, offset: float):
-        """Scores and labels of the unlabeled points, in ascending index, with
-        the common term ``offset`` (the data score averages over them)."""
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and labels of the unlabeled points, in ascending index, as
+        :meth:`ScoringState.scores`; raises where a score is undefined."""
         self._check()
         unlabeled = np.ones(len(self._order), dtype=bool)
         unlabeled[self._order[np.array(self._labeled[1:-1], dtype=np.intp) - 1]] = False
-        return self._score(self._rank[unlabeled], offset, int(unlabeled.sum()))
+        return self._score(self._rank[unlabeled], self._offset, int(unlabeled.sum()))
 
-    def _select(self, rng, offset: float) -> ScoredCandidate:
-        """:func:`pick` over :meth:`_scores`; ``index`` is the point's.
+    def select(self, rng) -> ScoredCandidate:
+        """``pick(*self.scores(), rng)`` with the point's index, in O(n_b + L).
 
         A key turned into a score (``offset + key`` or ``key / m``) is the
         point's score exactly for the function score (rounding a sum is
         monotone) and within a few ulps of it for the data score, so the points
         that pass the cut hold the whole pool's tie set (see the module
         docstring).  O(L + n_c) for L labels and the n_c points from the first to
-        the last interval that may reach the best.  Raises where :meth:`_scores` would.
+        the last interval that may reach the best.  Raises where :meth:`scores`
+        would, and EmptyPoolError if no point is left.
         """
         self._check()
         m = len(self._order) + 2 - len(self._labeled)
         if m == 0:
             raise EmptyPoolError("cannot select from an empty pool")
+        offset = self._offset
 
         def as_score(key):
             return offset + key if self.kind is ScoreKind.FUNCTION_NORM else key / m
@@ -422,13 +426,7 @@ class IntervalState(SortedIntervals):
             self.n_wrong += int((label > 0) != self._truth[r - 1])
         self._split(i, label)
 
-    def scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and labels of the unlabeled points, as :meth:`ScoringState.scores`."""
-        return self._scores(self.norm_sq)
-
-    def select(self, rng) -> ScoredCandidate:
-        """:meth:`ScoringState.select`, in O(n_b + L)."""
-        return self._select(rng, self.norm_sq)
+    _offset = property(lambda self: self.norm_sq)
 
     def predict(self, points) -> np.ndarray:
         """The interpolant at the rows of ``points``, as ``KernelInterpolator.predict``."""

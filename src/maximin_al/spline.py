@@ -31,9 +31,12 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   DuplicatePointError.
 
 Runs score from a :class:`SplineState`, which keeps these terms per point and
-recomputes them only on the interval a label splits; :func:`spline_score_pool`
-and :func:`spline_select_next` score a pool from a fitted spline and are its
-reference.
+recomputes them only on the interval a label splits, and its own roughness
+``R(f)``, so it needs no fitted spline; :func:`spline_score_pool` and
+:func:`spline_select_next` score a pool from a fitted spline and are its
+reference.  A repeated position, oppositely labeled positions closer than
+2^-1021 and a roughness that overflows raise the same DuplicatePointError in
+both :func:`fit_spline` and :meth:`SplineState.add`.
 """
 
 from __future__ import annotations
@@ -79,13 +82,32 @@ Density1D = Uniform1D | Empirical1D
 # 2 / gap between them would pass 2^1022, and the roughness could overflow.
 _MIN_OPPOSITE_GAP = 2.0 ** -1021
 _STEEP = "oppositely labeled positions are numerically indistinguishable"
+_OVERFLOW = "the roughness overflows: oppositely labeled positions are too close"
+
+
+def _knots(positions: np.ndarray, values: np.ndarray):
+    """Knots, knot values, slopes and roughness of the spline through sorted,
+    distinct ``positions``.  DuplicatePointError when the roughness overflows:
+    close oppositely labeled pairs can each pass the pair rule yet sum past it."""
+    pad = max(1.0, positions[-1] - positions[0])
+    knots = np.concatenate([[positions[0] - pad], positions, [positions[-1] + pad]])
+    knot_values = np.concatenate([[values[0]], values, [values[-1]]])
+    # Differences by slices: np.diff's arithmetic without its call overhead.
+    slopes = (knot_values[1:] - knot_values[:-1]) / (knots[1:] - knots[:-1])
+    ext = np.concatenate([[0.0], slopes, [0.0]])
+    with np.errstate(over="ignore"):
+        weight_norm = float(np.sum(np.abs(ext[1:] - ext[:-1])))
+    if not np.isfinite(weight_norm):
+        raise DuplicatePointError(_OVERFLOW)
+    return knots, knot_values, slopes, weight_norm
 
 
 class SplineInterpolator:
     """Minimal-roughness linear spline through labeled 1-D points.
 
-    Raises DuplicatePointError for a repeated position, and for two adjacent
-    oppositely labeled positions less than about 4.5e-308 apart.
+    Raises DuplicatePointError for a repeated position, for two adjacent
+    oppositely labeled positions less than about 4.5e-308 apart, and when the
+    roughness overflows.
 
     Attributes
     ----------
@@ -118,15 +140,7 @@ class SplineInterpolator:
                 raise DuplicatePointError(_STEEP)
         self.positions = positions
         self.values = values
-        span = positions[-1] - positions[0]
-        pad = max(1.0, span)
-        self.knots = np.concatenate([[positions[0] - pad], positions,
-                                     [positions[-1] + pad]])
-        self.knot_values = np.concatenate([[values[0]], values, [values[-1]]])
-        slopes = np.diff(self.knot_values) / np.diff(self.knots)
-        self.slopes = slopes
-        ext = np.concatenate([[0.0], slopes, [0.0]])
-        self.weight_norm = float(np.sum(np.abs(np.diff(ext))))
+        self.knots, self.knot_values, self.slopes, self.weight_norm = _knots(positions, values)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -253,18 +267,24 @@ class SplineState(SortedIntervals):
     """Spline scores of fixed 1-D points, recomputed only on the interval a label splits.
 
     It keeps the terms of :func:`spline_score_pool` (the reference) per point,
-    so :meth:`scores` equals it on the unlabeled points and raises as it does;
+    and the roughness ``weight_norm``, recomputed per label by the expression
+    of ``fit_spline`` on the labeled points, bit for bit.  So :meth:`scores`
+    equals the reference on the unlabeled points and raises as it does;
     :meth:`select` picks from them as ``pick`` does on :meth:`scores`.
     """
 
     def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None):
         x = np.asarray(points, dtype=float).ravel()
-        self._repeated = False
+        self._repeated, self.weight_norm = False, 0.0
         # The terms by rank; the sentinel ranks stay unused.
         self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
         super().__init__(x, kind, order)
 
+    _offset = property(lambda self: self.weight_norm)
+
     def add(self, i: int, label: int) -> None:
+        """Condition on the label ``label`` at point ``i``; raises where
+        :func:`fit_spline` on the labeled points would, before any change."""
         if label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {label}")
         r = self._rank[i]
@@ -278,17 +298,10 @@ class SplineState(SortedIntervals):
         if (label != y[lo] and x[r] - x[lo] < _MIN_OPPOSITE_GAP
                 or label != y[hi] and x[hi] - x[r] < _MIN_OPPOSITE_GAP):
             raise DuplicatePointError(_STEEP)
+        ranks = np.array(self._labeled[1:k] + [r] + self._labeled[k:-1])
+        self.weight_norm = _knots(x[ranks], np.where(ranks == r, label, y[ranks]))[3]
         self._repeated |= x[r] in (x[r - 1], x[r + 1])
         self._split(i, label)
-
-    def scores(self, weight_norm: float):
-        """Scores and labels of the unlabeled points, in ascending index, for ``weight_norm``."""
-        return self._scores(weight_norm)
-
-    def select(self, rng, weight_norm: float) -> ScoredCandidate:
-        """``pick(*self.scores(weight_norm), rng)`` with the point's index, in
-        O(n_b + L); raises where :meth:`scores` would."""
-        return self._select(rng, weight_norm)
 
     def _check(self) -> None:
         if self._repeated:

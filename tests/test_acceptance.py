@@ -8,9 +8,14 @@ label-complexity gap, at fixed seeds and tolerances. The kernel checks
 score on the runs' own states, so a defect planted in a state fails them.
 """
 
+import numpy as np
+import pytest
+
 from maximin_al import acceptance
+from maximin_al.harness import ModelConfig, _learner
 from maximin_al.kernel import fit
-from maximin_al.scoring import IntervalState, ScoringState
+from maximin_al.scoring import IntervalState, ScoreKind, ScoringState
+from maximin_al.spline import SplineState
 
 
 def _run(check, *args):
@@ -93,3 +98,19 @@ def test_midpoint_closed_forms_fail_on_a_wrong_interval_schur(monkeypatch):
         self._s[lo + 1:hi] *= 1.0 + 1e-6
     monkeypatch.setattr(IntervalState, "_fill", fill_with_wrong_schur)
     assert not acceptance.check_midpoint_closed_forms(0).passed
+
+
+@pytest.mark.parametrize("dim,model,state", [
+    (1, ModelConfig("kernel", h=0.1, p=1.0), IntervalState),
+    (1, ModelConfig("kernel", h=0.1, p=2.0), ScoringState),
+    (2, ModelConfig("kernel", h=0.1, p=1.0), ScoringState),
+    (2, ModelConfig("kernel", h=0.1, p=2.0), ScoringState),
+    (1, ModelConfig("spline"), SplineState),
+])
+@pytest.mark.parametrize("kind", list(ScoreKind))
+def test_checks_score_on_the_state_a_run_scores_from(dim, model, state, kind):
+    points = np.random.default_rng(3).uniform(size=(6, dim))
+    learner = _learner(model, points, kind, 3, np.argsort(points[:, 0], kind="stable"),
+                       np.ones(6, dtype=int))
+    run_state = learner if isinstance(learner, IntervalState) else learner.state
+    assert type(run_state) is type(acceptance._state(points, model, [], kind)) is state

@@ -11,7 +11,7 @@ import pytest
 
 from maximin_al import acceptance
 from maximin_al.cli import _parse_seed_range, main
-from maximin_al.harness import load_csv_dataset
+from maximin_al.harness import load_csv_dataset, write_dataset_csv
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
@@ -150,6 +150,37 @@ class TestRun:
     ({"task": {"kind": "threshold", "n": False, "k": 2}}, "n must be an integer, got False"),
 ])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):
+    config = run_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", config, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
+    assert re.search(match, err)
+    assert not out.exists()
+
+
+CLUSTERS = {"kind": "clusters", "centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [0.1, 0.1],
+            "labels": [1, -1], "counts": [5, 5]}
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
+@pytest.mark.parametrize("overrides,match", [
+    ({"budget": 100}, "budget 100 exceeds pool size 64"),
+    ({"task": {"kind": "csv", "holdout": 1.5}}, r"holdout must be in \[0, 1\), got 1\.5"),
+    ({"task": {"kind": "csv", "holdout": 0.001}},
+     r"holdout 0\.001 of 300 rows leaves no test row"),
+    ({"task": CLUSTERS, "model": {"kind": "spline"}}, "the spline model is 1-D only"),
+    ({"task": CLUSTERS, "init": "extremes"}, "extremes initialization requires a 1-D task"),
+])
+def test_config_its_task_cannot_run_is_one_error_line(tmp_path, capsys, command, overrides,
+                                                      match):
+    # Valid configs that fail only once the task is built.
+    if overrides.get("task", {}).get("kind") == "csv":
+        x = np.linspace(0.0, 1.0, 300)[:, None]
+        write_dataset_csv(tmp_path / "data.csv", x, np.where(x[:, 0] > 0.4, 1, -1))
+        overrides = {"task": {**overrides["task"], "path": str(tmp_path / "data.csv")}}
     config = run_config(tmp_path, **overrides)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

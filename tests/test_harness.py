@@ -493,6 +493,18 @@ class TestCsvDatasets:
         with pytest.raises(ValueError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("model", [ModelConfig("kernel", h=0.1, p=1.0),
+                                       ModelConfig("spline")])
+    def test_holdout_with_no_test_row_rejected(self, tmp_path, model):
+        # 0.001 of 300 rows rounds to no test row: the test error would be 0 / 0.
+        x = np.linspace(0.0, 1.0, 300)[:, None]
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, x, np.where(x[:, 0] > 0.4, 1, -1))
+        cfg = ExperimentConfig(task={"kind": "csv", "path": str(path), "holdout": 0.001},
+                               model=model, score="function", budget=5, seed=0)
+        with pytest.raises(ValueError, match=r"holdout 0\.001 of 300 rows leaves no test row"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("second_label,agree", [(1, "the same"),
                                                      (-1, "a conflicting")])
     def test_duplicate_points_name_both_rows(self, tmp_path, second_label, agree):

@@ -24,7 +24,7 @@ from maximin_al.kernel import (
     fit,
     kernel_matrix,
 )
-from maximin_al.harness import ModelConfig, _KernelLearner, _learner
+from maximin_al.harness import ModelConfig, _learner, _ModelLearner
 from maximin_al.scoring import (
     IntervalState,
     ScoreKind,
@@ -484,15 +484,15 @@ class TestIntervalState:
 
     def test_the_learner_takes_it_for_1d_p1_only(self):
         # A scored 1-D p = 1 run learns with its IntervalState; other kernel runs
-        # refit a model, beside a ScoringState when scored.
+        # grow a model, beside a ScoringState when scored.
         line, plane = np.linspace(0.0, 1.0, 5)[:, None], np.zeros((5, 2))
         data, no_state = ScoreKind.DATA_NORM, type(None)
         for points, p, kind, cls, state in (
                 (line, 1.0, data, IntervalState, None),
-                (line, 1.0, None, _KernelLearner, no_state),
-                (line, 2.0, data, _KernelLearner, ScoringState),
-                (plane, 1.0, data, _KernelLearner, ScoringState),
-                (plane, 1.0, None, _KernelLearner, no_state)):
+                (line, 1.0, None, _ModelLearner, no_state),
+                (line, 2.0, data, _ModelLearner, ScoringState),
+                (plane, 1.0, data, _ModelLearner, ScoringState),
+                (plane, 1.0, None, _ModelLearner, no_state)):
             learner = _learner(ModelConfig("kernel", 0.1, p), points, kind, 3,
                                np.arange(5), np.ones(5, int))
             assert type(learner) is cls
@@ -546,10 +546,10 @@ def _state_and_reference(x, oracle, model, h, kind):
                 lambda labeled, rng: pick(*state.scores(), rng))
     state = SplineState(x, kind)
 
-    def weight_norm(labeled):
-        return fit_spline(x[labeled], oracle[labeled]).weight_norm
-    return (state, lambda labeled, rng: state.select(rng, weight_norm(labeled)),
-            lambda labeled, rng: pick(*state.scores(weight_norm(labeled)), rng))
+    def reference(labeled, rng):
+        assert state.weight_norm == fit_spline(x[labeled], oracle[labeled]).weight_norm
+        return pick(*state.scores(), rng)
+    return state, lambda labeled, rng: state.select(rng), reference
 
 
 def _check_select_matches_reference(x, oracle, model, h, kind, labels, random_steps, seed):
@@ -603,10 +603,11 @@ class TestIntervalSelect:
         state = SplineState(x, kind)
         state.add(int(np.argmin(x)), 1)
         state.add(int(np.argmax(x)), 1)
-        assert len(set(state.scores(0.0)[0])) == 1
+        assert state.weight_norm == 0.0
+        assert len(set(state.scores()[0])) == 1
         rng = np.random.default_rng(41)
         before = rng.bit_generator.state
-        state.select(rng, 0.0)
+        state.select(rng)
         assert rng.bit_generator.state != before
         assert _check_select_matches_reference(x, oracle, "spline", 0.1, kind, 40,
                                                set(), 42) == "done"
@@ -652,7 +653,7 @@ class TestIntervalSelect:
             with pytest.raises(EmptyPoolError):
                 kernel.select(np.random.default_rng(0))
         with pytest.raises(EmptyPoolError):
-            spline.select(np.random.default_rng(0), 2.0)
+            spline.select(np.random.default_rng(0))
 
     def test_error_count_follows_the_labels(self):
         x = np.linspace(0.0, 1.0, 101)

@@ -5,9 +5,12 @@ augmented-spline differences integrated by quadrature or pool averaging, and
 the closed-form values of isolated configurations.
 """
 
+import copy
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
@@ -379,6 +382,23 @@ def state_cases(draw):
     return points, order, labels
 
 
+@st.composite
+def label_orders(draw):
+    """Distinct 1-D points, floats of any scale or on a 2^-30 grid, their labels,
+    an order that labels the two extremes first and the rest at random, a
+    score kind and a generator seed."""
+    grid = st.integers(0, 2**30).map(lambda k: k / 2**30)
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    x = np.array(draw(st.lists(draw(st.sampled_from([grid, floats])), min_size=2,
+                               max_size=40, unique=True)))
+    assume(len(np.unique(x)) == len(x))
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=len(x), max_size=len(x))))
+    ends = [int(np.argmin(x)), int(np.argmax(x))]
+    rest = draw(st.permutations([i for i in range(len(x)) if i not in ends]))
+    return x, y, ends + rest, draw(st.sampled_from(list(ScoreKind))), \
+        draw(st.integers(0, 2**32 - 1))
+
+
 class TestSplineState:
     @settings(max_examples=300, deadline=None)
     @given(state_cases())
@@ -409,9 +429,10 @@ class TestSplineState:
                     want, want_labels = spline_score_pool(m, us, state.kind, density)
                 except (DuplicatePointError, OutOfRangeError) as err:
                     with pytest.raises(type(err)):
-                        state.scores(m.weight_norm)
+                        state.scores()
                     continue
-                got, got_labels = state.scores(m.weight_norm)
+                assert state.weight_norm == m.weight_norm
+                got, got_labels = state.scores()
                 assert np.array_equal(got, want)
                 assert np.array_equal(got_labels, want_labels)
 
@@ -424,7 +445,8 @@ class TestSplineState:
         state.add(2, -1)
         m, us = fit_spline(x[[0, 2]], [1, -1]), x[[1, 3, 4]]
         density = Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
-        got, want = state.scores(m.weight_norm), spline_score_pool(m, us, kind, density)
+        assert state.weight_norm == m.weight_norm
+        got, want = state.scores(), spline_score_pool(m, us, kind, density)
         assert len(got[0]) == 3 and len(set(got[0])) == 3
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -445,23 +467,25 @@ class TestSplineState:
         for state in (data, function):
             state.add(0, 1)
             state.add(1, -1)
-        for call in (lambda: data.scores(m.weight_norm),
-                     lambda: data.select(np.random.default_rng(0), m.weight_norm),
+        assert data.weight_norm == function.weight_norm == m.weight_norm
+        for call in (data.scores,
+                     lambda: data.select(np.random.default_rng(0)),
                      lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
                                                Empirical1D(x[pool])),
                      lambda: spline_select_next(m, x[pool], ScoreKind.DATA_NORM, 0)):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
         # The function score stays finite there.
-        scores, labels = function.scores(m.weight_norm)
+        scores, labels = function.scores()
         assert np.all(np.isfinite(scores))
         want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
         assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
         # Labeling u splits it off, and the data score is defined again.
         data.add(3, 1)
         m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
+        assert data.weight_norm == m.weight_norm
         want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, Empirical1D(x[[2]]))
-        assert np.array_equal(data.scores(m.weight_norm)[0], want[0])
+        assert np.array_equal(data.scores()[0], want[0])
 
     @pytest.mark.parametrize("x", [(0.0, 1e-310, 0.5, 1.0), (-1.0, -0.5, -1e-310, 0.0)])
     def test_function_score_within_1e_308_of_a_labeled_point(self, x):
@@ -476,14 +500,15 @@ class TestSplineState:
         for state in (function, data):
             state.add(0, -1)
             state.add(3, 1)
-        scores, labels = function.scores(m.weight_norm)
+        assert data.weight_norm == function.weight_norm == m.weight_norm
+        scores, labels = function.scores()
         assert np.all(np.isfinite(scores))
         want = spline_score_pool(m, x[pool], ScoreKind.FUNCTION_NORM)
         assert np.array_equal(scores, want[0]) and np.array_equal(labels, want[1])
         # The midpoint of the opposite pair scores highest.
-        chosen = function.select(np.random.default_rng(0), m.weight_norm)
+        chosen = function.select(np.random.default_rng(0))
         assert abs(x[chosen.index]) == 0.5
-        for call in (lambda: data.scores(m.weight_norm),
+        for call in (data.scores,
                      lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
                                                Empirical1D(x[pool]))):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
@@ -514,3 +539,54 @@ class TestSplineState:
         for i in order:
             apart.add(i, int(y[i]))
         assert np.isfinite(fit_spline([0.0, 5e-308], y[:2]).weight_norm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_orders())
+    def test_roughness_and_select_follow_every_label(self, case):
+        # After every label the state's roughness is the refit spline's, bit
+        # for bit, and select is pick on scores() with the same draw; a label
+        # whose spline is undefined raises the same error in both.
+        x, y, order, kind, seed = case
+        state, rng = SplineState(x, kind), np.random.default_rng(seed)
+        for step, i in enumerate(order, start=1):
+            try:
+                m = fit_spline(x[order[:step]], y[order[:step]])
+            except DuplicatePointError as err:
+                with pytest.raises(DuplicatePointError, match=re.escape(str(err))):
+                    state.add(i, int(y[i]))
+                return
+            state.add(i, int(y[i]))
+            assert state.weight_norm == m.weight_norm
+            if step == len(x):
+                return
+            pool_idx = np.setdiff1d(np.arange(len(x)), order[:step])
+            ref = copy.deepcopy(rng)
+            try:
+                want = pick(*state.scores(), ref)
+            except (DuplicatePointError, OutOfRangeError) as err:
+                with pytest.raises(type(err)):
+                    state.select(rng)
+                continue
+            got = state.select(rng)
+            assert (got.index, got.label, got.score) == \
+                (int(pool_idx[want.index]), want.label, want.score)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 0, 2, 1], [1, 3, 2, 0]])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_a_roughness_that_overflows_is_rejected_before_any_change(self, order, kind):
+        # Adjacent points are 5e-308 >= 2^-1021 apart, so every pair passes the
+        # pair rule, but four alternating labels make a roughness of 2.4e308,
+        # past the largest float; any three make at most 1.6e308.
+        x, y = np.array([0.0, 5e-308, 1e-307, 1.5e-307]), np.array([-1, 1, -1, 1])
+        with pytest.raises(DuplicatePointError, match="roughness overflows"):
+            fit_spline(x, y)
+        state = SplineState(x, kind)
+        for i in order[:3]:
+            state.add(i, int(y[i]))
+        assert state.weight_norm == fit_spline(x[order[:3]], y[order[:3]]).weight_norm
+        before = copy.deepcopy(state)
+        with pytest.raises(DuplicatePointError, match="roughness overflows"):
+            state.add(order[3], int(y[order[3]]))
+        for name, value in vars(before).items():
+            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
