@@ -9,19 +9,20 @@ from ``seed`` through independent ``SeedSequence`` children, so replaying a
 config reproduces the trace bit for bit.
 
 A run's learner takes labels by point index (``add``), gives the interpolant
-at any points (``predict``), counts the task points whose sign is wrong
-(``n_wrong``) and picks the next point by index (``select(rng)``): the
-protocol of the scoring states, which score their own unlabeled points from
-their labels alone.  :func:`scoring_state` picks a scored run's state.  A 1-D
-``p = 1`` kernel run's ``IntervalState`` is its learner: it selects per
-labeled interval and counts the wrong signs on the split interval only; the
-training error is that count over n, the same correctly rounded ratio as a
-mean over all points.  Every other run's learner grows a model per label
-beside its state (``augmented_fit`` or ``fit_spline``) and evaluates it at
-every point: the benchmark's per-layer counts are taken on those calls.  A
-forced or random pick records the sign of the learner's ``predict`` at the
-point as its estimated label; only random picks build the index array of
-the unlabeled points.
+at every task point by index (``f``) and at any points (``predict``), counts
+the task points whose sign is wrong (``n_wrong``) and picks the next point by
+index (``select(rng)``): the protocol of the scoring states, which score their
+own unlabeled points from their labels alone.  :func:`scoring_state` picks a
+scored run's state.  A 1-D ``p = 1`` kernel run's ``IntervalState`` is its
+learner: it selects per labeled interval and counts the wrong signs on the
+split interval only; the training error is that count over n, the same
+correctly rounded ratio as a mean over all points.  Every other run's learner
+grows a model per label beside its state (``augmented_fit`` or
+``fit_spline``) and evaluates it once per label, at every point: ``n_wrong``
+and ``f`` read those values, and the benchmark's per-layer counts are taken
+on those calls.  A forced or random pick records the sign of the learner's
+``f`` at the point as its estimated label, so ``predict`` serves only a csv
+holdout; only random picks build the index array of the unlabeled points.
 
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
@@ -64,6 +65,8 @@ from .scoring import ScoreKind
 from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 SCORE_CHOICES = ("function", "data", "random")
+# The score of a forced or random pick: one object shared by all such steps.
+_UNSCORED = float("nan")
 INIT_CHOICES = ("auto", "none", "extremes")
 # The required and the optional keys of each task kind.
 TASK_KEYS = {
@@ -293,8 +296,9 @@ class _ModelLearner:
     """A learner that grows a model per label beside the run's ``state`` (None
     for random selection), which selects: the kernel by ``augmented_fit`` from
     the empty model, the spline by ``fit_spline`` from the labeled positions,
-    kept sorted.  It predicts 0 before any label; ``n_wrong`` evaluates the
-    model at all n task points (``ordered``, by the first coordinate)."""
+    kept sorted.  Each label evaluates the model once, at all n task points
+    sorted by the first coordinate (``order``); ``n_wrong`` counts from those
+    values and ``f`` gathers them by index.  Before any label ``f`` is 0."""
 
     def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
                  oracle: np.ndarray):
@@ -302,6 +306,9 @@ class _ModelLearner:
         self.state, self._spline = state, model.kind == "spline"
         self.model = None if self._spline else KernelInterpolator.empty(
             KernelConfig(model.h, model.p), points.shape[1])
+        # The model at the ordered points, and each point's place among them.
+        self._values, self._rank = np.zeros(len(points)), np.empty(len(points), dtype=np.intp)
+        self._rank[order] = np.arange(len(points))
         # The spline's labels, sorted by position, in the first _count slots.
         self._x, self._y, self._count = np.empty(len(points)), np.empty(len(points), int), 0
 
@@ -316,15 +323,20 @@ class _ModelLearner:
             self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
+        self._values = self.predict(self.ordered)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        if self.model is None:
-            return np.zeros(len(points))
+        """The model at the rows of ``points``; the spline's needs a label."""
         return self.model.predict(points[:, 0] if self._spline else points)
 
     @property
+    def f(self) -> np.ndarray:
+        """The model at every task point, by index."""
+        return self._values[self._rank]
+
+    @property
     def n_wrong(self) -> int:
-        return _count_wrong(self.predict(self.ordered), self.truth)
+        return _count_wrong(self._values, self.truth)
 
     def select(self, rng) -> scoring.ScoredCandidate:
         return self.state.select(rng)
@@ -419,8 +431,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     for step in range(1, cfg.budget + 1):
         if forced or kind is None:
             idx = forced.pop(0) if forced else int(rng.choice(np.flatnonzero(unlabeled)))
-            est = int(scoring.sign_labels(learner.predict(points[[idx]])[0]))
-            score_val = float("nan")
+            est = int(scoring.sign_labels(learner.f[idx]))
+            score_val = _UNSCORED
         else:
             chosen = learner.select(rng)
             idx, est, score_val = chosen.index, chosen.label, chosen.score

@@ -36,12 +36,16 @@ recomputes them only on the interval a label splits, and its own roughness
 :func:`spline_select_next` score a pool from a fitted spline and are its
 reference.  A repeated position, oppositely labeled positions closer than
 2^-1021 and a roughness that overflows raise the same DuplicatePointError in
-both :func:`fit_spline` and :meth:`SplineState.add`.
+both :func:`fit_spline` and :meth:`SplineState.add`, and a labeled span so
+wide that a boundary knot overflows the same ValueError; a function score
+that overflows raises the roughness's DuplicatePointError in both the state
+and the reference.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +89,23 @@ _STEEP = "oppositely labeled positions are numerically indistinguishable"
 _OVERFLOW = "the roughness overflows: oppositely labeled positions are too close"
 
 
+def _pad(lo, hi) -> float:
+    """The boundary knots' distance ``max(1, span)`` from the labeled span
+    ``[lo, hi]``; ValueError when a boundary knot would overflow."""
+    lo, hi = float(lo), float(hi)
+    pad = max(1.0, hi - lo)
+    if not (math.isfinite(lo - pad) and math.isfinite(hi + pad)):
+        raise ValueError(f"the labeled span [{lo!r}, {hi!r}] is too wide: "
+                         "its boundary knots overflow")
+    return pad
+
+
 def _knots(positions: np.ndarray, values: np.ndarray):
     """Knots, knot values, slopes and roughness of the spline through sorted,
-    distinct ``positions``.  DuplicatePointError when the roughness overflows:
-    close oppositely labeled pairs can each pass the pair rule yet sum past it."""
-    pad = max(1.0, positions[-1] - positions[0])
+    distinct ``positions``.  ValueError when a boundary knot overflows
+    (:func:`_pad`); DuplicatePointError when the roughness overflows: close
+    oppositely labeled pairs can each pass the pair rule yet sum past it."""
+    pad = _pad(positions[0], positions[-1])
     knots = np.concatenate([[positions[0] - pad], positions, [positions[-1] + pad]])
     knot_values = np.concatenate([[values[0]], values, [values[-1]]])
     # Differences by slices: np.diff's arithmetic without its call overhead.
@@ -107,7 +123,7 @@ class SplineInterpolator:
 
     Raises DuplicatePointError for a repeated position, for two adjacent
     oppositely labeled positions less than about 4.5e-308 apart, and when the
-    roughness overflows.
+    roughness overflows; ValueError when a boundary knot overflows.
 
     Attributes
     ----------
@@ -131,6 +147,7 @@ class SplineInterpolator:
         order = np.argsort(positions)
         positions = positions[order]
         values = values[order].astype(float)
+        _pad(positions[0], positions[-1])
         gaps = np.diff(positions)
         close = gaps < _MIN_OPPOSITE_GAP
         if close.any():
@@ -201,7 +218,12 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
                                           m.values[j], m.values[j + 1])
     labels = np.where(dplus <= dminus, 1, -1)
     if kind is ScoreKind.FUNCTION_NORM:
-        return m.weight_norm + np.minimum(dplus, dminus), labels
+        # The roughness after the label, which overflows as fit_spline's would.
+        with np.errstate(over="ignore"):
+            scores = m.weight_norm + np.minimum(dplus, dminus)
+        if not np.isfinite(scores).all():
+            raise DuplicatePointError(_OVERFLOW)
+        return scores, labels
     if kind is not ScoreKind.DATA_NORM:
         raise ValueError(f"unknown score kind {kind!r}")
     if density is None:
@@ -292,13 +314,15 @@ class SplineState(SortedIntervals):
         k = bisect.bisect(self._labeled, r)
         lo, hi = self._labeled[k - 1], self._labeled[k]
         x, y = self._x, self._y
+        ranks = self._labeled[1:k] + [r] + self._labeled[k:-1]
+        _pad(x[ranks[0]], x[ranks[-1]])  # SplineInterpolator's order of checks
         if x[r] in (x[lo], x[hi]):
             raise DuplicatePointError("labeled positions must be distinct")
         # SplineInterpolator's test on both new pairs; a sentinel is infinitely far.
         if (label != y[lo] and x[r] - x[lo] < _MIN_OPPOSITE_GAP
                 or label != y[hi] and x[hi] - x[r] < _MIN_OPPOSITE_GAP):
             raise DuplicatePointError(_STEEP)
-        ranks = np.array(self._labeled[1:k] + [r] + self._labeled[k:-1])
+        ranks = np.array(ranks)
         self.weight_norm = _knots(x[ranks], np.where(ranks == r, label, y[ranks]))[3]
         self._repeated |= x[r] in (x[r - 1], x[r + 1])
         self._split(i, label)
@@ -309,6 +333,11 @@ class SplineState(SortedIntervals):
         if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
             raise OutOfRangeError("candidate lies outside the labeled hull")
         super()._check()
+        # The largest function score, R(f) plus the largest key, overflows
+        # exactly when one of the reference's does.
+        if (self.kind is ScoreKind.FUNCTION_NORM and self.weight_norm
+                + float(self._top[self._labeled[:-1]].max()) == math.inf):
+            raise DuplicatePointError(_OVERFLOW)
 
     def _score(self, ranks, weight_norm: float, m: int):
         """Scores and labels of the points at ``ranks``, with ``m`` unlabeled points."""

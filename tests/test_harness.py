@@ -24,7 +24,7 @@ from maximin_al.harness import (
 )
 from maximin_al.kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit, fit,
                                kernel_matrix)
-from maximin_al.spline import fit_spline
+from maximin_al.spline import SplineInterpolator, fit_spline
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
@@ -425,6 +425,82 @@ class TestRunExperiment:
                                seed=0, init="extremes")
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+
+LEARNER_LAYOUTS = {
+    "kernel-p1": ({"kind": "threshold", "n": 200, "k": 3}, ModelConfig("kernel", 0.1, 1.0)),
+    "kernel-p2": ({"kind": "threshold", "n": 200, "k": 3}, ModelConfig("kernel", 0.1, 2.0)),
+    "clusters-p2": (cluster_task(M=4, h=0.2, count=15), ModelConfig("kernel", 0.2, 2.0)),
+    "spline": ({"kind": "threshold", "n": 200, "k": 3}, ModelConfig("spline")),
+}
+
+
+class TestLearnerProtocol:
+    """Every learner gives the interpolant at each task point by index (``f``);
+    a model-backed learner evaluates its model once per label, on all points."""
+
+    @pytest.mark.parametrize("layout", sorted(LEARNER_LAYOUTS))
+    def test_model_learner_f_is_predict_at_every_point(self, layout):
+        task, model = LEARNER_LAYOUTS[layout]
+        points, oracle, _ = harness.sample_task(task, 0)
+        order = scoring.sort_order(points[:, 0])
+        learner = harness._learner(model, points, None, 20, order, oracle)
+        assert isinstance(learner, harness._ModelLearner)
+        assert not learner.f.any()
+        for i in np.random.default_rng(0).choice(len(points), 20, replace=False):
+            learner.add(int(i), int(oracle[i]))
+            want = learner.predict(points)
+            assert learner.f.tobytes() == want.tobytes()
+            assert learner.n_wrong == np.count_nonzero((want >= 0) != (oracle > 0))
+
+    @pytest.mark.parametrize("kind", list(scoring.ScoreKind))
+    def test_interval_state_f_has_the_signs_of_predict(self, kind):
+        points, oracle, _ = harness.sample_task({"kind": "threshold", "n": 200, "k": 3}, 0)
+        state = harness.scoring_state(ModelConfig("kernel", 0.1, 1.0), points, kind, 20,
+                                      oracle=oracle)
+        labels = [int(np.argmin(points[:, 0])), int(np.argmax(points[:, 0]))]
+        labels += list(np.random.default_rng(1).permutation(len(points)))
+        for i in dict.fromkeys(labels[:20]):
+            assert np.array_equal(scoring.sign_labels(state.f),
+                                  scoring.sign_labels(state.predict(points)))
+            state.add(int(i), int(oracle[i]))
+        assert np.array_equal(scoring.sign_labels(state.f),
+                              scoring.sign_labels(state.predict(points)))
+
+    @pytest.mark.parametrize("layout", sorted(LEARNER_LAYOUTS))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_runs_evaluate_the_model_once_per_label(self, monkeypatch, layout, seed):
+        # Each label evaluates the model at all n points and nowhere else; a
+        # step's estimated label is the sign of a fresh fit on the labels
+        # before it, at the picked point (0, so +1, before any label).
+        task, model = LEARNER_LAYOUTS[layout]
+        cfg = ExperimentConfig(task=task, model=model, score="random", budget=20, seed=seed)
+        rows = []
+
+        def counted(predict, size):
+            def wrapper(self, X):
+                rows.append(size(X))
+                return predict(self, X)
+            return wrapper
+
+        monkeypatch.setattr(KernelInterpolator, "predict",
+                            counted(KernelInterpolator.predict, lambda X: len(X)))
+        monkeypatch.setattr(SplineInterpolator, "predict",
+                            counted(SplineInterpolator.predict, np.size))
+        steps = run_experiment(cfg).steps
+        monkeypatch.undo()
+        points, oracle = _task_points(cfg)
+        assert rows == [len(points)] * cfg.budget
+        for k, step in enumerate(steps):
+            idx = [s.index for s in steps[:k]]
+            if not idx:
+                f = 0.0
+            elif model.kind == "spline":
+                f = fit_spline(points[idx, 0], oracle[idx]).predict(points[step.index, 0])[0]
+            else:
+                fresh = fit(LabeledSet(points[idx], oracle[idx]), KernelConfig(model.h, model.p))
+                f = fresh.predict(points[[step.index]])[0]
+            assert step.estimated_label == scoring.sign_labels(f)
 
 
 class TestCsvDatasets:

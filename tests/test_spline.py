@@ -590,3 +590,49 @@ class TestSplineState:
             state.add(order[3], int(y[order[3]]))
         for name, value in vars(before).items():
             np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+
+    def test_a_function_score_that_overflows_raises(self):
+        # Labels -1, +1, -1 at 0, 5e-308 and 1e-307 give a roughness of
+        # 1.6e308; labeling the candidate at 7.5e-308 would add 8e307 more,
+        # past the largest float.  The state and the reference raise the
+        # roughness's error, as fit_spline would on the augmented set.
+        x, y = np.array([0.0, 5e-308, 7.5e-308, 1e-307]), {0: -1, 3: -1, 1: 1}
+        state = SplineState(x, ScoreKind.FUNCTION_NORM)
+        for i, label in y.items():
+            state.add(i, label)
+        m = fit_spline(x[list(y)], list(y.values()))
+        assert state.weight_norm == m.weight_norm == 1.6000000000000002e308
+        for call in (state.scores, lambda: state.select(np.random.default_rng(0)),
+                     lambda: spline_score_pool(m, x[[2]], ScoreKind.FUNCTION_NORM),
+                     lambda: spline_select_next(m, x[[2]], ScoreKind.FUNCTION_NORM, 0)):
+            with pytest.raises(DuplicatePointError, match="roughness overflows"):
+                call()
+        # Between the equal labels at 1e-307 and 1 the score is the roughness.
+        far = SplineState(np.append(x[[0, 1, 3]], [0.5, 1.0]), ScoreKind.FUNCTION_NORM)
+        for i, label in ((0, -1), (4, -1), (1, 1), (2, -1)):
+            far.add(i, label)
+        scores, labels = far.scores()
+        assert scores.tolist() == [m.weight_norm] and labels.tolist() == [-1]
+        assert far.select(np.random.default_rng(0)).index == 3
+
+    @pytest.mark.parametrize("x", [(0.0, 5e307, 1e308), (0.0, -5e307, -1e308)])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_a_span_whose_boundary_knot_overflows_is_rejected_before_any_change(self, x, kind):
+        # A boundary knot lies max(1, span) beyond each end of the labeled
+        # span: past 1e308 on a span of 1e308.  Both raise on the same label,
+        # naming the span, and no two points coincide.
+        x = np.array(x)
+        with pytest.raises(ValueError, match=r"labeled span \[-1e\+308, 1e\+308\]"):
+            fit_spline([-1e308, 1e308], [1, -1])
+        with pytest.raises(ValueError, match="labeled span") as err:
+            fit_spline(x[[0, 2]], [1, -1])
+        assert not isinstance(err.value, DuplicatePointError)
+        state = SplineState(x, kind)
+        state.add(0, 1)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
+            state.add(2, -1)
+        for name, value in vars(before).items():
+            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+        state.add(1, -1)
+        assert state.weight_norm == fit_spline(x[[0, 1]], [1, -1]).weight_norm

@@ -6,9 +6,12 @@ Usage, from the repository root::
 
 Each run writes ``trace.csv`` and ``summary.json`` (a run that raises a
 library error writes ``error.txt`` instead) into its own numbered directory
-under ``OUT_DIR``; the digest is taken over those files in run order.  Two
-versions of the library that print the same digest make the same selections,
-with the same estimated labels, scores and errors, on:
+under ``OUT_DIR``; the digest is taken over those files in run order.
+``OUT_DIR/digests.txt`` gets one line per run: its number, its task kind,
+model, score and seed, and the sha256 of its files, so ``diff`` of two such
+files names the runs that differ.  Two versions of the library that print
+the same digest make the same selections, with the same estimated labels,
+scores and errors, on:
 
 * the 48-run matrix: threshold n = 1024, k = 5 under the kernel (h = 0.1,
   p = 1) and the spline, budget 70; the 13-ball 2-D layout (h = 0.1, budget
@@ -75,6 +78,13 @@ def holdout_runs(data_dir: Path) -> list[ExperimentConfig]:
             for path, model, budget in cases for score in SCORES for seed in range(2)]
 
 
+def tag(cfg: ExperimentConfig) -> str:
+    """The run's task kind, model, score and seed, for ``digests.txt``."""
+    m = cfg.model
+    model = "spline" if m.kind == "spline" else f"kernel(h={m.h!r},p={m.p!r})"
+    return f"{cfg.task['kind']} {model} {cfg.score} seed={cfg.seed}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -83,7 +93,7 @@ def main(argv: list[str]) -> int:
     configs = matrix() + [exp.config for name in workloads.NAMES
                           for exp in workloads.experiments(name, 1)]
     configs += holdout_runs(out / "data")
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), []
     for i, cfg in enumerate(configs):
         run_dir = out / f"run{i:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -96,8 +106,13 @@ def main(argv: list[str]) -> int:
             files = [run_dir / "trace.csv", run_dir / "summary.json"]
             record.write_trace(files[0])
             record.write_summary(files[1])
+        run_digest = hashlib.sha256()
         for path in files:
-            digest.update(path.read_bytes())
+            data = path.read_bytes()
+            digest.update(data)
+            run_digest.update(data)
+        lines.append(f"run{i:03d} {tag(cfg)} {run_digest.hexdigest()}\n")
+    (out / "digests.txt").write_text("".join(lines))
     print(f"{digest.hexdigest()}  {len(configs)} runs")
     return 0
 
