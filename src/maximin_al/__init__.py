@@ -20,11 +20,10 @@ from .harness import (ExperimentConfig, ModelConfig, RunRecord, load_csv_dataset
                       run_experiment, summarize, write_dataset_csv)
 from .kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
                      fit, kernel_matrix)
-from .scoring import ScoredCandidate, ScoreKind, UnlabeledPool, score_pool, select_next
-from .spline import (Empirical1D, SplineInterpolator, Uniform1D, fit_spline,
-                     spline_select_next)
-from .synthetic import (ClusterSpec, RegimeReport, ThresholdTask1D, gen_clusters,
-                        gen_threshold_task, validate_theorem_regime)
+from .scoring import ScoredCandidate, ScoreKind, score_pool, select_next
+from .spline import SplineInterpolator, Uniform1D, fit_spline, spline_select_next
+from .synthetic import (ClusterSpec, RegimeReport, TaskSample, ThresholdTask1D,
+                        gen_clusters, gen_threshold_task, validate_theorem_regime)
 
 __version__ = "0.1.0"
 
@@ -35,9 +34,9 @@ __all__ = [
     "IngestionError", "OutOfRangeError",
     "KernelConfig", "LabeledSet", "KernelInterpolator",
     "kernel_matrix", "fit", "augmented_fit",
-    "ScoreKind", "ScoredCandidate", "UnlabeledPool", "score_pool", "select_next",
-    "SplineInterpolator", "Uniform1D", "Empirical1D", "fit_spline", "spline_select_next",
-    "ThresholdTask1D", "ClusterSpec", "RegimeReport",
+    "ScoreKind", "ScoredCandidate", "score_pool", "select_next",
+    "SplineInterpolator", "Uniform1D", "fit_spline", "spline_select_next",
+    "ThresholdTask1D", "ClusterSpec", "RegimeReport", "TaskSample",
     "gen_threshold_task", "gen_clusters", "validate_theorem_regime",
     "ExperimentConfig", "ModelConfig", "RunRecord",
     "run_experiment", "summarize", "load_csv_dataset", "write_dataset_csv",

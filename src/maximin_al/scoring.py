@@ -24,9 +24,9 @@ with ``p = 1``, else :class:`ScoringState` (one residual column per label).
 Like the spline's, a state needs nothing but its labels: it takes them by
 point index (``add``), scores every point it has no label for, in ascending
 index (``scores()``), and returns the :func:`pick` among them (``select(rng)``).
-:func:`score_pool` and :func:`select_next` score a whole pool from a fitted
-model, recomputing ``f``, ``S_u`` and the residual kernel on every call; they
-are the reference the states are tested against.  All turn
+:func:`score_pool` and :func:`select_next` score an array of candidates from a
+fitted model, recomputing ``f``, ``S_u`` and the residual kernel on every
+call; they are the reference the states are tested against.  All turn
 ``(f, S_u, mean_x R(u, x)^2)`` into scores and labels through one helper.
 
 The 1-D states (:class:`SortedIntervals`) also select per labeled interval:
@@ -79,50 +79,6 @@ class ScoredCandidate:
     index: int
     label: int
     score: float
-
-
-class UnlabeledPool:
-    """Pool of unlabeled points; doubles as the empirical measure for the data score.
-
-    Parameters
-    ----------
-    points : array-like of shape (n, d)
-    hidden_labels : array-like of shape (n,), optional
-        Oracle labels (+1/-1) revealed one at a time during simulations.
-    """
-
-    def __init__(self, points, hidden_labels=None):
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2:
-            raise ValueError(f"points must be 2-D, got shape {points.shape}")
-        self._points = points.copy()
-        self._points.setflags(write=False)
-        if hidden_labels is not None:
-            hidden_labels = np.asarray(hidden_labels)
-            if hidden_labels.shape != (len(points),):
-                raise ValueError("hidden_labels length does not match points")
-            if not np.all(np.isin(hidden_labels, (-1, 1))):
-                raise ValueError("hidden labels must be +1 or -1")
-            hidden_labels = hidden_labels.astype(int).copy()
-            hidden_labels.setflags(write=False)
-        self._hidden = hidden_labels
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def hidden_labels(self) -> np.ndarray | None:
-        return self._hidden
-
-    @property
-    def dim(self) -> int:
-        return self._points.shape[1]
-
-    def __len__(self) -> int:
-        return len(self._points)
 
 
 def sign_labels(f):
@@ -477,20 +433,27 @@ class IntervalState(SortedIntervals):
         self._top[lo] = key.max()
 
 
-def score_pool(model: KernelInterpolator, pool: UnlabeledPool,
+def score_pool(model: KernelInterpolator, points,
                kind: ScoreKind) -> tuple[np.ndarray, np.ndarray]:
-    """Score every pool candidate at once; the data score averages over the pool.
+    """Score every candidate at once; the data score averages over the candidates.
+
+    ``points`` is an n-by-d array, or a 1-D array of n points in one dimension.
 
     Returns
     -------
-    scores, labels : ndarray of shape (len(pool),)
+    scores, labels : ndarray of shape (n,)
         MaxiMin scores and the matching estimated labels ``t(u)``.
     """
-    if len(model) and pool.dim != model.base.dim:
-        raise ValueError(f"pool dimension {pool.dim} does not match model {model.base.dim}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2:
+        raise ValueError(f"points must be a 1-D or 2-D array, got shape {points.shape}")
+    dim = points.shape[1]
+    if len(model) and dim != model.base.dim:
+        raise ValueError(f"pool dimension {dim} does not match model {model.base.dim}")
     if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
         raise ValueError(f"unknown score kind {kind!r}")
-    points = pool.points
     f, schur, A = np.zeros(len(points)), np.ones(len(points)), None
     if len(model):
         A = kernel_matrix(model.base.points, points, model.config)
@@ -521,9 +484,10 @@ def pick(scores: np.ndarray, labels: np.ndarray, rng_seed) -> ScoredCandidate:
     return ScoredCandidate(index, int(labels[index]), float(scores[index]))
 
 
-def select_next(model: KernelInterpolator, pool: UnlabeledPool, kind: ScoreKind,
+def select_next(model: KernelInterpolator, points, kind: ScoreKind,
                 rng_seed) -> ScoredCandidate:
-    """Pick the pool candidate with the largest score (see :func:`pick` for ties)."""
-    if len(pool) == 0:
+    """Pick the candidate among ``points`` (as in :func:`score_pool`) with the
+    largest score (see :func:`pick` for ties)."""
+    if len(points) == 0:
         raise EmptyPoolError("cannot select from an empty pool")
-    return pick(*score_pool(model, pool, kind), rng_seed)
+    return pick(*score_pool(model, points, kind), rng_seed)

@@ -23,9 +23,10 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
 * the data-based score integrates ``(f^u - f)^2`` against a density — exactly,
   since the difference is a hat function supported on one interval — and
   prefers *wider* oppositely-labeled pairs, vanishing between equal labels.
-  Under an empirical density every candidate reads its hat sums off running
-  sums kept per labeled interval, so scoring a pool costs one sort and one
-  pass over the density instead of one pass per candidate.  The sums are
+  The density is a :class:`Uniform1D` or an array of points (their empirical
+  measure).  Under an empirical measure every candidate reads its hat sums off
+  running sums kept per labeled interval, so scoring a pool costs one sort and
+  one pass over the points instead of one pass per candidate.  The sums are
   divided by ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0
   within about 1e-154 of a labeled point: such a candidate raises
   DuplicatePointError.
@@ -64,22 +65,6 @@ class Uniform1D:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class Empirical1D:
-    """Empirical density: the mean over a fixed set of 1-D points."""
-
-    points: np.ndarray
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float).ravel()
-        if pts.size == 0:
-            raise EmptyPoolError("empirical density needs at least one point")
-        object.__setattr__(self, "points", pts)
-
-
-Density1D = Uniform1D | Empirical1D
 
 
 # Oppositely labeled positions closer than 2^-1021 (about 4.5e-308): the slope
@@ -167,27 +152,6 @@ class SplineInterpolator:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.interp(x, self.knots, self.knot_values)
 
-    def interval_of(self, u) -> np.ndarray:
-        """Index ``j`` with ``positions[j] < u < positions[j+1]`` per candidate.
-
-        Raises
-        ------
-        DuplicatePointError
-            If any ``u`` equals a labeled position.
-        OutOfRangeError
-            If any ``u`` falls outside the open hull of the labeled positions.
-        """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        # positions[j - 1] < u <= positions[j]: u is a labeled position exactly
-        # when it equals positions[j], and outside the hull when j is 0 or L.
-        j = np.searchsorted(self.positions, u)
-        last = len(self.positions) - 1
-        if np.any(self.positions[np.minimum(j, last)] == u):
-            raise DuplicatePointError("candidate coincides with a labeled position")
-        if np.any((j == 0) | (j > last)):
-            raise OutOfRangeError("candidate lies outside the labeled hull")
-        return j - 1
-
 
 def fit_spline(positions, values) -> SplineInterpolator:
     """Fit the minimal-roughness linear spline through ``(positions, values)``."""
@@ -203,14 +167,23 @@ def _roughness_deltas(u, xl, xr, yl, yr):
 
 
 def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
-                      density: Density1D | None = None):
+                      density: Uniform1D | np.ndarray | None = None):
     """Vectorized scores and estimated labels for 1-D candidates ``us``.
 
-    ``ScoreKind.DATA_NORM`` requires ``density``.  Candidates must lie
-    strictly inside the labeled hull.
+    ``ScoreKind.DATA_NORM`` requires ``density``: a :class:`Uniform1D`, or a
+    1-D array of points for their empirical measure (EmptyPoolError if it is
+    empty).  Candidates must lie strictly inside the labeled hull: one on a
+    labeled position raises DuplicatePointError, one outside OutOfRangeError.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    j = m.interval_of(us)
+    # positions[j - 1] < u <= positions[j]: u is a labeled position exactly
+    # when it equals positions[j], and outside the hull when j is 0 or L.
+    j, last = np.searchsorted(m.positions, us), len(m.positions) - 1
+    if np.any(m.positions[np.minimum(j, last)] == us):
+        raise DuplicatePointError("candidate coincides with a labeled position")
+    if np.any((j == 0) | (j > last)):
+        raise OutOfRangeError("candidate lies outside the labeled hull")
+    j -= 1
     # Within about 1e-308 of a labeled point the delta of the label opposite
     # to it overflows to inf; the other stays finite, and so does the score.
     with np.errstate(over="ignore"):
@@ -234,7 +207,7 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
 
 
 def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
-                 density: Density1D) -> np.ndarray:
+                 density: Uniform1D | np.ndarray) -> np.ndarray:
     """Mean of ``hat(x)^2`` under the density, for the unit hat peaking at u.
 
     The hat rises linearly from 0 at ``positions[j]`` to 1 at ``u`` and falls
@@ -253,7 +226,9 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
     # Within each labeled interval, rise[k] sums (x - x_j)^2 over its first k
     # sorted points and fall[k] sums (x_{j+1} - x)^2 over the rest, so a
     # candidate reads both off at its rank with no cross-interval subtraction.
-    pts = np.sort(density.points)
+    pts = np.sort(density, axis=None)
+    if pts.size == 0:
+        raise EmptyPoolError("empirical density needs at least one point")
     lo, hi = m.positions[:-1], m.positions[1:]
     starts = np.searchsorted(pts, lo, side="right")
     ends = np.searchsorted(pts, hi, side="left")
@@ -382,5 +357,4 @@ def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind,
     us = np.asarray(candidates, dtype=float).ravel()
     if us.size == 0:
         raise EmptyPoolError("cannot select from an empty pool")
-    density = Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
-    return pick(*spline_score_pool(m, us, kind, density), rng_seed)
+    return pick(*spline_score_pool(m, us, kind, us), rng_seed)

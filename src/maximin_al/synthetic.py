@@ -1,7 +1,8 @@
 """Synthetic binary-classification tasks: 1-D thresholds and lp-ball clusters.
 
 Generators are pure functions of (spec, seed): identical inputs give
-bit-identical outputs through ``numpy.random.default_rng``.
+bit-identical outputs through ``numpy.random.default_rng``.  Each returns its
+points and their hidden labels as a :class:`TaskSample` of plain arrays.
 """
 
 from __future__ import annotations
@@ -10,10 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import UnlabeledPool
-
 # Jitter half-width for threshold placement, as a fraction of the piece length.
 CUT_JITTER = 0.25
+
+
+@dataclass(frozen=True)
+class TaskSample:
+    """A task's points, of shape (n, d), and their hidden +-1 labels, of shape (n,)."""
+
+    points: np.ndarray
+    hidden_labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -36,8 +43,8 @@ class ThresholdTask1D:
         return self.first_label * np.where(piece % 2 == 0, 1, -1)
 
 
-def gen_threshold_task(n: int, k: int, seed) -> tuple[ThresholdTask1D, UnlabeledPool]:
-    """Sample a threshold task and its unlabeled pool.
+def gen_threshold_task(n: int, k: int, seed) -> tuple[ThresholdTask1D, TaskSample]:
+    """Sample a threshold task and its pool of points, of shape (n, 1).
 
     ``n`` points are drawn uniformly on [0, 1] (resampled to be pairwise
     distinct); cut ``i`` sits at ``(i + U(-0.25, 0.25))/k`` for i = 1..k-1, so
@@ -55,8 +62,7 @@ def gen_threshold_task(n: int, k: int, seed) -> tuple[ThresholdTask1D, Unlabeled
     points = rng.uniform(0.0, 1.0, size=n)
     while len(np.unique(points)) != n:  # pragma: no cover - measure-zero event
         points = rng.uniform(0.0, 1.0, size=n)
-    pool = UnlabeledPool(points[:, None], task.oracle(points))
-    return task, pool
+    return task, TaskSample(points[:, None], task.oracle(points))
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def _sample_ball(rng: np.random.Generator, center, radius, p, count, dim):
     return center + out
 
 
-def gen_clusters(spec: ClusterSpec, seed) -> UnlabeledPool:
+def gen_clusters(spec: ClusterSpec, seed) -> TaskSample:
     """Sample ``counts[i]`` points uniformly from each ball, labels attached."""
     rng = np.random.default_rng(seed)
     blocks = [
@@ -151,8 +157,7 @@ def gen_clusters(spec: ClusterSpec, seed) -> UnlabeledPool:
                      int(spec.counts[i]), spec.dim)
         for i in range(spec.n_balls)
     ]
-    labels = np.repeat(spec.labels, spec.counts)
-    return UnlabeledPool(np.vstack(blocks), labels)
+    return TaskSample(np.vstack(blocks), np.repeat(spec.labels, spec.counts))
 
 
 @dataclass(frozen=True)

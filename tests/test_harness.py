@@ -316,7 +316,7 @@ class TestRunExperiment:
             if forced:
                 idx = forced.pop(0)
             else:
-                chosen = scoring.select_next(fitted, scoring.UnlabeledPool(points[pool_idx]),
+                chosen = scoring.select_next(fitted, points[pool_idx],
                                              scoring.ScoreKind(score), rng)
                 idx = int(pool_idx[chosen.index])
             fitted = augmented_fit(fitted, points[idx], int(oracle[idx]))

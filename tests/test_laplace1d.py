@@ -52,7 +52,7 @@ import numpy as np
 import pytest
 
 from maximin_al.kernel import KernelConfig, LabeledSet, augmented_fit, fit
-from maximin_al.scoring import ScoreKind, UnlabeledPool, select_next
+from maximin_al.scoring import ScoreKind, select_next
 
 
 def gap_factors(x, h) -> np.ndarray:
@@ -355,7 +355,6 @@ class TestBestInterval:
             maximizer, _ = interval_max_score(x, y, h, best_interval(x, y, h))
             grid = np.linspace(x[0], x[-1], 4001)[1:-1]
             grid = grid[np.min(np.abs(grid[:, None] - x[None, :]), axis=1) > 1e-9]
-            got = select_next(generic_fit(x, y, h), UnlabeledPool(grid[:, None]),
-                              ScoreKind.FUNCTION_NORM, 0)
+            got = select_next(generic_fit(x, y, h), grid, ScoreKind.FUNCTION_NORM, 0)
             step = grid[1] - grid[0]
             assert abs(grid[got.index] - maximizer) <= step + 1e-12

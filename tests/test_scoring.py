@@ -29,7 +29,6 @@ from maximin_al.scoring import (
     IntervalState,
     ScoreKind,
     ScoringState,
-    UnlabeledPool,
     pick,
     score_pool,
     select_next,
@@ -51,21 +50,8 @@ def random_model(rng, max_n=20, max_d=3):
 
 def score_one(m, u, kind=ScoreKind.FUNCTION_NORM):
     """``score_pool``'s score and label of the pool holding the one point ``u``."""
-    scores, labels = score_pool(m, UnlabeledPool(np.atleast_2d(u)), kind)
+    scores, labels = score_pool(m, np.atleast_2d(u), kind)
     return float(scores[0]), int(labels[0])
-
-
-class TestUnlabeledPool:
-    def test_hidden_labels_validated(self):
-        with pytest.raises(ValueError):
-            UnlabeledPool([[0.0], [1.0]], [1, 0])
-        with pytest.raises(ValueError):
-            UnlabeledPool([[0.0], [1.0]], [1])
-
-    def test_readonly(self):
-        pool = UnlabeledPool([[0.0]])
-        with pytest.raises(ValueError):
-            pool.points[0, 0] = 1.0
 
 
 class TestEstimateLabel:
@@ -103,7 +89,7 @@ class TestEstimateLabel:
             state.add(0, -1)
             state.add(1, 1)
             assert state.scores()[1][0] == 1
-            assert score_pool(m, UnlabeledPool(points[2:]), kind)[1][0] == 1
+            assert score_pool(m, points[2:], kind)[1][0] == 1
 
     def test_matches_argmin_of_augmented_norms(self):
         rng = np.random.default_rng(21)
@@ -162,9 +148,8 @@ class TestFunctionNormScore:
         labeled = [int(np.flatnonzero(ball == b)[0]) for b in range(6)]
         m = fit(LabeledSet(pool.points[labeled], pool.hidden_labels[labeled]),
                 KernelConfig(0.1, 2.0))
-        rest = np.setdiff1d(np.arange(len(pool)), labeled)
-        scores, _ = score_pool(m, UnlabeledPool(pool.points[rest]),
-                               ScoreKind.FUNCTION_NORM)
+        rest = np.setdiff1d(np.arange(len(pool.points)), labeled)
+        scores, _ = score_pool(m, pool.points[rest], ScoreKind.FUNCTION_NORM)
         rise = scores - m.norm_sq
         in_labeled = ball[rest] < 6
         k = np.exp(-0.5)
@@ -175,16 +160,16 @@ class TestFunctionNormScore:
 class TestDataNormScore:
     def test_empty_model_is_mean_squared_kernel(self):
         m = KernelInterpolator.empty(KernelConfig(0.7, 1.0), dim=1)
-        pool = UnlabeledPool([[0.25], [0.0], [0.5], [2.0]])
+        pool = np.array([0.25, 0.0, 0.5, 2.0])
         got = score_pool(m, pool, ScoreKind.DATA_NORM)[0][0]
-        want = np.mean(np.exp(-np.abs(0.25 - pool.points[:, 0]) / 0.7) ** 2)
+        want = np.mean(np.exp(-np.abs(0.25 - pool) / 0.7) ** 2)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_mirror_symmetry(self):
         # Mirror-image candidates under a mirror-symmetric configuration
         # receive exactly equal scores.
         m = fit(LabeledSet([[-1.0], [1.0]], [1, -1]), KernelConfig(0.5, 1.0))
-        pool = UnlabeledPool([[-0.75], [-0.4], [-0.25], [0.25], [0.4], [0.75]])
+        pool = [[-0.75], [-0.4], [-0.25], [0.25], [0.4], [0.75]]
         scores = score_pool(m, pool, ScoreKind.DATA_NORM)[0]
         assert scores[1] == pytest.approx(scores[4], rel=1e-12)
 
@@ -193,10 +178,10 @@ class TestDataNormScore:
         for _ in range(100):
             m = random_model(rng)
             d = m.base.dim
-            pool = UnlabeledPool(rng.uniform(size=(int(rng.integers(2, 30)), d)))
+            pool = rng.uniform(size=(int(rng.integers(2, 30)), d))
             scores, labels = score_pool(m, pool, ScoreKind.DATA_NORM)
-            aug = augmented_fit(m, pool.points[0], int(labels[0]))
-            diff = aug.predict(pool.points) - m.predict(pool.points)
+            aug = augmented_fit(m, pool[0], int(labels[0]))
+            diff = aug.predict(pool) - m.predict(pool)
             want = float(np.mean(diff ** 2))
             assert scores[0] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -208,41 +193,65 @@ class TestScorePool:
         rng = np.random.default_rng(25)
         for kind in ScoreKind:
             m = random_model(rng)
-            pool = UnlabeledPool(rng.uniform(size=(15, m.base.dim)))
+            pool = rng.uniform(size=(15, m.base.dim))
             scores, labels = score_pool(m, pool, kind)
-            for i, u in enumerate(pool.points):
+            for i, u in enumerate(pool):
                 aug = augmented_fit(m, u, int(labels[i]))
                 if kind is ScoreKind.FUNCTION_NORM:
                     want = min(aug.norm_sq, augmented_fit(m, u, -int(labels[i])).norm_sq)
                     assert scores[i] == pytest.approx(score_one(m, u)[0], rel=1e-10, abs=1e-12)
                 else:
-                    want = np.mean((aug.predict(pool.points) - m.predict(pool.points)) ** 2)
+                    want = np.mean((aug.predict(pool) - m.predict(pool)) ** 2)
                 assert scores[i] == pytest.approx(want, rel=1e-8, abs=1e-12)
                 assert labels[i] == score_one(m, u)[1]
 
     def test_labels_follow_sign_of_f(self):
         rng = np.random.default_rng(26)
         m = random_model(rng)
-        pool = UnlabeledPool(rng.uniform(size=(20, m.base.dim)))
+        pool = rng.uniform(size=(20, m.base.dim))
         _, labels = score_pool(m, pool, ScoreKind.FUNCTION_NORM)
-        f = m.predict(pool.points)
+        f = m.predict(pool)
         assert np.array_equal(labels, np.where(f >= 0, 1, -1))
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("labeled", [[], [0.1, 0.8]], ids=["empty", "fitted"])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_a_1d_array_is_its_column_of_points(self, kind, labeled, p):
+        # A 1-D array holds n points in one dimension: the same scores and
+        # labels, bit for bit, as the (n, 1) array of them.
+        cfg = KernelConfig(0.3, p)
+        m = (fit(LabeledSet(np.array(labeled)[:, None], [1, -1]), cfg) if labeled
+             else KernelInterpolator.empty(cfg, dim=1))
+        x = np.random.default_rng(30).uniform(size=40)
+        got, want = score_pool(m, x, kind), score_pool(m, x[:, None].copy(), kind)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("pool", [[[0.0]], [0.0, 1.0], [[0.0, 0.0, 0.0]]],
+                             ids=["column", "1d", "3d-point"])
+    def test_dimension_mismatch(self, pool):
+        # One-dimensional points, as an (n, 1) or a 1-D array, or 3-D points
+        # against a 2-D model.
         m = fit(LabeledSet([[0.0, 0.0]], [1]), KernelConfig(1.0))
-        with pytest.raises(ValueError):
-            score_pool(m, UnlabeledPool([[0.0]]), ScoreKind.FUNCTION_NORM)
+        with pytest.raises(ValueError, match="dimension"):
+            score_pool(m, np.array(pool), ScoreKind.FUNCTION_NORM)
+
+    @pytest.mark.parametrize("pool", [0.5, np.zeros((2, 1, 1))], ids=["scalar", "3d-array"])
+    def test_points_must_be_a_1d_or_2d_array(self, pool):
+        # Even under the empty model, which would broadcast a 3-D array.
+        m = KernelInterpolator.empty(KernelConfig(1.0), dim=1)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            score_pool(m, pool, ScoreKind.DATA_NORM)
 
     def test_duplicate_pool_point_rejected(self):
         m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5))
         with pytest.raises(DuplicatePointError):
-            score_pool(m, UnlabeledPool([[0.5], [1.0]]), ScoreKind.FUNCTION_NORM)
+            score_pool(m, [[0.5], [1.0]], ScoreKind.FUNCTION_NORM)
 
     def test_string_kind_rejected(self):
         # The string "function" is not a ScoreKind; it must not fall through
         # to the data score.
         m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5))
-        pool = UnlabeledPool([[0.25], [0.5]])
+        pool = [[0.25], [0.5]]
         with pytest.raises(ValueError, match="unknown score kind"):
             score_pool(m, pool, "function")
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -288,11 +297,11 @@ class TestScoringState:
             pool_idx = np.setdiff1d(np.arange(len(points)), labeled)
             if len(pool_idx) == 0:
                 return
-            pool = UnlabeledPool(points[pool_idx])
-            A = kernel_matrix(model.base.points, pool.points, cfg)
+            pool = points[pool_idx]
+            A = kernel_matrix(model.base.points, pool, cfg)
             schur = 1.0 - np.einsum("ij,ij->j", A, model.solve(A))
             for kind, state in states.items():
-                np.testing.assert_allclose(state.f[pool_idx], model.predict(pool.points),
+                np.testing.assert_allclose(state.f[pool_idx], model.predict(pool),
                                            rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(state.schur[pool_idx], schur,
                                            rtol=1e-10, atol=1e-12)
@@ -313,7 +322,7 @@ class TestScoringState:
         state = ScoringState(points, cfg, kind)
         state.add(1, 1)
         want = score_pool(fit(LabeledSet(points[[1]], [1]), cfg),
-                          UnlabeledPool(points[[0, 2, 3]]), kind)
+                          points[[0, 2, 3]], kind)
         got = state.scores()
         assert len(got[0]) == 3 and len(set(got[0])) == 3
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
@@ -686,23 +695,24 @@ class TestPick:
 class TestSelectNext:
     def test_single_candidate(self):
         m = fit(LabeledSet([[0.0]], [1]), KernelConfig(1.0))
-        got = select_next(m, UnlabeledPool([[0.7]]), ScoreKind.FUNCTION_NORM, 0)
+        got = select_next(m, [[0.7]], ScoreKind.FUNCTION_NORM, 0)
         assert got.index == 0
 
-    def test_empty_pool_rejected(self):
+    @pytest.mark.parametrize("shape", [(0, 1), (0,)], ids=["column", "1d"])
+    def test_empty_pool_rejected(self, shape):
         m = fit(LabeledSet([[0.0]], [1]), KernelConfig(1.0))
         with pytest.raises(EmptyPoolError):
-            select_next(m, UnlabeledPool(np.empty((0, 1))), ScoreKind.FUNCTION_NORM, 0)
+            select_next(m, np.empty(shape), ScoreKind.FUNCTION_NORM, 0)
 
     def test_grid_between_opposite_pair_picks_near_midpoint(self):
         m = fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.2, 1.0))
         grid = np.linspace(0.05, 0.95, 101)[:, None]
-        got = select_next(m, UnlabeledPool(grid), ScoreKind.FUNCTION_NORM, 0)
+        got = select_next(m, grid, ScoreKind.FUNCTION_NORM, 0)
         assert abs(grid[got.index, 0] - 0.5) <= (grid[1, 0] - grid[0, 0]) / 2 + 1e-12
 
     def test_deterministic_given_seed(self):
         m = KernelInterpolator.empty(KernelConfig(1.0), dim=1)
-        pool = UnlabeledPool(np.linspace(0, 1, 50)[:, None])
+        pool = np.linspace(0, 1, 50)[:, None]
         a = select_next(m, pool, ScoreKind.FUNCTION_NORM, 123)
         b = select_next(m, pool, ScoreKind.FUNCTION_NORM, 123)
         assert a == b
@@ -711,7 +721,7 @@ class TestSelectNext:
         # Empty model, function norm: all scores are exactly 1, so selection
         # frequencies over many draws must be uniform (chi-square p > 0.01).
         m = KernelInterpolator.empty(KernelConfig(1.0), dim=1)
-        pool = UnlabeledPool(np.linspace(0, 1, 8)[:, None])
+        pool = np.linspace(0, 1, 8)[:, None]
         rng = np.random.default_rng(27)
         counts = np.zeros(8, dtype=int)
         for _ in range(10_000):
@@ -722,14 +732,14 @@ class TestSelectNext:
         rng = np.random.default_rng(28)
         for _ in range(50):
             m = random_model(rng)
-            pool = UnlabeledPool(rng.uniform(size=(25, m.base.dim)))
+            pool = rng.uniform(size=(25, m.base.dim))
             scores, _ = score_pool(m, pool, ScoreKind.FUNCTION_NORM)
             assert int(np.argmax(scores)) == int(np.argmax(np.sqrt(scores)))
 
     def test_returned_score_and_label_match_pool_scoring(self):
         rng = np.random.default_rng(29)
         m = random_model(rng)
-        pool = UnlabeledPool(rng.uniform(size=(30, m.base.dim)))
+        pool = rng.uniform(size=(30, m.base.dim))
         got = select_next(m, pool, ScoreKind.DATA_NORM, 5)
         scores, labels = score_pool(m, pool, ScoreKind.DATA_NORM)
         assert got.score == scores[got.index]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from maximin_al.exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
 from maximin_al.scoring import ScoreKind, pick
 from maximin_al.spline import (
-    Empirical1D,
     SplineInterpolator,
     SplineState,
     Uniform1D,
@@ -78,8 +77,9 @@ class TestDensities:
             Uniform1D(2.0, 1.0)
 
     def test_empirical_needs_points(self):
+        m = fit_spline([0.0, 1.0], [1, -1])
         with pytest.raises(EmptyPoolError):
-            Empirical1D([])
+            spline_score_pool(m, [0.5], ScoreKind.DATA_NORM, np.empty(0))
 
 
 class TestFitSpline:
@@ -132,26 +132,6 @@ class TestFitSpline:
             fit_spline([0.0], [0.5])
 
 
-class TestIntervalOf:
-    def test_intervals_inside_the_hull(self):
-        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
-        assert np.array_equal(m.interval_of([0.1, np.nextafter(0.4, 1.0), 0.3, 0.99]),
-                              [0, 1, 0, 1])
-
-    @pytest.mark.parametrize("knot", [0.4, 0.0, 1.0])
-    def test_candidate_on_a_knot_is_a_duplicate(self, knot):
-        # 0.4 is an interior knot, 0.0 and 1.0 the end knots.
-        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
-        with pytest.raises(DuplicatePointError):
-            m.interval_of([0.2, knot, 0.7])
-
-    @pytest.mark.parametrize("u", [-0.1, 1.1, np.nextafter(1.0, 2.0)])
-    def test_candidate_outside_the_hull(self, u):
-        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
-        with pytest.raises(OutOfRangeError):
-            m.interval_of([0.2, u])
-
-
 class TestFunctionNormScore:
     def test_opposite_pair_midpoint_value(self):
         for g in (0.5, 1.0, 4.0):
@@ -197,12 +177,28 @@ class TestFunctionNormScore:
                                np.append(m.values, -label))
             assert score <= other.weight_norm + 1e-9
 
-    def test_errors(self):
-        m = fit_spline([0.0, 1.0], [1, -1])
-        with pytest.raises(DuplicatePointError):
-            score_one(m, 1.0)
-        with pytest.raises(OutOfRangeError):
-            score_one(m, 1.5)
+    def test_a_candidate_next_to_a_knot_reads_its_own_interval(self):
+        # One ulp right of the interior knot 0.4 lies in (0.4, 1.0), not (0.0, 0.4).
+        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
+        us = [0.1, np.nextafter(0.4, 1.0), 0.3, 0.99]
+        scores, labels = spline_score_pool(m, us, ScoreKind.FUNCTION_NORM)
+        for u, score, label in zip(us, scores, labels):
+            refit = fit_spline([0.0, 0.4, 1.0, u], [1, -1, 1, label])
+            assert score == pytest.approx(refit.weight_norm, rel=1e-9)
+
+    @pytest.mark.parametrize("density", [None, Uniform1D(0.0, 1.0), np.linspace(0.0, 1.0, 5)],
+                             ids=["function", "data-uniform", "data-empirical"])
+    @pytest.mark.parametrize("u, error", [(0.4, DuplicatePointError), (0.0, DuplicatePointError),
+                                          (1.0, DuplicatePointError), (-0.1, OutOfRangeError),
+                                          (1.1, OutOfRangeError),
+                                          (np.nextafter(1.0, 2.0), OutOfRangeError)])
+    def test_errors(self, u, error, density):
+        # On an interior or an end knot, and outside the hull, however close;
+        # with another candidate inside the hull, under either score.
+        m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
+        kind = ScoreKind.FUNCTION_NORM if density is None else ScoreKind.DATA_NORM
+        with pytest.raises(error):
+            spline_score_pool(m, [0.2, u, 0.7], kind, density)
 
 
 class TestDataNormScore:
@@ -253,7 +249,7 @@ class TestDataNormScore:
             u = float(rng.uniform(m.positions[0] + 0.01, m.positions[-1] - 0.01))
             if np.min(np.abs(u - m.positions)) < 1e-6:
                 continue
-            score, label = score_one(m, u, Empirical1D(pts))
+            score, label = score_one(m, u, pts)
             aug = fit_spline(np.append(m.positions, u),
                              np.append(m.values, label))
             want = float(np.mean((aug.predict(pts) - m.predict(pts)) ** 2))
@@ -275,8 +271,8 @@ class TestDataNormScore:
             us = us[~np.isin(us, m.positions)]
             if us.size == 0:
                 continue
-            j = m.interval_of(us)
-            got = _hat_mean_sq(m, us, j, Empirical1D(rng.permutation(pts)))
+            j = np.searchsorted(m.positions, us) - 1
+            got = _hat_mean_sq(m, us, j, rng.permutation(pts))
             np.testing.assert_allclose(got, hat_mean_sq_loop(m, us, j, pts),
                                        rtol=1e-12, atol=0)
 
@@ -342,7 +338,7 @@ class TestSelectNext:
         m = fit_spline([0.0, 2.0], [1, -1])
         pool = np.linspace(0.1, 1.9, 50)
         got = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0)
-        want = pick(*spline_score_pool(m, pool, ScoreKind.DATA_NORM, Empirical1D(pool)), 0)
+        want = pick(*spline_score_pool(m, pool, ScoreKind.DATA_NORM, pool), 0)
         assert got == want
 
     def test_empty_pool_rejected(self):
@@ -424,7 +420,7 @@ class TestSplineState:
                 return
             us = points[pool_idx]
             for state in states:
-                density = Empirical1D(us) if state.kind is ScoreKind.DATA_NORM else None
+                density = us if state.kind is ScoreKind.DATA_NORM else None
                 try:
                     want, want_labels = spline_score_pool(m, us, state.kind, density)
                 except (DuplicatePointError, OutOfRangeError) as err:
@@ -444,7 +440,7 @@ class TestSplineState:
         state.add(0, 1)
         state.add(2, -1)
         m, us = fit_spline(x[[0, 2]], [1, -1]), x[[1, 3, 4]]
-        density = Empirical1D(us) if kind is ScoreKind.DATA_NORM else None
+        density = us if kind is ScoreKind.DATA_NORM else None
         assert state.weight_norm == m.weight_norm
         got, want = state.scores(), spline_score_pool(m, us, kind, density)
         assert len(got[0]) == 3 and len(set(got[0])) == 3
@@ -470,8 +466,7 @@ class TestSplineState:
         assert data.weight_norm == function.weight_norm == m.weight_norm
         for call in (data.scores,
                      lambda: data.select(np.random.default_rng(0)),
-                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
-                                               Empirical1D(x[pool])),
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM, x[pool]),
                      lambda: spline_select_next(m, x[pool], ScoreKind.DATA_NORM, 0)):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
@@ -484,7 +479,7 @@ class TestSplineState:
         data.add(3, 1)
         m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
         assert data.weight_norm == m.weight_norm
-        want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, Empirical1D(x[[2]]))
+        want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, x[[2]])
         assert np.array_equal(data.scores()[0], want[0])
 
     @pytest.mark.parametrize("x", [(0.0, 1e-310, 0.5, 1.0), (-1.0, -0.5, -1e-310, 0.0)])
@@ -509,8 +504,7 @@ class TestSplineState:
         chosen = function.select(np.random.default_rng(0))
         assert abs(x[chosen.index]) == 0.5
         for call in (data.scores,
-                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM,
-                                               Empirical1D(x[pool]))):
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM, x[pool])):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
 

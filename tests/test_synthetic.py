@@ -99,12 +99,28 @@ class TestClusterSpec:
         assert np.array_equal(got, [0, 1, -1])
 
 
+class TestTaskSample:
+    @pytest.mark.parametrize("make, n, d", [
+        (lambda: gen_threshold_task(64, 3, 0)[1], 64, 1),
+        (lambda: gen_clusters(ClusterSpec([[0.0, 0.0], [5.0, 0.0]], [1.0, 1.0], [1, -1],
+                                          [30, 20]), 1), 50, 2),
+    ], ids=["threshold", "clusters"])
+    def test_generators_return_points_and_hidden_labels(self, make, n, d):
+        # The benchmark's task builder reads exactly these two attributes.
+        sample = make()
+        assert sample.points.shape == (n, d) and sample.points.dtype == float
+        assert sample.hidden_labels.shape == (n,)
+        assert set(np.unique(sample.hidden_labels)) == {-1, 1}
+        with pytest.raises(TypeError):
+            len(sample)  # a record of two arrays, not a sequence of them
+
+
 class TestGenClusters:
     def test_points_inside_their_balls(self):
         spec = ClusterSpec([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]],
                            [1.5, 1.0, 0.5], [1, -1, 1], [50, 40, 30], p=1.0)
         pool = gen_clusters(spec, 0)
-        assert len(pool) == 120
+        assert len(pool.points) == 120
         where = spec.locate(pool.points)
         assert np.array_equal(where, np.repeat([0, 1, 2], [50, 40, 30]))
         assert np.array_equal(pool.hidden_labels, np.repeat([1, -1, 1], [50, 40, 30]))
