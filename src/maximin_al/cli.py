@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 
 from . import acceptance
-from .harness import (ExperimentConfig, _check_object, run_experiment, sample_task,
-                      summarize, write_dataset_csv)
+from .harness import (ExperimentConfig, _check_object, _write_json, run_experiment,
+                      sample_task, summarize, write_dataset_csv)
 
 
 def _parse_seed_range(text: str) -> range:
@@ -36,11 +36,11 @@ def _parse_seed_range(text: str) -> range:
 
 def _load(load, *args):
     """``load(*args)``; a malformed config or spec, or a run that its task
-    cannot hold (ValueError), is reported in one line with exit status 2, as
-    argparse reports a bad flag."""
+    cannot hold (ValueError), or a file that cannot be read (OSError), is
+    reported in one line with exit status 2, as argparse reports a bad flag."""
     try:
         return load(*args)
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         print(f"maximin-al: error: {error}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -68,9 +68,9 @@ def _cmd_sweep(args) -> int:
         record.write_trace(out / f"trace_seed{seed}.csv")
         records.append(record)
     summary = summarize(records)
-    summary.write(out / "summary.json")
+    _write_json(out / "summary.json", summary)
     print(f"swept {len(records)} seeds; median queries_to_zero="
-          f"{summary.median_queries_to_zero}")
+          f"{summary['median_queries_to_zero']}")
     return 0
 
 
@@ -85,8 +85,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.spec) as fh:
-        task = _load(lambda: {**_check_object("spec", json.load(fh)), "kind": args.task})
+    task = _load(lambda: {**_check_object("spec", json.loads(Path(args.spec).read_text())),
+                          "kind": args.task})
     points, labels, _ = _load(sample_task, task, args.seed)
     write_dataset_csv(args.out, points, labels)
     print(f"wrote {len(points)} rows to {args.out}")

@@ -216,9 +216,15 @@ class RunRecord:
         return out
 
     def write_summary(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.summary_dict())
+
+
+def _write_json(path, data: dict) -> None:
+    """Write ``data`` as indented JSON with a final newline, as every
+    ``summary.json`` is written."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def load_csv_dataset(path) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +301,8 @@ def scoring_state(model: ModelConfig, points: np.ndarray, kind: ScoreKind, capac
 class _ModelLearner:
     """A learner that grows a model per label beside the run's ``state`` (None
     for random selection), which selects: the kernel by ``augmented_fit`` from
-    the empty model, the spline by ``fit_spline`` from the labeled positions,
-    kept sorted.  Each label evaluates the model once, at all n task points
+    the empty model, the spline by ``fit_spline`` from the labeled points in
+    arrival order.  Each label evaluates the model once, at all n task points
     sorted by the first coordinate (``order``); ``n_wrong`` counts from those
     values and ``f`` gathers them by index.  Before any label ``f`` is 0."""
 
@@ -309,16 +315,13 @@ class _ModelLearner:
         # The model at the ordered points, and each point's place among them.
         self._values, self._rank = np.zeros(len(points)), np.empty(len(points), dtype=np.intp)
         self._rank[order] = np.arange(len(points))
-        # The spline's labels, sorted by position, in the first _count slots.
-        self._x, self._y, self._count = np.empty(len(points)), np.empty(len(points), int), 0
+        self._labeled, self._labels = [], []  # the spline's, in arrival order
 
     def add(self, i: int, label: int) -> None:
         if self._spline:
-            x, m = self.points[i, 0], self._count
-            k = np.searchsorted(self._x[:m], x)
-            self._x[k + 1:m + 1], self._y[k + 1:m + 1] = self._x[k:m], self._y[k:m]
-            self._x[k], self._y[k], self._count = x, label, m + 1
-            self.model = spline.fit_spline(self._x[:m + 1], self._y[:m + 1])
+            self._labeled.append(i)
+            self._labels.append(label)
+            self.model = spline.fit_spline(self.points[self._labeled, 0], self._labels)
         else:
             self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
@@ -461,48 +464,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
-@dataclass
-class Summary:
-    """Aggregate of several runs of the same task family."""
-
-    task_kind: str
-    n_runs: int
-    steps: list[int]
-    median_error: list[float]
-    q25_error: list[float]
-    q75_error: list[float]
-    queries_to_zero: list[int | None]
-    cluster_count_std: list[float] | None = None
-
-    @property
-    def median_queries_to_zero(self) -> float:
-        reached = [q for q in self.queries_to_zero if q is not None]
-        return float(np.median(reached)) if reached else float("nan")
-
-    def to_dict(self) -> dict:
-        out = {
-            "task_kind": self.task_kind,
-            "n_runs": self.n_runs,
-            "steps": self.steps,
-            "median_error": self.median_error,
-            "q25_error": self.q25_error,
-            "q75_error": self.q75_error,
-            "queries_to_zero": self.queries_to_zero,
-            "median_queries_to_zero": self.median_queries_to_zero,
-            "unreached_runs": sum(q is None for q in self.queries_to_zero),
-        }
-        if self.cluster_count_std is not None:
-            out["cluster_count_std"] = self.cluster_count_std
-        return out
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
-def summarize(records: list[RunRecord]) -> Summary:
-    """Per-step error quantiles and queries-to-zero across runs.
+def summarize(records: list[RunRecord]) -> dict:
+    """Per-step error quantiles and queries-to-zero across runs, as the
+    mapping ``sweep`` writes to ``summary.json``.
 
     All records must come from the same task family.  Error curves of unequal
     length (early stops) are extended by repeating their last value.
@@ -517,16 +481,19 @@ def summarize(records: list[RunRecord]) -> Summary:
         r.train_errors + [r.train_errors[-1]] * (longest - len(r.steps))
         for r in records
     ])
-    std = None
+    queries = [r.queries_to_zero for r in records]
+    reached = [q for q in queries if q is not None]
+    out = {
+        "task_kind": kinds.pop(),
+        "n_runs": len(records),
+        "steps": list(range(1, longest + 1)),
+        "median_error": np.median(curves, axis=0).tolist(),
+        "q25_error": np.quantile(curves, 0.25, axis=0).tolist(),
+        "q75_error": np.quantile(curves, 0.75, axis=0).tolist(),
+        "queries_to_zero": queries,
+        "median_queries_to_zero": float(np.median(reached)) if reached else float("nan"),
+        "unreached_runs": len(queries) - len(reached),
+    }
     if all(r.per_cluster_counts is not None for r in records):
-        std = [float(np.std(r.per_cluster_counts)) for r in records]
-    return Summary(
-        task_kind=kinds.pop(),
-        n_runs=len(records),
-        steps=list(range(1, longest + 1)),
-        median_error=np.median(curves, axis=0).tolist(),
-        q25_error=np.quantile(curves, 0.25, axis=0).tolist(),
-        q75_error=np.quantile(curves, 0.75, axis=0).tolist(),
-        queries_to_zero=[r.queries_to_zero for r in records],
-        cluster_count_std=std,
-    )
+        out["cluster_count_std"] = [float(np.std(r.per_cluster_counts)) for r in records]
+    return out

@@ -4,10 +4,10 @@ The model interpolates 1-D labeled points with the piecewise-linear function
 whose roughness ``R(f) = max(integral |f''|, |f'(-inf) + f'(+inf)|)`` is
 minimal — the variational limit of training a two-layer ReLU network with
 weight decay.  We realize the minimizer by adding two artificial boundary
-knots (at ``x_min - pad`` and ``x_max + pad`` with ``pad = max(1, span)``)
-that replicate the extreme labels, which pins the boundary slopes to zero;
-``R(f)`` then equals the total variation of ``f'``, reported *unsquared*
-(it is already a norm).
+knots (at ``x_min - pad`` and ``x_max + pad`` with ``pad = max(1, span)``,
+and at least two ulps of the larger end) that replicate the extreme labels,
+which pins the boundary slopes to zero; ``R(f)`` then equals the total
+variation of ``f'``, reported *unsquared* (it is already a norm).
 
 Scores for a candidate ``u`` strictly between labeled neighbors
 ``(x_j, y_j), (x_{j+1}, y_{j+1})`` use the exact roughness change
@@ -35,12 +35,14 @@ Runs score from a :class:`SplineState`, which keeps these terms per point and
 recomputes them only on the interval a label splits, and its own roughness
 ``R(f)``, so it needs no fitted spline; :func:`spline_score_pool` and
 :func:`spline_select_next` score a pool from a fitted spline and are its
-reference.  A repeated position, oppositely labeled positions closer than
-2^-1021 and a roughness that overflows raise the same DuplicatePointError in
-both :func:`fit_spline` and :meth:`SplineState.add`, and a labeled span so
-wide that a boundary knot overflows the same ValueError; a function score
-that overflows raises the roughness's DuplicatePointError in both the state
-and the reference.
+reference.  One function, ``_knots``, decides which labeled sets define a
+spline: a labeled span so wide that a boundary knot overflows raises
+ValueError; a repeated position, oppositely labeled positions closer than
+2^-1021 and a roughness that overflows raise DuplicatePointError.  Both
+:func:`fit_spline` and :meth:`SplineState.add` call it on the labeled set,
+so both raise at the same label with the same error.  A function score that
+overflows raises the roughness's DuplicatePointError in both the state and
+the reference.
 """
 
 from __future__ import annotations
@@ -74,26 +76,32 @@ _STEEP = "oppositely labeled positions are numerically indistinguishable"
 _OVERFLOW = "the roughness overflows: oppositely labeled positions are too close"
 
 
-def _pad(lo, hi) -> float:
-    """The boundary knots' distance ``max(1, span)`` from the labeled span
-    ``[lo, hi]``; ValueError when a boundary knot would overflow."""
-    lo, hi = float(lo), float(hi)
-    pad = max(1.0, hi - lo)
+def _knots(positions: np.ndarray, values: np.ndarray):
+    """Knots, knot values, slopes and roughness of the spline through sorted
+    ``positions``: the one rule for which labeled sets define a spline, so
+    :func:`fit_spline` and :meth:`SplineState.add` raise at the same label.
+
+    The boundary knots lie ``max(1, span)`` beyond the labeled span, and at
+    least two ulps of its larger end, which a pad of 1 is not from about
+    |x| = 2^53; ValueError when one overflows.  Then DuplicatePointError for a
+    repeated position, for adjacent oppositely labeled positions closer than
+    2^-1021, and when the roughness overflows: close oppositely labeled pairs
+    can each pass the pair rule yet sum past it."""
+    lo, hi = float(positions[0]), float(positions[-1])
+    pad = max(1.0, hi - lo, 2 * math.ulp(max(abs(lo), abs(hi))))
     if not (math.isfinite(lo - pad) and math.isfinite(hi + pad)):
         raise ValueError(f"the labeled span [{lo!r}, {hi!r}] is too wide: "
                          "its boundary knots overflow")
-    return pad
-
-
-def _knots(positions: np.ndarray, values: np.ndarray):
-    """Knots, knot values, slopes and roughness of the spline through sorted,
-    distinct ``positions``.  ValueError when a boundary knot overflows
-    (:func:`_pad`); DuplicatePointError when the roughness overflows: close
-    oppositely labeled pairs can each pass the pair rule yet sum past it."""
-    pad = _pad(positions[0], positions[-1])
-    knots = np.concatenate([[positions[0] - pad], positions, [positions[-1] + pad]])
-    knot_values = np.concatenate([[values[0]], values, [values[-1]]])
     # Differences by slices: np.diff's arithmetic without its call overhead.
+    gaps = positions[1:] - positions[:-1]
+    close = gaps < _MIN_OPPOSITE_GAP
+    if close.any():
+        if not gaps.all():
+            raise DuplicatePointError("labeled positions must be distinct")
+        if (values[1:][close] != values[:-1][close]).any():
+            raise DuplicatePointError(_STEEP)
+    knots = np.concatenate([[lo - pad], positions, [hi + pad]])
+    knot_values = np.concatenate([[values[0]], values, [values[-1]]])
     slopes = (knot_values[1:] - knot_values[:-1]) / (knots[1:] - knots[:-1])
     ext = np.concatenate([[0.0], slopes, [0.0]])
     with np.errstate(over="ignore"):
@@ -132,14 +140,6 @@ class SplineInterpolator:
         order = np.argsort(positions)
         positions = positions[order]
         values = values[order].astype(float)
-        _pad(positions[0], positions[-1])
-        gaps = np.diff(positions)
-        close = gaps < _MIN_OPPOSITE_GAP
-        if close.any():
-            if not gaps.all():
-                raise DuplicatePointError("labeled positions must be distinct")
-            if (values[1:][close] != values[:-1][close]).any():
-                raise DuplicatePointError(_STEEP)
         self.positions = positions
         self.values = values
         self.knots, self.knot_values, self.slopes, self.weight_norm = _knots(positions, values)
@@ -285,20 +285,12 @@ class SplineState(SortedIntervals):
         if label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {label}")
         r = self._rank[i]
-        # Equal points have adjacent ranks: a repeat is a (labeled) neighbour of r.
+        # The labeled ranks with r, in order: equal points have adjacent ranks,
+        # so a repeat of r is its labeled neighbour, a zero gap for _knots.
         k = bisect.bisect(self._labeled, r)
-        lo, hi = self._labeled[k - 1], self._labeled[k]
-        x, y = self._x, self._y
-        ranks = self._labeled[1:k] + [r] + self._labeled[k:-1]
-        _pad(x[ranks[0]], x[ranks[-1]])  # SplineInterpolator's order of checks
-        if x[r] in (x[lo], x[hi]):
-            raise DuplicatePointError("labeled positions must be distinct")
-        # SplineInterpolator's test on both new pairs; a sentinel is infinitely far.
-        if (label != y[lo] and x[r] - x[lo] < _MIN_OPPOSITE_GAP
-                or label != y[hi] and x[hi] - x[r] < _MIN_OPPOSITE_GAP):
-            raise DuplicatePointError(_STEEP)
-        ranks = np.array(ranks)
-        self.weight_norm = _knots(x[ranks], np.where(ranks == r, label, y[ranks]))[3]
+        ranks = np.array(self._labeled[1:k] + [r] + self._labeled[k:-1])
+        x = self._x
+        self.weight_norm = _knots(x[ranks], np.where(ranks == r, label, self._y[ranks]))[3]
         self._repeated |= x[r] in (x[r - 1], x[r + 1])
         self._split(i, label)
 

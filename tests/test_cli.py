@@ -101,9 +101,13 @@ class TestGen:
         ("threshold", {"n": 50, "k": True}, "k must be an integer, got True"),
         ("threshold", {"n": "50", "k": 2}, "n must be an integer, got '50'"),
         ("threshold", {"n": 50, "k": 2.0}, r"k must be an integer, got 2\.0"),
+        ("threshold", None, r"No such file or directory: .*spec\.json"),
     ])
     def test_malformed_spec_names_the_key(self, tmp_path, capsys, task, spec, match):
-        spec_path = write_json(tmp_path / "spec.json", spec)
+        # A spec of None is a spec file that does not exist.
+        spec_path = str(tmp_path / "spec.json")
+        if spec is not None:
+            write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "data.csv"
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--task", task, "--spec", spec_path, "--out", str(out)])
@@ -148,9 +152,12 @@ class TestRun:
     ({"task": {"kind": "threshold", "n": 64.5, "k": 2}}, "n must be an integer, got 64.5"),
     ({"task": {"kind": "threshold", "n": 64, "k": "2"}}, "k must be an integer, got '2'"),
     ({"task": {"kind": "threshold", "n": False, "k": 2}}, "n must be an integer, got False"),
+    (None, r"No such file or directory: .*missing\.json"),
 ])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):
-    config = run_config(tmp_path, **overrides)
+    # Overrides of None stand for a config file that does not exist.
+    config = (str(tmp_path / "missing.json") if overrides is None
+              else run_config(tmp_path, **overrides))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*command, "--config", config, "--out", str(out)])
@@ -173,11 +180,15 @@ CLUSTERS = {"kind": "clusters", "centers": [[0.0, 0.0], [1.0, 1.0]], "radii": [0
      r"holdout 0\.001 of 300 rows leaves no test row"),
     ({"task": CLUSTERS, "model": {"kind": "spline"}}, "the spline model is 1-D only"),
     ({"task": CLUSTERS, "init": "extremes"}, "extremes initialization requires a 1-D task"),
+    ({"task": {"kind": "csv", "path": "no/such/data.csv"}},
+     r"No such file or directory: 'no/such/data\.csv'"),
 ])
 def test_config_its_task_cannot_run_is_one_error_line(tmp_path, capsys, command, overrides,
                                                       match):
-    # Valid configs that fail only once the task is built.
-    if overrides.get("task", {}).get("kind") == "csv":
+    # Valid configs that fail only once the task is built; a csv task without
+    # a path reads a 300-row file written here.
+    task = overrides.get("task", {})
+    if task.get("kind") == "csv" and "path" not in task:
         x = np.linspace(0.0, 1.0, 300)[:, None]
         write_dataset_csv(tmp_path / "data.csv", x, np.where(x[:, 0] > 0.4, 1, -1))
         overrides = {"task": {**overrides["task"], "path": str(tmp_path / "data.csv")}}

@@ -645,9 +645,9 @@ class TestSummarize:
     def test_single_record_matches_itself(self):
         record = run_experiment(threshold_config(budget=10))
         summary = summarize([record])
-        assert summary.n_runs == 1
-        assert summary.median_error == record.train_errors
-        assert summary.queries_to_zero == [record.queries_to_zero]
+        assert summary["n_runs"] == 1
+        assert summary["median_error"] == record.train_errors
+        assert summary["queries_to_zero"] == [record.queries_to_zero]
 
     def test_mixed_task_families_rejected(self):
         a = run_experiment(threshold_config(budget=4))
@@ -667,8 +667,8 @@ class TestSummarize:
                                                seed=5))
         assert len(short.steps) < 50  # the early stop actually triggered
         summary = summarize([short, full])
-        assert len(summary.median_error) == len(full.steps)
-        tail = summary.median_error[-1]
+        assert len(summary["median_error"]) == len(full.steps)
+        tail = summary["median_error"][-1]
         assert tail == np.median([short.train_errors[-1], full.train_errors[-1]])
 
     def test_median_queries_to_zero_ignores_unreached(self):
@@ -676,12 +676,11 @@ class TestSummarize:
                                                    score="function"))
                    for s in range(3)]
         summary = summarize(records)
-        reached = [q for q in summary.queries_to_zero if q is not None]
+        reached = [q for q in summary["queries_to_zero"] if q is not None]
         if reached:
-            assert summary.median_queries_to_zero == np.median(reached)
-        to_dict = summary.to_dict()
-        assert to_dict["unreached_runs"] == sum(
-            q is None for q in summary.queries_to_zero)
+            assert summary["median_queries_to_zero"] == np.median(reached)
+        assert summary["unreached_runs"] == sum(
+            q is None for q in summary["queries_to_zero"])
 
     def test_cluster_std_reported(self):
         records = [run_experiment(ExperimentConfig(
@@ -689,6 +688,6 @@ class TestSummarize:
             model=ModelConfig("kernel", h=0.2, p=2.0), budget=5, seed=s))
             for s in (1, 2)]
         summary = summarize(records)
-        assert summary.cluster_count_std is not None
-        assert summary.cluster_count_std[0] == pytest.approx(
+        assert summary["cluster_count_std"] is not None
+        assert summary["cluster_count_std"][0] == pytest.approx(
             np.std(records[0].per_cluster_counts))

@@ -53,3 +53,16 @@ def test_readme_quick_start_runs_and_brackets_the_boundary(capsys):
     queried = ast.literal_eval(capsys.readouterr().out.strip().splitlines()[-1])
     assert any(0.355 <= x < 0.37 for x in queried)
     assert any(0.37 <= x <= 0.385 for x in queried)
+
+
+def test_src_lines_total_is_wc_l():
+    # tools/src_lines.py's physical total is what `wc -l` prints for the
+    # library's modules, and its code lines are fewer.
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(str(p) for p in (root / "src" / "maximin_al").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *modules], capture_output=True, text=True, check=True)
+    counted = subprocess.run([sys.executable, str(root / "tools" / "src_lines.py")],
+                             capture_output=True, text=True, check=True)
+    physical, code, name = counted.stdout.splitlines()[-1].split()
+    assert name == "total" and int(physical) == int(wc.stdout.split()[-2])
+    assert 0 < int(code) < int(physical)

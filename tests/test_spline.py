@@ -6,6 +6,7 @@ the closed-form values of isolated configurations.
 """
 
 import copy
+import math
 import re
 
 import numpy as np
@@ -380,12 +381,16 @@ def state_cases(draw):
 
 @st.composite
 def label_orders(draw):
-    """Distinct 1-D points, floats of any scale or on a 2^-30 grid, their labels,
-    an order that labels the two extremes first and the rest at random, a
-    score kind and a generator seed."""
+    """Distinct 1-D points, on a 2^-30 grid, floats in [-1e3, 1e3] or a few ulps
+    apart at |a| from 2^53 to 1e17 (spans below 1e6, where a pad of 1 rounds
+    away), their labels, an order that labels the two extremes first and the
+    rest at random, a score kind and a generator seed."""
     grid = st.integers(0, 2**30).map(lambda k: k / 2**30)
     floats = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
-    x = np.array(draw(st.lists(draw(st.sampled_from([grid, floats])), min_size=2,
+    a = draw(st.floats(2.0**53, 1e17)) * draw(st.sampled_from([-1, 1]))
+    b = draw(st.integers(1, 8)) * math.ulp(a)
+    far = st.integers(0, 2**12).map(lambda k: a + k * b)
+    x = np.array(draw(st.lists(draw(st.sampled_from([grid, floats, far])), min_size=2,
                                max_size=40, unique=True)))
     assume(len(np.unique(x)) == len(x))
     y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=len(x), max_size=len(x))))
@@ -539,15 +544,20 @@ class TestSplineState:
     def test_roughness_and_select_follow_every_label(self, case):
         # After every label the state's roughness is the refit spline's, bit
         # for bit, and select is pick on scores() with the same draw; a label
-        # whose spline is undefined raises the same error in both.
+        # whose spline is undefined raises the same error in both, and the
+        # state is left as it was.
         x, y, order, kind, seed = case
         state, rng = SplineState(x, kind), np.random.default_rng(seed)
         for step, i in enumerate(order, start=1):
             try:
                 m = fit_spline(x[order[:step]], y[order[:step]])
-            except DuplicatePointError as err:
-                with pytest.raises(DuplicatePointError, match=re.escape(str(err))):
+            except ValueError as err:
+                before = copy.deepcopy(state)
+                with pytest.raises(ValueError) as raised:
                     state.add(i, int(y[i]))
+                assert (type(raised.value), str(raised.value)) == (type(err), str(err))
+                for name, value in vars(before).items():
+                    np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
                 return
             state.add(i, int(y[i]))
             assert state.weight_norm == m.weight_norm
@@ -630,3 +640,33 @@ class TestSplineState:
             np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
         state.add(1, -1)
         assert state.weight_norm == fit_spline(x[[0, 1]], [1, -1]).weight_norm
+
+    @pytest.mark.parametrize("x", [2.0**53, -1e16, 1e300, -1e308])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_a_lone_label_far_from_zero_is_flat(self, x, kind):
+        # From about 2^53 on a pad of 1 rounds away: a boundary knot would
+        # land on x and a slope read 0/0.  The pad is at least two ulps of x,
+        # so the spline is 1 everywhere, its roughness 0, and nothing warns
+        # (the suite turns RuntimeWarnings into errors).
+        m = fit_spline([x], [1])
+        assert m.weight_norm == 0.0 and len(set(m.knots)) == 3
+        assert np.all(m.predict([x, -x, 0.0, np.nextafter(x, 0.0), -1.7e308, 1.7e308]) == 1)
+        state = SplineState([x, 0.0], kind)
+        state.add(0, 1)
+        assert state.weight_norm == 0.0
+        with pytest.raises(OutOfRangeError):
+            state.scores()
+
+    @pytest.mark.parametrize("x", [np.finfo(float).max, -np.finfo(float).max])
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_a_lone_label_at_the_largest_float_is_too_wide(self, x, kind):
+        # Two ulps beyond the largest float overflows: the span error, in both.
+        with pytest.raises(ValueError, match="labeled span") as err:
+            fit_spline([x], [1])
+        assert not isinstance(err.value, DuplicatePointError)
+        state = SplineState([x, 0.0], kind)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
+            state.add(0, 1)
+        for name, value in vars(before).items():
+            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
