@@ -7,9 +7,8 @@ The package provides the kernel and linear-spline models, both selection
 scores (with closed-form interval-local states for 1-D runs), synthetic task
 generators, and a reproducible experiment harness with a CLI (``maximin-al``).
 
-The package logs through the ``maximin_al`` logger, which has a
-``NullHandler`` and so prints nothing unless the application configures
-logging; :func:`fit` logs each jitter escalation at DEBUG.
+The package's ``maximin_al`` logger has a ``NullHandler``, so what it logs
+prints nothing unless the application configures logging.
 """
 
 import logging

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import acceptance
@@ -34,24 +35,25 @@ def _parse_seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load(load, *args):
-    """``load(*args)``; a malformed config or spec, or a run that its task
-    cannot hold (ValueError), or a file that cannot be read (OSError), is
-    reported in one line with exit status 2, as argparse reports a bad flag."""
+@contextmanager
+def _one_error_line():
+    """Report a malformed config or spec, or a run that its task cannot hold
+    (ValueError), or a file that cannot be read or written (OSError), in one
+    line with exit status 2, as argparse reports a bad flag."""
     try:
-        return load(*args)
+        yield
     except (ValueError, OSError) as error:
         print(f"maximin-al: error: {error}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(ExperimentConfig.from_json, args.config)
-    record = _load(run_experiment, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    record.write_trace(out / "trace.csv")
-    record.write_summary(out / "summary.json")
+    with _one_error_line():
+        record = run_experiment(ExperimentConfig.from_json(args.config))
+        out.mkdir(parents=True, exist_ok=True)
+        record.write_trace(out / "trace.csv")
+        record.write_summary(out / "summary.json")
     print(f"wrote {out / 'trace.csv'} ({len(record.steps)} steps), "
           f"queries_to_zero={record.queries_to_zero}, "
           f"final_error={record.final_error:.4f}")
@@ -59,16 +61,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load(ExperimentConfig.from_json, args.config)
     out = Path(args.out)
     records = []
-    for seed in _parse_seed_range(args.seeds):
-        record = _load(run_experiment, base.with_seed(seed))
-        out.mkdir(parents=True, exist_ok=True)
-        record.write_trace(out / f"trace_seed{seed}.csv")
-        records.append(record)
-    summary = summarize(records)
-    _write_json(out / "summary.json", summary)
+    with _one_error_line():
+        base = ExperimentConfig.from_json(args.config)
+        for seed in _parse_seed_range(args.seeds):
+            record = run_experiment(base.with_seed(seed))
+            out.mkdir(parents=True, exist_ok=True)
+            record.write_trace(out / f"trace_seed{seed}.csv")
+            records.append(record)
+        summary = summarize(records)
+        _write_json(out / "summary.json", summary)
     print(f"swept {len(records)} seeds; median queries_to_zero="
           f"{summary['median_queries_to_zero']}")
     return 0
@@ -85,10 +88,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    task = _load(lambda: {**_check_object("spec", json.loads(Path(args.spec).read_text())),
-                          "kind": args.task})
-    points, labels, _ = _load(sample_task, task, args.seed)
-    write_dataset_csv(args.out, points, labels)
+    with _one_error_line():
+        spec = _check_object("spec", json.loads(Path(args.spec).read_text()))
+        points, labels, _ = sample_task({**spec, "kind": args.task}, args.seed)
+        write_dataset_csv(args.out, points, labels)
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
 

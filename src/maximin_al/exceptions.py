@@ -14,7 +14,7 @@ class EmptyPoolError(ValueError):
 
 
 class ConditioningError(RuntimeError):
-    """The kernel matrix stayed numerically singular beyond the jitter budget.
+    """The kernel matrix does not factor, or its solve misses the residual bound.
 
     Attributes
     ----------

@@ -21,8 +21,8 @@ explicitly seeded selection routines, never here.
 In 1-D with ``p = 1`` the kernel is the Ornstein-Uhlenbeck covariance, which
 is Markov (Hartikainen & Sarkka, 2010): between two adjacent labeled points
 ``x_j < x < x_{j+1}`` every term of ``f`` lies in span{e^{x/h}, e^{-x/h}}, so
-the values ``v = f(X_L) = y - jitter * alpha`` at the two ends fix ``f``
-there.  With ``a = (x - x_j)/h`` and ``b = (x_{j+1} - x)/h``,
+the values ``v = f(X_L) = y`` at the two ends fix ``f`` there.  With
+``a = (x - x_j)/h`` and ``b = (x_{j+1} - x)/h``,
 
     f(x) = [v_j e^{-a} (1 - e^{-2b}) + v_{j+1} e^{-b} (1 - e^{-2a})] / (1 - e^{-2(a+b)}),
 
@@ -42,18 +42,12 @@ and where distances in d > 1 are taken, so importing the package, and the
 
 from __future__ import annotations
 
-import logging
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConditioningError, DuplicatePointError
-
-_log = logging.getLogger(__name__)
-
-# Escalating diagonal jitter used before declaring the system singular.
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 # Residual tolerance for accepting a solve, max-norm of K @ alpha - y.
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -211,10 +205,13 @@ def markov_1d(knots: np.ndarray, values: np.ndarray, x: np.ndarray,
     # Beyond 750 h from every knot each kernel term underflows to 0, as the
     # dense path's do; clipping there keeps infinite queries finite.
     x = np.clip(x, knots[1] - 750.0 * h, knots[-2] + 750.0 * h)
-    # Knots closer than 1e-150 h (only a jittered fit has them) would put
-    # subnormal numbers into the formula.  f moves by at most
-    # ||alpha||_1 * gap / h across such an interval, so it takes the value
-    # of its left knot there.
+    # Knots closer than 1e-150 h would put subnormal numbers into the
+    # formula.  The states' Schur floor keeps their knots about 5e-13 h
+    # apart, but fit can hold such knots: with equal labels, rounding can let
+    # the Cholesky factorization of two nearly equal rows through (0 and
+    # 5e-324 after a point at 0.75, h = 0.5).  f moves by at most
+    # ||alpha||_1 * gap / h across such an interval, so it takes the value of
+    # its left knot there.
     gap = np.diff(knots) / h
     narrow = gap < 1e-150
     scale = np.expm1(-2.0 * np.where(narrow, 1.0, gap))  # e^{-2(a+b)} - 1
@@ -238,12 +235,10 @@ class KernelInterpolator:
     """
 
     def __init__(self, base: LabeledSet, config: KernelConfig, chol: np.ndarray,
-                 coefficients: np.ndarray, norm_sq: float, jitter: float,
-                 half_labels: np.ndarray):
+                 coefficients: np.ndarray, norm_sq: float, half_labels: np.ndarray):
         self.base = base
         self.config = config
-        self.jitter = jitter
-        self._chol = chol  # lower-triangular factor of K + jitter * I
+        self._chol = chol  # lower-triangular factor of K
         self._half_labels = half_labels  # L^{-1} y, so f(u) = (L^{-1} a_u) @ it
         self.coefficients = coefficients
         self.norm_sq = float(norm_sq)
@@ -252,13 +247,13 @@ class KernelInterpolator:
     def empty(cls, config: KernelConfig, dim: int = 1) -> "KernelInterpolator":
         """The zero interpolant of an empty labeled set (``f == 0``)."""
         base = LabeledSet(np.empty((0, dim)), np.empty(0, dtype=int))
-        return cls(base, config, np.empty((0, 0)), np.empty(0), 0.0, 0.0, np.empty(0))
+        return cls(base, config, np.empty((0, 0)), np.empty(0), 0.0, np.empty(0))
 
     def __len__(self) -> int:
         return len(self.base)
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Apply ``(K + jitter*I)^{-1}`` to the columns of ``B``."""
+        """Apply ``K^{-1}`` to the columns of ``B``."""
         if len(self) == 0:
             return np.zeros_like(B)
         from scipy.linalg import solve_triangular
@@ -266,7 +261,7 @@ class KernelInterpolator:
         return solve_triangular(self._chol.T, W, lower=False)
 
     def half_solve(self, B: np.ndarray) -> np.ndarray:
-        """Apply ``L^{-1}`` where ``K + jitter*I = L L^T``."""
+        """Apply ``L^{-1}`` where ``K = L L^T``."""
         from scipy.linalg import solve_triangular
         return solve_triangular(self._chol, B, lower=True)
 
@@ -282,8 +277,7 @@ class KernelInterpolator:
         if X.shape[1] == self.base.dim == 1 and self.config.exponent == 1:
             order = np.argsort(self.base.points[:, 0])
             knots = np.concatenate([[-np.inf], self.base.points[order, 0], [np.inf]])
-            values = np.concatenate(
-                [[0.0], (self.base.labels - self.jitter * self.coefficients)[order], [0.0]])
+            values = np.concatenate([[0.0], self.base.labels[order], [0.0]])
             return markov_1d(knots, values, X[:, 0], self.config.bandwidth)
         return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
 
@@ -291,9 +285,8 @@ class KernelInterpolator:
 def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     """Fit the minimum-norm interpolant of a nonempty labeled set.
 
-    Solves ``(K + jitter*I) alpha = y`` by Cholesky factorization with the
-    escalating jitter ladder; the accepted solve satisfies
-    ``max|K alpha - y| <= 1e-8``.
+    Solves ``K alpha = y`` by one Cholesky factorization; the solve is
+    accepted when ``max|K alpha - y| <= 1e-8``.
 
     Raises
     ------
@@ -302,7 +295,7 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
         if the kernel is not positive definite in its dimension
         (:func:`require_positive_definite`).
     ConditioningError
-        If no jitter level yields an acceptable factorization.
+        If ``K`` does not factor or the solve misses the residual bound.
     """
     from scipy.linalg import solve_triangular  # loaded only to factor a kernel system
 
@@ -311,37 +304,25 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     require_positive_definite(labeled.dim, config)
     K = kernel_matrix(labeled.points, labeled.points, config)
     y = labeled.labels.astype(float)
-    last_cond = None
-    for jitter in JITTER_LADDER:
-        if jitter:
-            _log.debug("fit: escalating the diagonal jitter to %g on %d labels",
-                       jitter, len(K))
-        Kj = K + jitter * np.eye(len(K)) if jitter else K
-        try:
-            chol = np.linalg.cholesky(Kj)
-        except np.linalg.LinAlgError:
-            last_cond = float(np.linalg.cond(Kj))
-            continue
+    try:
+        chol = np.linalg.cholesky(K)
         half_labels = solve_triangular(chol, y, lower=True)
         alpha = solve_triangular(chol.T, half_labels, lower=False)
-        # Gate on the residual of the *unjittered* system: jitter may buy a
-        # factorization, but the result must still interpolate the labels.
-        if np.max(np.abs(K @ alpha - y)) <= SOLVE_RESIDUAL_TOL:
-            return KernelInterpolator(labeled, config, chol, alpha,
-                                      float(y @ alpha), jitter, half_labels)
-        last_cond = float(np.linalg.cond(Kj))
-    raise ConditioningError(
-        "kernel system solve failed beyond the jitter budget",
-        condition=last_cond if last_cond is not None else float(np.linalg.cond(K)),
-    )
+        solved = np.max(np.abs(K @ alpha - y)) <= SOLVE_RESIDUAL_TOL
+    except np.linalg.LinAlgError:
+        solved = False
+    if not solved:
+        raise ConditioningError("kernel matrix is numerically singular",
+                                condition=float(np.linalg.cond(K)))
+    return KernelInterpolator(labeled, config, chol, alpha, float(y @ alpha), half_labels)
 
 
 def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
     """Fit of the model's labeled set extended by ``(u, t)``.
 
-    Equivalent to refitting from scratch on the augmented set (same jitter),
-    but performed in O(L^2) by extending the Cholesky factor.  The squared
-    norm grows by exactly ``(1 - t*f(u))^2 / (1 - a_u^T K^{-1} a_u)``.
+    Equivalent to refitting from scratch on the augmented set, but performed
+    in O(L^2) by extending the Cholesky factor.  The squared norm grows by
+    exactly ``(1 - t*f(u))^2 / (1 - a_u^T K^{-1} a_u)``.
 
     Raises
     ------
@@ -356,7 +337,7 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
 
     a = kernel_matrix(base.points[-1:], model.base.points, model.config)[0]
     w = model.half_solve(a)
-    schur = 1.0 + model.jitter - w @ w
+    schur = 1.0 - w @ w
     if schur < SCHUR_FLOOR:
         raise DuplicatePointError(
             "candidate is numerically indistinguishable from a labeled point"
@@ -376,5 +357,4 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
     coeff[n] = gamma
     norm_sq = model.norm_sq + (1.0 - t * f_u) ** 2 / schur
     half_labels = np.append(model._half_labels, (t - f_u) / chol[n, n])
-    return KernelInterpolator(base, model.config, chol, coeff, norm_sq, model.jitter,
-                              half_labels)
+    return KernelInterpolator(base, model.config, chol, coeff, norm_sq, half_labels)

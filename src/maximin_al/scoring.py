@@ -132,8 +132,6 @@ class ScoringState:
     Schneider 2012), its row and column ``u`` are set to zero and the row sums
     of ``R^2`` are recomputed, in O(n^2) with no kernel evaluation.
 
-    The kernel system is unjittered, as in a model grown by
-    :func:`~maximin_al.kernel.augmented_fit` from the empty one.
     ``capacity`` bounds the number of labels (default ``n``).  A state whose
     rows and residual (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
     data score) exceed the physical memory raises MemoryError before it
@@ -459,7 +457,7 @@ def score_pool(model: KernelInterpolator, points,
         A = kernel_matrix(model.base.points, points, model.config)
         C = model.solve(A)
         f = A.T @ model.coefficients
-        schur = 1.0 + model.jitter - np.einsum("ij,ij->j", A, C)
+        schur = 1.0 - np.einsum("ij,ij->j", A, C)
     if kind is ScoreKind.FUNCTION_NORM:
         return _scores_from(kind, f, schur, model.norm_sq)
     # Residual kernel R = K(pool, pool) - A^T K^{-1} A.

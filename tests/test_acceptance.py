@@ -13,7 +13,6 @@ import pytest
 
 from maximin_al import acceptance
 from maximin_al.harness import ModelConfig, _learner
-from maximin_al.kernel import fit
 from maximin_al.scoring import IntervalState, ScoreKind, ScoringState
 from maximin_al.spline import SplineState
 
@@ -76,17 +75,6 @@ def test_rank_one_identity_fails_without_the_schur_downdate(monkeypatch):
         self.schur[:] = schur
     monkeypatch.setattr(ScoringState, "add", add_without_downdate)
     assert not acceptance.check_rank_one_identity(0).passed
-
-
-def test_rank_one_identity_requires_unjittered_refits(monkeypatch):
-    # The state is unjittered, so a refit it is compared with must be too.
-    def jittered_fit(labeled, config):
-        model = fit(labeled, config)
-        model.jitter = 1e-12
-        return model
-    monkeypatch.setattr(acceptance, "fit", jittered_fit)
-    result = acceptance.check_rank_one_identity(0)
-    assert not result.passed and "jittered refits=200" in result.detail
 
 
 def test_midpoint_closed_forms_fail_on_a_wrong_interval_schur(monkeypatch):

@@ -32,6 +32,16 @@ def run_config(tmp_path, **overrides):
     return write_json(tmp_path / "config.json", payload)
 
 
+def assert_one_error_line(capsys, argv, match):
+    """``main(argv)`` exits with status 2 and one stderr line matching ``match``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
+    assert re.search(match, err)
+
+
 class TestSeedRange:
     def test_inclusive_range(self):
         assert _parse_seed_range("2..5") == range(2, 6)
@@ -109,13 +119,16 @@ class TestGen:
         if spec is not None:
             write_json(tmp_path / "spec.json", spec)
         out = tmp_path / "data.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--task", task, "--spec", spec_path, "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
-        assert re.search(match, err)
+        assert_one_error_line(capsys, ["gen", "--task", task, "--spec", spec_path,
+                                       "--out", str(out)], match)
         assert not out.exists()
+
+    def test_output_in_a_missing_directory_is_one_error_line(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {"n": 50, "k": 3})
+        out = tmp_path / "no" / "dir" / "x.csv"
+        assert_one_error_line(capsys, ["gen", "--task", "threshold", "--spec", spec,
+                                       "--out", str(out)],
+                              r"No such file or directory: .*no/dir/x\.csv")
 
 
 class TestRun:
@@ -159,12 +172,7 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides
     config = (str(tmp_path / "missing.json") if overrides is None
               else run_config(tmp_path, **overrides))
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", config, "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
-    assert re.search(match, err)
+    assert_one_error_line(capsys, [*command, "--config", config, "--out", str(out)], match)
     assert not out.exists()
 
 
@@ -194,13 +202,17 @@ def test_config_its_task_cannot_run_is_one_error_line(tmp_path, capsys, command,
         overrides = {"task": {**overrides["task"], "path": str(tmp_path / "data.csv")}}
     config = run_config(tmp_path, **overrides)
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", config, "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("maximin-al: error: ") and err.count("\n") == 1
-    assert re.search(match, err)
+    assert_one_error_line(capsys, [*command, "--config", config, "--out", str(out)], match)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
+def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert_one_error_line(capsys, [*command, "--config", run_config(tmp_path),
+                                   "--out", str(out)], r"File exists: .*out")
+    assert out.read_text() == "kept\n"
 
 
 class TestSweep:

@@ -28,7 +28,7 @@ from maximin_al.kernel import (
     fit,
     kernel_matrix,
 )
-from maximin_al.scoring import ScoreKind, ScoringState
+from maximin_al.scoring import IntervalState, ScoreKind, ScoringState
 
 
 def _fitted(points, labels, config):
@@ -344,18 +344,18 @@ class TestFit:
 
     def test_singular_uninterpolatable_raises_with_condition(self):
         # Points whose kernel rows coincide to the last bit, labels (+1, -1):
-        # no interpolant exists, so every jitter level must be refused.
+        # no interpolant exists, so the fit must be refused.
         labeled = LabeledSet([[0.0], [1e-300]], [1, -1])
         with pytest.raises(ConditioningError) as exc:
             fit(labeled, KernelConfig(1.0, 1.0))
         assert exc.value.condition > 1e8
 
-    def test_singular_but_consistent_labels_fit_via_jitter(self):
-        labeled = LabeledSet([[0.0], [1e-300]], [1, 1])
-        m = fit(labeled, KernelConfig(1.0, 1.0))
-        K = kernel_matrix(labeled.points, labeled.points, m.config)
-        assert np.max(np.abs(K @ m.coefficients - labeled.labels)) <= 1e-8
-        assert m.jitter > 0
+    def test_singular_but_consistent_labels_are_refused(self):
+        # The same numerically singular K with labels (+1, +1): a ridge
+        # (jittered) solve would meet the residual bound, but fit solves K as
+        # given and its Cholesky factorization fails.
+        with pytest.raises(ConditioningError):
+            fit(LabeledSet([[0.0], [1e-300]], [1, 1]), KernelConfig(1.0, 1.0))
 
 
 class TestEvaluate:
@@ -425,13 +425,30 @@ class TestMarkovPredict:
         np.testing.assert_allclose(model.predict(X), dense_predict(model, X),
                                    rtol=0, atol=tol)
 
-    def test_jittered_model(self):
-        model = fit(LabeledSet([[0.0], [1e-300]], [1, 1]), KernelConfig(0.1, 1.0))
-        assert model.jitter > 0
-        X = np.array([[-1.0], [0.0], [5e-301], [1e-300], [0.05], [3.0]])
+    def test_knots_closer_than_1e_150_h(self):
+        # With equal labels, rounding lets this unjittered Cholesky through
+        # although the kernel rows of 0 and 5e-324 are equal.
+        model = fit(LabeledSet([[0.75], [0.0], [5e-324]], [-1, -1, -1]),
+                    KernelConfig(0.5, 1.0))
+        X = np.array([[-1.0], [0.0], [5e-324], [1e-323], [0.3], [0.75], [3.0]])
         tol = 1e-12 * (1.0 + np.sum(np.abs(model.coefficients)))
         np.testing.assert_allclose(model.predict(X), dense_predict(model, X),
                                    rtol=0, atol=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(markov_cases())
+    def test_interval_state_predicts_the_same_bits(self, case):
+        # Both evaluate markov_1d on the labels sorted by position, so a
+        # run's f is the same whether a model or an IntervalState holds it.
+        model, X = case
+        state = IntervalState(model.base.points, model.config, ScoreKind.FUNCTION_NORM)
+        try:
+            for i, y in enumerate(model.base.labels):
+                state.add(i, int(y))
+        except DuplicatePointError:
+            assume(False)
+        X = np.vstack([X, [[-np.inf], [np.inf]]])
+        assert np.array_equal(state.predict(X), model.predict(X))
 
     def test_nonfinite_queries_as_the_dense_path(self):
         model = fit(LabeledSet([[0.0], [0.5]], [1, -1]), KernelConfig(0.2, 1.0))
