@@ -13,7 +13,9 @@ gen    Sample a synthetic task to a CSV dataset (f0..f{d-1},label schema).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -47,10 +49,26 @@ def _one_error_line():
         raise SystemExit(2) from None
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise the OSError that making the directory ``out`` and writing into it
+    would, without making it: a config that fails later leaves no directory,
+    and a bad ``--out`` is reported before any run."""
+    base = out
+    while not base.exists():
+        base = base.parent
+    if not base.is_dir():
+        code = errno.EEXIST if base == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(base))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(base))
+
+
 def _cmd_run(args) -> int:
     out = Path(args.out)
     with _one_error_line():
-        record = run_experiment(ExperimentConfig.from_json(args.config))
+        config = ExperimentConfig.from_json(args.config)
+        _check_out_dir(out)
+        record = run_experiment(config)
         out.mkdir(parents=True, exist_ok=True)
         record.write_trace(out / "trace.csv")
         record.write_summary(out / "summary.json")
@@ -65,7 +83,9 @@ def _cmd_sweep(args) -> int:
     records = []
     with _one_error_line():
         base = ExperimentConfig.from_json(args.config)
-        for seed in _parse_seed_range(args.seeds):
+        seeds = _parse_seed_range(args.seeds)
+        _check_out_dir(out)
+        for seed in seeds:
             record = run_experiment(base.with_seed(seed))
             out.mkdir(parents=True, exist_ok=True)
             record.write_trace(out / f"trace_seed{seed}.csv")

@@ -119,21 +119,33 @@ class ScoringState:
     as :func:`score_pool` rates them on a freshly fitted model (which stays the
     reference).  With ``K(X_L, X_L) = L L^T`` and ``W = L^{-1} K(X_L, X)`` it
     holds ``f = W^T L^{-1} y``, ``S = 1 - ||W[:, x]||^2``, ``||f||^2`` and the
-    rows of ``W``; for the data score also the residual kernel
-    ``R = K(X, X) - W^T W`` (one Fortran-order n-by-n array) and the row sums
-    of ``R^2``.
+    rows of ``W``; for the data score also ``K = K(X, X)``, read-only (one
+    Fortran-order n-by-n array), and the row sums ``r2`` of ``R^2`` for the
+    residual kernel ``R = K - W^T W``, whose rows and columns at labeled
+    points are zero.
 
     Adding a label at ``u`` takes one residual column
     ``c = k(X, u) - W^T W[:, u]`` (``c[u] = S_u``): ``n`` kernel evaluations
     and an O(nL) product.  The new row of ``W`` is ``c / sqrt(S_u)``, ``f``
     gains ``(t - f(u)) / S_u * c`` and ``S`` loses ``c^2 / S_u``, in O(n).  For
-    the data score, ``R`` takes the rank-one downdate ``R - c c^T / S_u`` in
-    place (the Schur-complement step of pivoted Cholesky; Harbrecht, Peters &
-    Schneider 2012), its row and column ``u`` are set to zero and the row sums
-    of ``R^2`` are recomputed, in O(n^2) with no kernel evaluation.
+    the data score ``R`` becomes ``R - c c^T / S_u`` (the Schur-complement
+    step of pivoted Cholesky; Harbrecht, Peters & Schneider 2012), so with
+    ``v = R c = K c - W^T (W c)`` and ``g = c / S_u``, ``W`` the rows before
+    this label,
+
+        r2 += g * (g ||c||^2 - 2 v),   r2[u] = 0,
+
+    one symmetric mat-vec (BLAS ``dsymv``, one triangle of ``K``) and O(nL)
+    work; ``R`` itself is never formed.  The update subtracts nearly equal
+    terms, so the row sums of points next to labels, which are small, lose
+    relative digits; the points that win the selection keep large ones.  Against a dense recompute
+    from ``K - W^T W`` they agree within 2.5e-11 relative at every step of
+    the 39 labels of the 13-ball layout (h = 0.1), 7.4e-12 over the 40 labels
+    of the 5-ball 5-D layout (h = 0.5), and 3.2e-10 over 300 labels on the
+    13-ball layout, where the old in-place downdate of ``R`` kept 1.2e-13.
 
     ``capacity`` bounds the number of labels (default ``n``).  A state whose
-    rows and residual (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
+    rows and kernel (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
     data score) exceed the physical memory raises MemoryError before it
     allocates anything, and one whose kernel is not positive definite in the
     points' dimension raises ValueError
@@ -161,12 +173,12 @@ class ScoringState:
         self._unlabeled = np.ones(n, dtype=bool)
         self._rows = np.empty((capacity, n))
         self._count = 0
-        self._residual = self._r2 = None
+        self._kernel = self._r2 = None
         if kind is ScoreKind.DATA_NORM:
             # K(X, X) is symmetric, so its C-order buffer read transposed is
-            # the Fortran-order array the in-place BLAS downdate needs.
-            self._residual = cross_kernel(points, points, config).T
-            self._r2 = np.einsum("ij,ij->j", self._residual, self._residual)
+            # the Fortran-order array BLAS reads without a copy.
+            self._kernel = cross_kernel(points, points, config).T
+            self._r2 = np.einsum("ij,ij->j", self._kernel, self._kernel)
 
     def add(self, i: int, label: int) -> None:
         """Condition on the label ``label`` at point ``i``.
@@ -184,6 +196,13 @@ class ScoringState:
         s = c[i]
         if s < SCHUR_FLOOR:
             raise DuplicatePointError(_DUPLICATE)
+        if self._kernel is not None:
+            from scipy.linalg.blas import dsymv  # loaded by data-score states only
+            # v = R c with R = K - W^T W, reading one triangle of K.
+            v = dsymv(1.0, self._kernel, c, beta=1.0, y=-(W.T @ (W @ c)), overwrite_y=True)
+            g = c / s
+            self._r2 += g * (g * (c @ c) - 2.0 * v)
+            self._r2[i] = 0.0
         gamma = (label - self.f[i]) / s
         self.norm_sq += (label - self.f[i]) * gamma
         self.f += gamma * c
@@ -191,19 +210,12 @@ class ScoringState:
         np.divide(c, np.sqrt(s), out=self._rows[self._count])
         self._count += 1
         self._unlabeled[i] = False
-        R = self._residual
-        if R is not None:
-            from scipy.linalg.blas import dger  # loaded by data-score states only
-            dger(-1.0 / s, c, c, a=R, overwrite_a=True)
-            R[i, :] = 0.0
-            R[:, i] = 0.0
-            np.einsum("ij,ij->j", R, R, out=self._r2)
 
     def scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Scores and estimated labels of the unlabeled points, in ascending index.
 
-        The data score averages over them: labeled rows of ``R`` are zero, so
-        the row sums of ``R^2`` run over exactly the unlabeled points.
+        The data score averages over them: labeled columns of ``R`` are zero,
+        so the row sums of ``R^2`` run over exactly the unlabeled points.
         """
         pool = self._unlabeled
         mean_r2 = None if self._r2 is None else self._r2[pool] / (len(pool) - self._count)

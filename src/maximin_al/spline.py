@@ -29,7 +29,9 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   one pass over the points instead of one pass per candidate.  The sums are
   divided by ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0
   within about 1e-154 of a labeled point: such a candidate raises
-  DuplicatePointError.
+  DuplicatePointError.  On a labeled interval wider than about 1e154 the
+  squares or their sums overflow instead, and the score raises ValueError
+  naming the interval.
 
 Runs score from a :class:`SplineState`, which keeps these terms per point and
 recomputes them only on the interval a label splits, and its own roughness
@@ -74,6 +76,13 @@ class Uniform1D:
 _MIN_OPPOSITE_GAP = 2.0 ** -1021
 _STEEP = "oppositely labeled positions are numerically indistinguishable"
 _OVERFLOW = "the roughness overflows: oppositely labeled positions are too close"
+
+
+def _too_wide(xl: float, xr: float) -> ValueError:
+    """The error of a data score whose squared distances or hat sums overflow
+    between labeled ``xl`` and ``xr``."""
+    return ValueError(f"the labeled interval [{float(xl)!r}, {float(xr)!r}] is too wide: "
+                      "the data score's squared distances overflow")
 
 
 def _knots(positions: np.ndarray, values: np.ndarray):
@@ -174,6 +183,8 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
     1-D array of points for their empirical measure (EmptyPoolError if it is
     empty).  Candidates must lie strictly inside the labeled hull: one on a
     labeled position raises DuplicatePointError, one outside OutOfRangeError.
+    A data score whose squared distances or hat sums overflow raises
+    ValueError naming the labeled interval.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     # positions[j - 1] < u <= positions[j]: u is a labeled position exactly
@@ -234,14 +245,21 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
     ends = np.searchsorted(pts, hi, side="left")
     offsets = np.concatenate([[0], np.cumsum(ends - starts + 1)])
     rise, fall = np.zeros(offsets[-1]), np.zeros(offsets[-1])
-    for k in np.unique(j):
-        seg, o = pts[starts[k]:ends[k]], offsets[k]
-        np.cumsum((seg - lo[k]) ** 2, out=rise[o + 1:o + 1 + len(seg)])
-        np.cumsum(((hi[k] - seg) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
+    with np.errstate(over="ignore"):
+        for k in np.unique(j):
+            seg, o = pts[starts[k]:ends[k]], offsets[k]
+            np.cumsum((seg - lo[k]) ** 2, out=rise[o + 1:o + 1 + len(seg)])
+            np.cumsum(((hi[k] - seg) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
+        dl, dr = (u - xl) ** 2, (xr - u) ** 2
     at = offsets[j] + np.searchsorted(pts, u, side="left") - starts[j]
-    dl, dr = (u - xl) ** 2, (xr - u) ** 2
     if not (dl.all() and dr.all()):
         raise DuplicatePointError(_DUPLICATE)
+    # Squares, or their sums over an interval, overflow on labeled intervals
+    # wider than about 1e154.
+    finite = np.isfinite([rise[offsets[j + 1] - 1], fall[offsets[j]], dl, dr]).all(axis=0)
+    if not finite.all():
+        k = j[~finite].min()
+        raise _too_wide(lo[k], hi[k])
     return (rise[at] / dl + fall[at] / dr) / len(pts)
 
 
@@ -273,6 +291,7 @@ class SplineState(SortedIntervals):
     def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None):
         x = np.asarray(points, dtype=float).ravel()
         self._repeated, self.weight_norm = False, 0.0
+        self._wide = set()  # left ranks of intervals whose data score overflows
         # The terms by rank; the sentinel ranks stay unused.
         self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
         super().__init__(x, kind, order)
@@ -300,6 +319,9 @@ class SplineState(SortedIntervals):
         if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
             raise OutOfRangeError("candidate lies outside the labeled hull")
         super()._check()
+        if self._wide:
+            lo = min(self._wide)
+            raise _too_wide(self._x[lo], self._x[self._labeled[bisect.bisect(self._labeled, lo)]])
         # The largest function score, R(f) plus the largest key, overflows
         # exactly when one of the reference's does.
         if (self.kind is ScoreKind.FUNCTION_NORM and self.weight_norm
@@ -317,6 +339,7 @@ class SplineState(SortedIntervals):
     def _fill(self, lo: int, hi: int) -> None:
         self._top[lo] = -np.inf
         self._count_low(lo, 0)
+        self._wide.discard(lo)
         if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
             return  # outside the hull, where scores raise, or empty
         u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
@@ -332,6 +355,8 @@ class SplineState(SortedIntervals):
                 rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
                 np.cumsum(dl, out=rise[1:])
                 np.cumsum(dr[::-1], out=fall[:-1][::-1])
+                if not (np.isfinite(rise[-1]) and np.isfinite(fall[0])):
+                    self._wide.add(lo)
                 at = np.searchsorted(u, u, side="left")
                 self._hat[ranks] = rise[at] / dl + fall[at] / dr
             key = self._key[ranks] = self._score(ranks, 0.0, 1)[0]

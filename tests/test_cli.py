@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from maximin_al import acceptance
+from maximin_al import acceptance, cli
 from maximin_al.cli import _parse_seed_range, main
 from maximin_al.harness import load_csv_dataset, write_dataset_csv
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
@@ -207,11 +207,17 @@ def test_config_its_task_cannot_run_is_one_error_line(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
-def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys, command):
+def test_output_path_that_is_a_file_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # --out is a file, or lies below one: reported before any run starts.
+    def no_run(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
     out = tmp_path / "out"
     out.write_text("kept\n")
-    assert_one_error_line(capsys, [*command, "--config", run_config(tmp_path),
-                                   "--out", str(out)], r"File exists: .*out")
+    for below, match in (("", r"File exists: .*out'"), ("sub/dir", r"Not a directory: .*out'")):
+        assert_one_error_line(capsys, [*command, "--config", run_config(tmp_path),
+                                       "--out", str(out / below)], match)
     assert out.read_text() == "kept\n"
 
 

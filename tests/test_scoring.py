@@ -37,7 +37,7 @@ from maximin_al.scoring import (
     sort_order,
 )
 from maximin_al.spline import SplineState, fit_spline
-from maximin_al.synthetic import gen_clusters
+from maximin_al.synthetic import ClusterSpec, gen_clusters
 
 
 def random_model(rng, max_n=20, max_d=3):
@@ -366,6 +366,33 @@ class TestScoringState:
                 except DuplicatePointError:
                     break
                 labeled.append(order[step])
+
+    @pytest.mark.parametrize("layout", ["13 balls", "5 balls in 5-D"])
+    def test_row_sums_follow_a_dense_recompute(self, layout):
+        # The data score's row sums of R^2 come from a recurrence that never
+        # forms R; after every label of a run they must match the row sums of
+        # R = K - W^T W with the labeled rows and columns zeroed.
+        if layout == "13 balls":
+            spec, cfg, budget = cluster_explore_spec(0.1), KernelConfig(0.1, 2.0), 39
+        else:
+            spec = ClusterSpec(3.0 * np.eye(5), [0.125] * 5, [1, -1, 1, -1, 1],
+                               [200] * 5, p=2.0)
+            cfg, budget = KernelConfig(0.5, 2.0), 40
+        pool = gen_clusters(spec, 0)
+        K = kernel_matrix(pool.points, pool.points, cfg)
+        state = ScoringState(pool.points, cfg, ScoreKind.DATA_NORM)
+        rng, labeled = np.random.default_rng(0), []
+        for _ in range(budget):
+            i = state.select(rng).index
+            state.add(i, int(pool.hidden_labels[i]))
+            labeled.append(i)
+            W = state._rows[:len(labeled)]
+            R = K - W.T @ W
+            R[labeled, :] = 0.0
+            R[:, labeled] = 0.0
+            unlabeled = np.setdiff1d(np.arange(len(K)), labeled)
+            np.testing.assert_allclose(state._r2[unlabeled],
+                                       np.einsum("ij,ij->j", R, R)[unlabeled], rtol=1e-10)
 
     def test_capacity_bounds_the_labels(self):
         state = ScoringState([[0.0], [0.5], [1.0]], KernelConfig(0.5),

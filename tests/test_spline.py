@@ -291,6 +291,22 @@ class TestDataNormScore:
         changes = np.sum(np.diff(signs[signs != 0]) != 0)
         assert changes == 1  # rises to the midpoint peak, then falls
 
+    @pytest.mark.parametrize("positions,us,density,span", [
+        ([-1.0, 0.0, 1e200, 2e200], [0.5, 5e199], [1.0, 5e199], "[0.0, 1e+200]"),
+        ([0.0, 1.3e154], [6.5e153], [1.28e154, 1.29e154], "[0.0, 1.3e+154]"),
+    ])
+    def test_squares_that_overflow_name_the_interval(self, positions, us, density, span):
+        # A candidate's squared distance to an end overflows (first case), or
+        # only the density's hat sum does (second case, where each square is
+        # below 1.7e308): one ValueError naming the interval, and no warning.
+        m = fit_spline(positions, [1, 1, -1, -1][:len(positions)])
+        match = re.escape(f"labeled interval {span} is too wide")
+        for call in (lambda: spline_score_pool(m, us, ScoreKind.DATA_NORM, np.array(density)),
+                     lambda: spline_select_next(m, us + density, ScoreKind.DATA_NORM, 0)):
+            with pytest.raises(ValueError, match=match) as err:
+                call()
+            assert not isinstance(err.value, DuplicatePointError)
+
 
 class TestLocality:
     def test_augmented_spline_unchanged_outside_interval(self):
@@ -670,3 +686,25 @@ class TestSplineState:
             state.add(0, 1)
         for name, value in vars(before).items():
             np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+
+    @pytest.mark.parametrize("x", [(0.0, 5e199, 1e200), (-1e200, -7e199, 0.0)])
+    def test_a_data_score_whose_squares_overflow_is_rejected(self, x):
+        # (5e199)^2 overflows: scores and select raise one ValueError naming
+        # the labeled interval, after labels that each went through whole,
+        # and nothing warns (the suite turns RuntimeWarnings into errors).
+        x = np.array(x)
+        state = SplineState(x, ScoreKind.DATA_NORM)
+        state.add(0, 1)
+        state.add(2, -1)
+        span = re.escape(f"labeled interval [{float(x[0])!r}, {float(x[2])!r}] is too wide")
+        for call in (state.scores, lambda: state.select(np.random.default_rng(0))):
+            with pytest.raises(ValueError, match=span) as err:
+                call()
+            assert not isinstance(err.value, DuplicatePointError)
+        # Labeling the middle point leaves two empty intervals: nothing to score.
+        state.add(1, 1)
+        assert state.scores()[0].size == 0
+        function = SplineState(x, ScoreKind.FUNCTION_NORM)
+        function.add(0, 1)
+        function.add(2, -1)
+        assert np.isfinite(function.scores()[0]).all()

@@ -1,4 +1,4 @@
-"""Run a fixed set of experiments and print one sha256 over everything they write.
+"""Run a fixed set of experiments and print two sha256 digests over what they write.
 
 Usage, from the repository root::
 
@@ -6,12 +6,14 @@ Usage, from the repository root::
 
 Each run writes ``trace.csv`` and ``summary.json`` (a run that raises a
 library error writes ``error.txt`` instead) into its own numbered directory
-under ``OUT_DIR``; the digest is taken over those files in run order.
-``OUT_DIR/digests.txt`` gets one line per run: its number, its task kind,
-model, score and seed, and the sha256 of its files, so ``diff`` of two such
-files names the runs that differ.  Two versions of the library that print
-the same digest make the same selections, with the same estimated labels,
-scores and errors, on:
+under ``OUT_DIR``.  The full digest is taken over those files in run order;
+the second digest over the same files with the ``score`` column of each
+``trace.csv`` left out.  ``OUT_DIR/digests.txt`` gets one line per run: its
+number, its task kind, model, score and seed, and both sha256 of its files,
+so ``diff`` of two such files names the runs that differ.  Two versions of
+the library that print the same full digest make the same selections, with
+the same estimated labels, scores and errors; two that print the same second
+digest differ at most in the rounding of the scores.  The runs are:
 
 * the 48-run matrix: threshold n = 1024, k = 5 under the kernel (h = 0.1,
   p = 1) and the spline, budget 70; the 13-ball 2-D layout (h = 0.1, budget
@@ -85,6 +87,13 @@ def tag(cfg: ExperimentConfig) -> str:
     return f"{cfg.task['kind']} {model} {cfg.score} seed={cfg.seed}"
 
 
+def without_scores(data: bytes) -> bytes:
+    """A ``trace.csv``'s bytes with its ``score`` column left out."""
+    rows = [line.split(b",") for line in data.splitlines(keepends=True)]
+    col = rows[0].index(b"score")
+    return b"".join(b",".join(row[:col] + row[col + 1:]) for row in rows)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -93,7 +102,7 @@ def main(argv: list[str]) -> int:
     configs = matrix() + [exp.config for name in workloads.NAMES
                           for exp in workloads.experiments(name, 1)]
     configs += holdout_runs(out / "data")
-    digest, lines = hashlib.sha256(), []
+    digest, unscored, lines = hashlib.sha256(), hashlib.sha256(), []
     for i, cfg in enumerate(configs):
         run_dir = out / f"run{i:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -106,14 +115,20 @@ def main(argv: list[str]) -> int:
             files = [run_dir / "trace.csv", run_dir / "summary.json"]
             record.write_trace(files[0])
             record.write_summary(files[1])
-        run_digest = hashlib.sha256()
+        run_digest, run_unscored = hashlib.sha256(), hashlib.sha256()
         for path in files:
             data = path.read_bytes()
             digest.update(data)
             run_digest.update(data)
-        lines.append(f"run{i:03d} {tag(cfg)} {run_digest.hexdigest()}\n")
+            if path.name == "trace.csv":
+                data = without_scores(data)
+            unscored.update(data)
+            run_unscored.update(data)
+        lines.append(f"run{i:03d} {tag(cfg)} {run_digest.hexdigest()} "
+                     f"{run_unscored.hexdigest()}\n")
     (out / "digests.txt").write_text("".join(lines))
     print(f"{digest.hexdigest()}  {len(configs)} runs")
+    print(f"{unscored.hexdigest()}  {len(configs)} runs, without scores")
     return 0
 
 
