@@ -17,10 +17,14 @@ scored run's state.  A 1-D ``p = 1`` kernel run's ``IntervalState`` is its
 learner: it selects per labeled interval and counts the wrong signs on the
 split interval only; the training error is that count over n, the same
 correctly rounded ratio as a mean over all points.  Every other run's learner
-grows a model per label beside its state (``augmented_fit`` or
-``fit_spline``) and evaluates it once per label, at every point: ``n_wrong``
-and ``f`` read those values, and the benchmark's per-layer counts are taken
-on those calls.  A forced or random pick records the sign of the learner's
+keeps a model beside its state (grown by ``augmented_fit``, read from the
+``SplineState``, or refit by ``fit_spline`` in a random spline run) and
+evaluates it once per label: at every point for the first label and for a
+model a label changes everywhere, else only between the label's labeled
+neighbours, the one span where a spline or a 1-D ``p = 1`` kernel changes.
+``n_wrong`` and ``f`` read those values, bit for bit a full evaluation's,
+and the benchmark's per-layer counts are taken on those calls.  A forced or
+random pick records the sign of the learner's
 ``f`` at the point as its estimated label, so ``predict`` serves only a csv
 holdout; only random picks build the index array of the unlabeled points.
 
@@ -52,6 +56,7 @@ and per-cluster counts when the task is a cluster layout.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass, field, replace
@@ -293,18 +298,37 @@ def scoring_state(model: ModelConfig, points: np.ndarray, kind: ScoreKind, capac
     if model.kind == "spline":
         return spline.SplineState(points[:, 0], kind, order)
     config = KernelConfig(bandwidth=model.h, exponent=model.p)
-    if points.shape[1] == 1 and model.p == 1:
+    if _local(model, points.shape[1]):
         return scoring.IntervalState(points, config, kind, order, oracle)
     return scoring.ScoringState(points, config, kind, capacity)
 
 
+def _local(model: ModelConfig, dim: int) -> bool:
+    """Whether a label changes the model only between its labeled neighbours:
+    true of the spline, and of the kernel of 1-D points with ``p = 1``, which
+    is Markov (Hartikainen & Sarkka, 2010)."""
+    return model.kind == "spline" or (dim == 1 and model.p == 1)
+
+
 class _ModelLearner:
-    """A learner that grows a model per label beside the run's ``state`` (None
-    for random selection), which selects: the kernel by ``augmented_fit`` from
-    the empty model, the spline by ``fit_spline`` from the labeled points in
-    arrival order.  Each label evaluates the model once, at all n task points
-    sorted by the first coordinate (``order``); ``n_wrong`` counts from those
-    values and ``f`` gathers them by index.  Before any label ``f`` is 0."""
+    """A learner that evaluates a model beside the run's ``state`` (None for
+    random selection), which selects: the kernel grown by ``augmented_fit``
+    from the empty model; the spline a scored run's ``SplineState`` holds, or
+    a random run's ``fit_spline`` on the labeled points in arrival order.  It
+    keeps the model's values at all n task points sorted by the first
+    coordinate (``order``); ``n_wrong`` counts from them and ``f`` gathers
+    them by index.  Before any label ``f`` is 0.
+
+    The first label evaluates the model at every point.  When a label changes
+    the model only between its labeled neighbours (:func:`_local`), the
+    learner keeps the labeled ranks sorted and each later label re-evaluates
+    the points from the left neighbour's rank through the right one's (the
+    pool's end where one is missing).  ``np.interp`` and ``markov_1d`` compute
+    each point from the two knots of its interval alone, and the spline's
+    boundary pads and ``markov_1d``'s clip bounds move only with a new
+    extreme, whose span reaches the pool's end; so the values equal a full
+    ``predict`` bit for bit.  Every other model is evaluated at every point
+    per label."""
 
     def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
                  oracle: np.ndarray):
@@ -315,18 +339,29 @@ class _ModelLearner:
         # The model at the ordered points, and each point's place among them.
         self._values, self._rank = np.zeros(len(points)), np.empty(len(points), dtype=np.intp)
         self._rank[order] = np.arange(len(points))
-        self._labeled, self._labels = [], []  # the spline's, in arrival order
+        # The labeled ranks, increasing, when a label changes the model locally,
+        # between bounds 0 and n: a span reaching one runs to the pool's end.
+        self._ranks = [0, len(points)] if _local(model, points.shape[1]) else None
+        self._labeled, self._labels = [], []  # a random spline run's, in arrival order
 
     def add(self, i: int, label: int) -> None:
-        if self._spline:
+        if not self._spline:
+            self.model = augmented_fit(self.model, self.points[i], label)
+        elif self.state is None:
             self._labeled.append(i)
             self._labels.append(label)
             self.model = spline.fit_spline(self.points[self._labeled, 0], self._labels)
-        else:
-            self.model = augmented_fit(self.model, self.points[i], label)
         if self.state is not None:
             self.state.add(i, label)
-        self._values = self.predict(self.ordered)
+            if self._spline:
+                self.model = self.state.spline
+        lo, hi = 0, len(self._values)
+        if self._ranks is not None:
+            r = int(self._rank[i])
+            k = bisect.bisect(self._ranks, r)
+            lo, hi = self._ranks[k - 1], self._ranks[k] + 1
+            self._ranks.insert(k, r)
+        self._values[lo:hi] = self.predict(self.ordered[lo:hi])
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         """The model at the rows of ``points``; the spline's needs a label."""

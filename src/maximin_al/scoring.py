@@ -32,10 +32,11 @@ call; they are the reference the states are tested against.  All turn
 The 1-D states (:class:`SortedIntervals`) also select per labeled interval:
 each keeps every point's score less its common term (its *key*) and each
 interval's largest key, scans the L + 1 maxima, and reads keys only between
-the first and the last interval that may reach the best.  It rescores exactly
-only the points whose key, turned into a score, lies within the tie
-tolerance plus a few-ulp rounding slack of the best, and hands them in
-ascending index to :func:`pick`.  The rounding from key to score is exact or
+the first and the last interval that may reach the best.  It keeps only the
+points whose key, turned into a score, lies within the tie tolerance plus a
+few-ulp rounding slack of the best, and draws among them in ascending index
+as :func:`pick` does: from their exact scores, which for the function score
+are the keys turned into scores.  The rounding from key to score is exact or
 within a few ulps, so those points hold the whole pool's tie set, and the
 pick, its index, score and random draw equal :func:`pick` on every unlabeled
 point's scores.  A step then costs O(n_b + L) instead of O(n) when the best
@@ -306,12 +307,16 @@ class SortedIntervals:
         """``pick(*self.scores(), rng)`` with the point's index, in O(n_b + L).
 
         A key turned into a score (``offset + key`` or ``key / m``) is the
-        point's score exactly for the function score (rounding a sum is
-        monotone) and within a few ulps of it for the data score, so the points
-        that pass the cut hold the whole pool's tie set (see the module
-        docstring).  O(L + n_c) for L labels and the n_c points from the first to
-        the last interval that may reach the best.  Raises where :meth:`scores`
-        would, and EmptyPoolError if no point is left.
+        point's score exactly for the function score (it is the score's own
+        expression) and within a few ulps of it for the data score, so the
+        points that pass the cut hold the whole pool's tie set (see the module
+        docstring).  The function score draws among them from ``offset + key``
+        and scores the chosen point alone; the data score rescores them all.
+        O(L + n_c) for L labels and the n_c points from the first to the last
+        interval that may reach the best, plus putting the kept points in
+        index order: a sort when they are few, an O(n) mask when they are many.
+        Raises where :meth:`scores` would, and EmptyPoolError if no point is
+        left.
         """
         self._check()
         m = len(self._order) + 2 - len(self._labeled)
@@ -329,9 +334,22 @@ class SortedIntervals:
         kept = (near >= cut).nonzero()[0]
         lo, hi = self._labeled[kept[0]] + 1, self._labeled[kept[-1] + 1]
         ranks = lo + (as_score(self._key[lo:hi]) >= cut).nonzero()[0]
-        idx = np.sort(self._order[ranks - 1])
-        chosen = pick(*self._score(self._rank[idx], offset, m), rng)
-        return ScoredCandidate(int(idx[chosen.index]), chosen.label, chosen.score)
+        # The candidates in ascending index: sorted when few, by a mask over
+        # the points when many (a tie across the pool), which is cheaper there.
+        idx, n = self._order[ranks - 1], len(self._order)
+        if 8 * len(idx) > n:
+            mark = np.zeros(n, dtype=bool)
+            mark[idx] = True
+            idx = mark.nonzero()[0]
+        else:
+            idx = np.sort(idx)
+        ranks = self._rank[idx]
+        # offset + key is the function score's own expression, so only the
+        # chosen point needs its label; the data score is rescored exactly.
+        exact = self.kind is ScoreKind.FUNCTION_NORM
+        j = _draw(as_score(self._key[ranks]) if exact else self._score(ranks, offset, m)[0], rng)
+        score, label = self._score(ranks[j:j + 1], offset, m)
+        return ScoredCandidate(int(idx[j]), int(label[0]), float(score[0]))
 
 
 class IntervalState(SortedIntervals):
@@ -487,11 +505,16 @@ def pick(scores: np.ndarray, labels: np.ndarray, rng_seed) -> ScoredCandidate:
     (an int seed or a ``numpy.random.Generator``); no draw is made when the
     maximum is unique.  Deterministic given the seed and inputs.
     """
+    index = _draw(scores, rng_seed)
+    return ScoredCandidate(index, int(labels[index]), float(scores[index]))
+
+
+def _draw(scores: np.ndarray, rng_seed) -> int:
+    """The position :func:`pick` chooses in ``scores``: the one tie-breaking argmax."""
     best = np.max(scores)
     tied = (scores >= best - TIE_TOLERANCE).nonzero()[0]
     rng = np.random.default_rng(rng_seed)
-    index = int(tied[rng.integers(len(tied))]) if len(tied) > 1 else int(tied[0])
-    return ScoredCandidate(index, int(labels[index]), float(scores[index]))
+    return int(tied[rng.integers(len(tied))]) if len(tied) > 1 else int(tied[0])
 
 
 def select_next(model: KernelInterpolator, points, kind: ScoreKind,

@@ -34,8 +34,9 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   naming the interval.
 
 Runs score from a :class:`SplineState`, which keeps these terms per point and
-recomputes them only on the interval a label splits, and its own roughness
-``R(f)``, so it needs no fitted spline; :func:`spline_score_pool` and
+recomputes them only on the interval a label splits, and the knots and
+roughness ``R(f)`` of its labels, so a scored run fits no spline: its learner
+reads the state's :attr:`~SplineState.spline`; :func:`spline_score_pool` and
 :func:`spline_select_next` score a pool from a fitted spline and are its
 reference.  One function, ``_knots``, decides which labeled sets define a
 spline: a labeled span so wide that a boundary knot overflows raises
@@ -147,11 +148,19 @@ class SplineInterpolator:
         if not np.all((values == 1) | (values == -1)):
             raise ValueError("values must be +1 or -1")
         order = np.argsort(positions)
-        positions = positions[order]
-        values = values[order].astype(float)
-        self.positions = positions
-        self.values = values
-        self.knots, self.knot_values, self.slopes, self.weight_norm = _knots(positions, values)
+        self._set_knots(*_knots(positions[order], values[order].astype(float)))
+
+    @classmethod
+    def _from_knots(cls, knots, knot_values, slopes, weight_norm: float) -> "SplineInterpolator":
+        """The spline of ``_knots``'s result, with no sort and no check."""
+        spline = cls.__new__(cls)
+        spline._set_knots(knots, knot_values, slopes, weight_norm)
+        return spline
+
+    def _set_knots(self, knots, knot_values, slopes, weight_norm: float) -> None:
+        self.knots, self.knot_values, self.slopes = knots, knot_values, slopes
+        self.positions, self.values = knots[1:-1], knot_values[1:-1]
+        self.weight_norm = weight_norm
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -282,15 +291,17 @@ class SplineState(SortedIntervals):
     """Spline scores of fixed 1-D points, recomputed only on the interval a label splits.
 
     It keeps the terms of :func:`spline_score_pool` (the reference) per point,
-    and the roughness ``weight_norm``, recomputed per label by the expression
-    of ``fit_spline`` on the labeled points, bit for bit.  So :meth:`scores`
-    equals the reference on the unlabeled points and raises as it does;
-    :meth:`select` picks from them as ``pick`` does on :meth:`scores`.
+    and the knots, knot values, slopes and roughness ``weight_norm`` that
+    ``_knots`` returns per label on the labeled points, as ``fit_spline``
+    computes them, bit for bit; :attr:`spline` is that spline.  So
+    :meth:`scores` equals the reference on the unlabeled points and raises as
+    it does; :meth:`select` picks from them as ``pick`` does on :meth:`scores`.
     """
 
     def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None):
         x = np.asarray(points, dtype=float).ravel()
         self._repeated, self.weight_norm = False, 0.0
+        self.knots = self.knot_values = self.slopes = np.empty(0)
         self._wide = set()  # left ranks of intervals whose data score overflows
         # The terms by rank; the sentinel ranks stay unused.
         self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
@@ -309,9 +320,18 @@ class SplineState(SortedIntervals):
         k = bisect.bisect(self._labeled, r)
         ranks = np.array(self._labeled[1:k] + [r] + self._labeled[k:-1])
         x = self._x
-        self.weight_norm = _knots(x[ranks], np.where(ranks == r, label, self._y[ranks]))[3]
+        self.knots, self.knot_values, self.slopes, self.weight_norm = _knots(
+            x[ranks], np.where(ranks == r, label, self._y[ranks]))
         self._repeated |= x[r] in (x[r - 1], x[r + 1])
         self._split(i, label)
+
+    @property
+    def spline(self) -> SplineInterpolator:
+        """The spline through the labels, as :func:`fit_spline` fits it."""
+        if not len(self.knots):
+            raise ValueError("need at least one labeled point")
+        return SplineInterpolator._from_knots(self.knots, self.knot_values, self.slopes,
+                                      self.weight_norm)
 
     def _check(self) -> None:
         if self._repeated:

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maximin_al import harness, scoring
 from maximin_al.acceptance import cluster_contrast_spec, cluster_explore_spec, first_point_spec
@@ -24,7 +26,7 @@ from maximin_al.harness import (
 )
 from maximin_al.kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit, fit,
                                kernel_matrix)
-from maximin_al.spline import SplineInterpolator, fit_spline
+from maximin_al.spline import SplineInterpolator, SplineState, fit_spline
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 
@@ -435,9 +437,58 @@ LEARNER_LAYOUTS = {
 }
 
 
+def _local_span_sizes(x: np.ndarray, indices, local: bool) -> list[int]:
+    """The number of points a model-backed learner evaluates at each label of
+    ``indices``: all of ``x`` at the first label and when the model changes
+    everywhere; else the points from the largest labeled position below the
+    new one through the smallest above it (no bound where there is none)."""
+    sizes, labeled = [], []
+    for i in indices:
+        below = max((p for p in labeled if p < x[i]), default=-np.inf)
+        above = min((p for p in labeled if p > x[i]), default=np.inf)
+        sizes.append(int(np.count_nonzero((x >= below) & (x <= above)))
+                     if local and labeled else len(x))
+        labeled.append(x[i])
+    return sizes
+
+
+@st.composite
+def _line_learners(draw):
+    """Distinct 1-D points in clusters around up to three centres (negative
+    ones too, spans up to 1e4 times the cluster width), their +-1 labels, a
+    model-backed learner over them and an order to label them in: a random
+    one, or outward from the middle, a new extreme on alternating sides."""
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e4]))
+    centres = draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=3))
+    offsets = draw(st.lists(st.tuples(st.integers(0, len(centres) - 1),
+                                      st.integers(-1000, 1000)), min_size=3, max_size=30))
+    x = np.array([centres[c] + scale * (k / 1000) for c, k in offsets])
+    assume(len(np.unique(x)) == len(x))
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=len(x),
+                                    max_size=len(x))))
+    model, kind = draw(st.sampled_from([
+        (ModelConfig("spline"), None),
+        (ModelConfig("spline"), scoring.ScoreKind.FUNCTION_NORM),
+        (ModelConfig("spline"), scoring.ScoreKind.DATA_NORM),
+        (ModelConfig("kernel", scale, 1.0), None)]))
+    if draw(st.booleans()):
+        labeled = draw(st.permutations(range(len(x))))
+    else:
+        by_x = np.argsort(x)
+        middle = len(x) // 2
+        labeled = [int(by_x[middle + (k + 1) // 2 * (1 if k % 2 else -1)])
+                   for k in range(len(x) - 1)]
+    points = x[:, None]
+    order = scoring.sort_order(x)
+    learner = harness._learner(model, points, kind, len(x), order, labels)
+    return points, labels, learner, labeled
+
+
 class TestLearnerProtocol:
     """Every learner gives the interpolant at each task point by index (``f``);
-    a model-backed learner evaluates its model once per label, on all points."""
+    a model-backed learner evaluates its model at every point for its first
+    label and, when a label changes the model only between its labeled
+    neighbours, on that span alone for the rest."""
 
     @pytest.mark.parametrize("layout", sorted(LEARNER_LAYOUTS))
     def test_model_learner_f_is_predict_at_every_point(self, layout):
@@ -467,12 +518,32 @@ class TestLearnerProtocol:
         assert np.array_equal(scoring.sign_labels(state.f),
                               scoring.sign_labels(state.predict(points)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_line_learners())
+    def test_local_evaluation_equals_predict_at_every_point(self, case):
+        # After every label the kept values are predict at every point, bit
+        # for bit, and a scored spline's state holds fit_spline's spline.
+        points, labels, learner, labeled = case
+        x = points[:, 0]
+        for k, i in enumerate(labeled):
+            learner.add(int(i), int(labels[i]))
+            want = learner.predict(points)
+            assert learner.f.tobytes() == want.tobytes()
+            assert learner.n_wrong == np.count_nonzero((want >= 0) != (labels > 0))
+            if isinstance(learner.state, SplineState):
+                done = list(labeled[:k + 1])
+                fresh = fit_spline(x[done], labels[done])
+                assert learner.state.spline.predict(x).tobytes() == \
+                    fresh.predict(x).tobytes()
+
     @pytest.mark.parametrize("layout", sorted(LEARNER_LAYOUTS))
     @pytest.mark.parametrize("seed", range(2))
     def test_random_runs_evaluate_the_model_once_per_label(self, monkeypatch, layout, seed):
-        # Each label evaluates the model at all n points and nowhere else; a
-        # step's estimated label is the sign of a fresh fit on the labels
-        # before it, at the picked point (0, so +1, before any label).
+        # Each label evaluates the model once: at all n points for the first
+        # label and for a model a label changes everywhere, else on the span
+        # between the label's labeled neighbours.  A step's estimated label is
+        # the sign of a fresh fit on the labels before it, at the picked point
+        # (0, so +1, before any label).
         task, model = LEARNER_LAYOUTS[layout]
         cfg = ExperimentConfig(task=task, model=model, score="random", budget=20, seed=seed)
         rows = []
@@ -490,7 +561,8 @@ class TestLearnerProtocol:
         steps = run_experiment(cfg).steps
         monkeypatch.undo()
         points, oracle = _task_points(cfg)
-        assert rows == [len(points)] * cfg.budget
+        local = model.kind == "spline" or (points.shape[1] == 1 and model.p == 1)
+        assert rows == _local_span_sizes(points[:, 0], [s.index for s in steps], local)
         for k, step in enumerate(steps):
             idx = [s.index for s in steps[:k]]
             if not idx:
