@@ -102,9 +102,10 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def revisions(against: str | None) -> dict:
-    """This tree's commit, whether its tracked files differ from it, and REV's commit."""
+    """This tree's commit, whether the files the benchmark runs differ from
+    it, and REV's commit."""
     return {"head": _git("rev-parse", "HEAD"),
-            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
             "against": None if against is None else _git("rev-parse", against)}
 
 
