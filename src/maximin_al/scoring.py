@@ -39,8 +39,9 @@ as :func:`pick` does: from their exact scores, which for the function score
 are the keys turned into scores.  The rounding from key to score is exact or
 within a few ulps, so those points hold the whole pool's tie set, and the
 pick, its index, score and random draw equal :func:`pick` on every unlabeled
-point's scores.  A step then costs O(n_b + L) instead of O(n) when the best
-scores sit in one interval, as they do between ties.
+point's scores.  A step then scores O(n_b + L) points instead of n when the
+best scores sit in one interval, as they do between ties; only a boolean mask
+over the n points, which puts the kept points in index order, stays O(n).
 
 The 1-D states are pure NumPy; SciPy's BLAS is imported only by the data-score
 :class:`ScoringState`, at its first label.
@@ -304,7 +305,7 @@ class SortedIntervals:
         return self._score(self._rank[unlabeled], self._offset, int(unlabeled.sum()))
 
     def select(self, rng) -> ScoredCandidate:
-        """``pick(*self.scores(), rng)`` with the point's index, in O(n_b + L).
+        """``pick(*self.scores(), rng)`` with the point's index, scoring O(n_b + L) points.
 
         A key turned into a score (``offset + key`` or ``key / m``) is the
         point's score exactly for the function score (it is the score's own
@@ -313,8 +314,8 @@ class SortedIntervals:
         docstring).  The function score draws among them from ``offset + key``
         and scores the chosen point alone; the data score rescores them all.
         O(L + n_c) for L labels and the n_c points from the first to the last
-        interval that may reach the best, plus putting the kept points in
-        index order: a sort when they are few, an O(n) mask when they are many.
+        interval that may reach the best, plus an O(n) mask that puts the kept
+        points in index order.
         Raises where :meth:`scores` would, and EmptyPoolError if no point is
         left.
         """
@@ -334,15 +335,10 @@ class SortedIntervals:
         kept = (near >= cut).nonzero()[0]
         lo, hi = self._labeled[kept[0]] + 1, self._labeled[kept[-1] + 1]
         ranks = lo + (as_score(self._key[lo:hi]) >= cut).nonzero()[0]
-        # The candidates in ascending index: sorted when few, by a mask over
-        # the points when many (a tie across the pool), which is cheaper there.
-        idx, n = self._order[ranks - 1], len(self._order)
-        if 8 * len(idx) > n:
-            mark = np.zeros(n, dtype=bool)
-            mark[idx] = True
-            idx = mark.nonzero()[0]
-        else:
-            idx = np.sort(idx)
+        # The candidates in ascending index, by a mask over the points.
+        mark = np.zeros(len(self._order), dtype=bool)
+        mark[self._order[ranks - 1]] = True
+        idx = mark.nonzero()[0]
         ranks = self._rank[idx]
         # offset + key is the function score's own expression, so only the
         # chosen point needs its label; the data score is rescored exactly.

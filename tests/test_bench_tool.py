@@ -31,33 +31,21 @@ def test_rule_needs_nine_wins_in_ten_and_a_gap_wider_than_the_iqr():
     assert bench.compare(parent, parent, "lower")["wins"] == 0
 
 
-def _run(tmp_path, *extra):
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_paired_run_against_head_compares_both_trees(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench.py"), "--tag", "smoke",
-                    "--workload", "random-1d", "--pairs", "1", "--seconds", "0.5",
-                    "--out", str(out), *extra], check=True, capture_output=True)
-    return json.loads(out.read_text())
-
-
-def test_one_run_writes_every_end_to_end_metric(tmp_path):
-    result = _run(tmp_path)
+                    "--against", "HEAD", "--workload", "random-1d", "--pairs", "1",
+                    "--seconds", "0.5", "--out", str(out)], check=True, capture_output=True)
+    result = json.loads(out.read_text())
     assert {"tag", "revisions", "environment", "pairs", "seed", "seconds",
             "workloads"} <= set(result)
+    assert result["revisions"]["against"] is not None
     assert "blas_threads" in result["environment"]
     workload = result["workloads"]["random-1d"]
     assert set(workload["metrics"]) == METRICS
-    assert set(workload["runs"]) == {"change"}
-    for row in workload["metrics"].values():
-        assert {"better", "unit", "change"} <= set(row)
-    assert workload["runs"]["change"][0]["correct"]
-
-
-@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
-def test_paired_run_against_head_compares_both_trees(tmp_path):
-    result = _run(tmp_path, "--against", "HEAD")
-    assert result["revisions"]["against"] is not None
-    workload = result["workloads"]["random-1d"]
     assert set(workload["runs"]) == {"change", "parent"}
     for row in workload["metrics"].values():
-        assert {"parent", "wins", "pairs", "rule_holds"} <= set(row)
+        assert {"better", "unit", "change", "parent", "wins", "pairs", "rule_holds"} <= set(row)
         assert row["pairs"] == 1
+    assert workload["runs"]["change"][0]["correct"]

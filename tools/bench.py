@@ -2,18 +2,18 @@
 
 Usage, from the repository root::
 
-    python tools/bench.py --tag T [--against REV] [--workload W ...]
+    python tools/bench.py --tag T --against REV [--workload W ...]
                           [--pairs N] [--seed S] [--seconds X] [--out PATH]
 
 Each of the N pairs runs ``perfbench/run.py --workload W --seed S --seconds X``
-in a subprocess once in this tree and, with ``--against``, once in REV, which
+in a subprocess once in this tree and once in REV, which
 ``git archive REV | tar -x`` unpacks into a temporary directory (nothing is
 written to ``.git``).  The tree that runs first alternates from pair to pair.
 Each run's last output line, a JSON object, is stored as it is.
 
 For every workload (by default each one ``BENCHMARK.json`` lists) and each of
 its end-to-end metrics the file gives the change's median and interquartile
-range and, when paired, the parent's, the number of pairs the change wins
+range, the parent's, the number of pairs the change wins
 (strictly better, in the metric's direction) and whether the ten-pair rule
 holds: at least 9 wins in 10 pairs (the same share of N) and a median gap, in
 the better direction, wider than the parent's interquartile range.  The file
@@ -46,7 +46,7 @@ WIN_SHARE = 0.9
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--against", metavar="REV")
+    parser.add_argument("--against", metavar="REV", required=True)
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in SPEC["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
@@ -101,12 +101,12 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "rule_holds": bool(wins >= math.ceil(WIN_SHARE * len(parent)) and gap > width)}
 
 
-def revisions(against: str | None) -> dict:
+def revisions(against: str) -> dict:
     """This tree's commit, whether the files the benchmark runs differ from
     it, and REV's commit."""
     return {"head": _git("rev-parse", "HEAD"),
             "dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
-            "against": None if against is None else _git("rev-parse", against)}
+            "against": _git("rev-parse", against)}
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:
@@ -116,8 +116,7 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         values = {tree: [r["metrics"][name]["value"] for r in rs] for tree, rs in runs.items()}
         row = {"better": better, "unit": runs["change"][0]["metrics"][name]["unit"]}
         row.update({tree: spread(v) for tree, v in values.items()})
-        if "parent" in values:
-            row.update(compare(values["parent"], values["change"], better))
+        row.update(compare(values["parent"], values["change"], better))
         out[name] = row
     return out
 
@@ -131,10 +130,8 @@ def main(argv=None) -> int:
               "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"change": ROOT}
-        if args.against:
-            trees["parent"] = Path(tmp)
-            unpack(args.against, trees["parent"])
+        trees = {"change": ROOT, "parent": Path(tmp)}
+        unpack(args.against, trees["parent"])
         for workload in workloads:
             runs = {tree: [] for tree in trees}
             for k in range(args.pairs):
@@ -145,13 +142,10 @@ def main(argv=None) -> int:
                     runs[tree].append(last)
             result["workloads"][workload] = {"metrics": summarize(runs), "runs": runs}
             for name, row in result["workloads"][workload]["metrics"].items():
-                line = f"{workload} {name}: change {row['change']['median']:.6g}"
-                if "parent" in row:
-                    line += (f", parent {row['parent']['median']:.6g} (IQR "
-                             f"{row['parent']['iqr'][0]:.6g}-{row['parent']['iqr'][1]:.6g}), "
-                             f"{row['wins']}/{row['pairs']} wins, rule "
-                             f"{'holds' if row['rule_holds'] else 'fails'}")
-                print(line, flush=True)
+                print(f"{workload} {name}: change {row['change']['median']:.6g}, parent "
+                      f"{row['parent']['median']:.6g} (IQR {row['parent']['iqr'][0]:.6g}-"
+                      f"{row['parent']['iqr'][1]:.6g}), {row['wins']}/{row['pairs']} wins, "
+                      f"rule {'holds' if row['rule_holds'] else 'fails'}", flush=True)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
