@@ -27,21 +27,28 @@ the values ``v = f(X_L) = y`` at the two ends fix ``f`` there.  With
     f(x) = [v_j e^{-a} (1 - e^{-2b}) + v_{j+1} e^{-b} (1 - e^{-2a})] / (1 - e^{-2(a+b)}),
 
 and beyond the outermost labeled points ``f`` decays as ``v e^{-|x - x_end|/h}``.
-:meth:`KernelInterpolator.predict` evaluates this in O(n log L) with two
-``expm1`` per point instead of the n-by-L kernel matrix; every other case
-takes the dense path.  The same rule gives 1-D ``p = 1`` runs the closed-form
-:class:`~maximin_al.scoring.IntervalState`; all others the generic ``ScoringState``.
+:meth:`KernelInterpolator.predict` evaluates this at m points in O(m log L),
+one binary search and two ``expm1`` per point, from the sorted knots the
+model carries: no pass over the L knots and no m-by-L kernel matrix.  Every
+other case takes the dense path.  The same rule gives 1-D ``p = 1`` runs the
+closed-form :class:`~maximin_al.scoring.IntervalState`; all others the
+generic ``ScoringState``.
 
 Runs score from those states; a model grown by :func:`augmented_fit` gives
 ``f`` to random runs and to those with d > 1 or p != 1, and :func:`fit` is the
-acceptance checks' oracle.  SciPy is imported only where a kernel system is
-factored or solved (:func:`fit`, :func:`augmented_fit` and the model's solves)
-and where distances in d > 1 are taken, so importing the package, and the
-1-D states, load none of it.
+acceptance checks' oracle.  Triangular systems are solved by LAPACK ``trtrs``
+(SciPy's ``dtrtrs``) called directly, with the arguments ``solve_triangular``
+passes, so without its scan of the L-by-L factor: labeled points are finite,
+so ``cholesky`` gives a finite factor or raises, and a row that
+:func:`augmented_fit` appends has entries of magnitude at most 1.  SciPy is
+imported only where a kernel system is factored or solved (:func:`fit`,
+:func:`augmented_fit` and the model's solves) and where distances in d > 1
+are taken, so importing the package, and the 1-D states, load none of it.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -88,8 +95,8 @@ class LabeledSet:
     Parameters
     ----------
     points : array-like of shape (n, d)
-        Pairwise-distinct feature vectors.  A 1-D array is treated as n
-        points in one dimension.
+        Pairwise-distinct finite feature vectors.  A 1-D array is treated as
+        n points in one dimension.
     labels : array-like of shape (n,)
         Binary labels, each exactly +1 or -1.
     """
@@ -107,6 +114,7 @@ class LabeledSet:
             )
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
+        require_finite(points)
         if len(np.unique(points, axis=0)) != len(points):
             raise DuplicatePointError("labeled points must be pairwise distinct")
         self._assign(points.copy(), labels.astype(int))
@@ -134,20 +142,34 @@ class LabeledSet:
     def append(self, point, label) -> "LabeledSet":
         """Return a new LabeledSet with one extra labeled point.
 
-        Only the new row is checked (its dimension, its label, and that no
-        labeled row equals it); the existing rows were checked when they came in.
+        Only the new row is checked (its dimension, its label, that it is
+        finite and that no labeled row equals it); the existing rows were
+        checked when they came in.
         """
         point = np.asarray(point, dtype=float).reshape(1, -1)
         if len(self) and point.shape[1] != self.dim:
             raise ValueError(f"point has dimension {point.shape[1]}, expected {self.dim}")
         if label not in (-1, 1):
             raise ValueError("labels must be +1 or -1")
-        if len(self) and np.any(np.all(self._points == point, axis=1)):
-            raise DuplicatePointError("labeled points must be pairwise distinct")
+        require_finite(point, first=len(self))
+        if len(self):
+            same = self._points == point
+            # A repeated row needs d equal coordinates; most points have none.
+            if np.count_nonzero(same) >= point.shape[1] and same.all(axis=1).any():
+                raise DuplicatePointError("labeled points must be pairwise distinct")
         out = LabeledSet.__new__(LabeledSet)
-        out._assign(np.vstack([self._points, point]) if len(self) else point.copy(),
-                    np.append(self._labels, int(label)))
+        out._assign(np.concatenate([self._points, point]) if len(self) else point.copy(),
+                    np.concatenate([self._labels, [int(label)]]))
         return out
+
+
+def require_finite(points: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError naming the first row of ``points`` (numbered from
+    ``first``) with a NaN or infinite coordinate."""
+    finite = np.isfinite(points)
+    if np.count_nonzero(finite) < finite.size:
+        row = int(np.argmin(finite.reshape(len(points), -1).all(axis=1)))
+        raise ValueError(f"point {first + row} is not finite: {points[row]}")
 
 
 def require_positive_definite(dim: int, config: KernelConfig) -> None:
@@ -191,13 +213,38 @@ def cross_kernel(X: np.ndarray, Y: np.ndarray, config: KernelConfig) -> np.ndarr
     return np.exp(out, out=out)
 
 
+@functools.cache
+def _dtrtrs():
+    """LAPACK ``dtrtrs``, imported at the first kernel system that is solved."""
+    from scipy.linalg.lapack import dtrtrs
+    return dtrtrs
+
+
+def _triangular_solve(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """``L^{-1} b`` (``trans=1``) or ``L^{-T} b`` (``trans=0``) for the C-order
+    lower-triangular factor ``L = chol``.
+
+    LAPACK ``trtrs`` on the Fortran-order view ``chol.T``, as
+    ``scipy.linalg.solve_triangular`` calls it for such a factor, so the
+    result is the same bit for bit; only ``b`` is checked to be finite.
+    Raises LinAlgError where a diagonal entry is 0.
+    """
+    if np.count_nonzero(np.isfinite(b)) < b.size:
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _dtrtrs()(chol.T, b, lower=0, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def markov_1d(knots: np.ndarray, values: np.ndarray, x: np.ndarray,
               bandwidth: float) -> np.ndarray:
     """The 1-D ``p = 1`` interpolant at ``x`` from its ``values`` at sorted ``knots``.
 
     Knots at -inf and +inf with value 0 turn the two tails into intervals
     of the same formula.  ``ea = e^{-a} - 1`` and ``eb = e^{-b} - 1`` keep
-    ``1 - e^{-2a} = -ea (2 + ea)`` accurate next to a knot.
+    ``1 - e^{-2a} = -ea (2 + ea)`` accurate next to a knot.  Each point reads
+    only the two knots of its interval: O(m log L) for m points.
     """
     if len(knots) == 2:  # no finite knot: f == 0
         return np.zeros(len(x))
@@ -205,6 +252,8 @@ def markov_1d(knots: np.ndarray, values: np.ndarray, x: np.ndarray,
     # Beyond 750 h from every knot each kernel term underflows to 0, as the
     # dense path's do; clipping there keeps infinite queries finite.
     x = np.clip(x, knots[1] - 750.0 * h, knots[-2] + 750.0 * h)
+    j = np.searchsorted(knots[:-1], x, side="right") - 1  # NaN: the last interval
+    left, right = knots[j], knots[j + 1]
     # Knots closer than 1e-150 h would put subnormal numbers into the
     # formula.  The states' Schur floor keeps their knots about 5e-13 h
     # apart, but fit can hold such knots: with equal labels, rounding can let
@@ -212,17 +261,15 @@ def markov_1d(knots: np.ndarray, values: np.ndarray, x: np.ndarray,
     # 5e-324 after a point at 0.75, h = 0.5).  f moves by at most
     # ||alpha||_1 * gap / h across such an interval, so it takes the value of
     # its left knot there.
-    gap = np.diff(knots) / h
+    gap = (right - left) / h
     narrow = gap < 1e-150
     scale = np.expm1(-2.0 * np.where(narrow, 1.0, gap))  # e^{-2(a+b)} - 1
-    j = np.searchsorted(knots[:-1], x, side="right") - 1  # NaN: the last interval
-    ea = np.expm1((knots[j] - x) / h)
-    eb = np.expm1((x - knots[j + 1]) / h)
-    f = (values[:-1] / scale)[j] * (1.0 + ea) * eb * (2.0 + eb)
-    f += (values[1:] / scale)[j] * (1.0 + eb) * ea * (2.0 + ea)
+    ea = np.expm1((left - x) / h)
+    eb = np.expm1((x - right) / h)
+    f = values[j] / scale * (1.0 + ea) * eb * (2.0 + eb)
+    f += values[j + 1] / scale * (1.0 + eb) * ea * (2.0 + ea)
     if narrow.any():
-        at = narrow[j]
-        f[at] = values[j[at]]
+        f[narrow] = values[j[narrow]]
     return f
 
 
@@ -231,15 +278,19 @@ class KernelInterpolator:
 
     Instances are created by :func:`fit`, :func:`augmented_fit`, or
     :meth:`KernelInterpolator.empty`; the constructor is internal.  The empty
-    model represents ``f == 0`` with ``norm_sq == 0``.
+    model represents ``f == 0`` with ``norm_sq == 0``.  A nonempty 1-D model
+    with ``p = 1`` carries :func:`markov_1d`'s ``knots``: the labeled positions
+    in increasing order between -inf and +inf, and their labels between 0 and 0.
     """
 
     def __init__(self, base: LabeledSet, config: KernelConfig, chol: np.ndarray,
-                 coefficients: np.ndarray, norm_sq: float, half_labels: np.ndarray):
+                 coefficients: np.ndarray, norm_sq: float, half_labels: np.ndarray,
+                 knots: tuple[np.ndarray, np.ndarray] | None = None):
         self.base = base
         self.config = config
         self._chol = chol  # lower-triangular factor of K
         self._half_labels = half_labels  # L^{-1} y, so f(u) = (L^{-1} a_u) @ it
+        self._knots = knots
         self.coefficients = coefficients
         self.norm_sq = float(norm_sq)
 
@@ -256,14 +307,12 @@ class KernelInterpolator:
         """Apply ``K^{-1}`` to the columns of ``B``."""
         if len(self) == 0:
             return np.zeros_like(B)
-        from scipy.linalg import solve_triangular
-        W = solve_triangular(self._chol, B, lower=True)
-        return solve_triangular(self._chol.T, W, lower=False)
+        W = _triangular_solve(self._chol, B, trans=1)
+        return _triangular_solve(self._chol, W, trans=0)
 
     def half_solve(self, B: np.ndarray) -> np.ndarray:
         """Apply ``L^{-1}`` where ``K = L L^T``."""
-        from scipy.linalg import solve_triangular
-        return solve_triangular(self._chol, B, lower=True)
+        return _triangular_solve(self._chol, B, trans=1)
 
     def predict(self, X) -> np.ndarray:
         """Evaluate the interpolant at each row of ``X``.
@@ -274,11 +323,8 @@ class KernelInterpolator:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if len(self) == 0:
             return np.zeros(X.shape[0])
-        if X.shape[1] == self.base.dim == 1 and self.config.exponent == 1:
-            order = np.argsort(self.base.points[:, 0])
-            knots = np.concatenate([[-np.inf], self.base.points[order, 0], [np.inf]])
-            values = np.concatenate([[0.0], self.base.labels[order], [0.0]])
-            return markov_1d(knots, values, X[:, 0], self.config.bandwidth)
+        if self._knots is not None and X.shape[1] == 1:
+            return markov_1d(*self._knots, X[:, 0], self.config.bandwidth)
         return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
 
 
@@ -297,8 +343,6 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     ConditioningError
         If ``K`` does not factor or the solve misses the residual bound.
     """
-    from scipy.linalg import solve_triangular  # loaded only to factor a kernel system
-
     if len(labeled) == 0:
         raise ValueError("fit requires a nonempty labeled set")
     require_positive_definite(labeled.dim, config)
@@ -306,15 +350,21 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
     y = labeled.labels.astype(float)
     try:
         chol = np.linalg.cholesky(K)
-        half_labels = solve_triangular(chol, y, lower=True)
-        alpha = solve_triangular(chol.T, half_labels, lower=False)
+        half_labels = _triangular_solve(chol, y, trans=1)
+        alpha = _triangular_solve(chol, half_labels, trans=0)
         solved = np.max(np.abs(K @ alpha - y)) <= SOLVE_RESIDUAL_TOL
     except np.linalg.LinAlgError:
         solved = False
     if not solved:
         raise ConditioningError("kernel matrix is numerically singular",
                                 condition=float(np.linalg.cond(K)))
-    return KernelInterpolator(labeled, config, chol, alpha, float(y @ alpha), half_labels)
+    knots = None
+    if labeled.dim == 1 and config.exponent == 1:
+        order = np.argsort(labeled.points[:, 0])
+        knots = (np.concatenate([[-np.inf], labeled.points[order, 0], [np.inf]]),
+                 np.concatenate([[0.0], y[order], [0.0]]))
+    return KernelInterpolator(labeled, config, chol, alpha, float(y @ alpha), half_labels,
+                              knots)
 
 
 def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
@@ -333,9 +383,7 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
     base = model.base.append(u, t)  # checks the label, the dimension and exact repeats
     if len(model) == 0:
         return fit(base, model.config)
-    from scipy.linalg import solve_triangular
-
-    a = kernel_matrix(base.points[-1:], model.base.points, model.config)[0]
+    a = cross_kernel(base.points[-1:], model.base.points, model.config)[0]
     w = model.half_solve(a)
     schur = 1.0 - w @ w
     if schur < SCHUR_FLOOR:
@@ -353,8 +401,15 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
 
     gamma = (t - f_u) / schur
     coeff = np.empty(n + 1)
-    coeff[:n] = model.coefficients - gamma * solve_triangular(L.T, w, lower=False)
+    coeff[:n] = model.coefficients - gamma * _triangular_solve(L, w, trans=0)
     coeff[n] = gamma
     norm_sq = model.norm_sq + (1.0 - t * f_u) ** 2 / schur
     half_labels = np.append(model._half_labels, (t - f_u) / chol[n, n])
-    return KernelInterpolator(base, model.config, chol, coeff, norm_sq, half_labels)
+    knots = model._knots
+    if knots is not None:  # the new knot at its place among the sorted ones
+        x = base.points[-1, 0]
+        positions, values = knots
+        j = positions.searchsorted(x)
+        knots = (np.concatenate([positions[:j], [x], positions[j:]]),
+                 np.concatenate([values[:j], [t], values[j:]]))
+    return KernelInterpolator(base, model.config, chol, coeff, norm_sq, half_labels, knots)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .exceptions import DuplicatePointError, EmptyPoolError
 from .kernel import (SCHUR_FLOOR, KernelConfig, KernelInterpolator, cross_kernel,
-                     kernel_matrix, markov_1d, require_positive_definite)
+                     kernel_matrix, markov_1d, require_finite, require_positive_definite)
 
 TIE_TOLERANCE = 1e-12
 
@@ -149,9 +149,9 @@ class ScoringState:
     ``capacity`` bounds the number of labels (default ``n``).  A state whose
     rows and kernel (``8 * capacity * n`` bytes, plus ``8 * n^2`` for the
     data score) exceed the physical memory raises MemoryError before it
-    allocates anything, and one whose kernel is not positive definite in the
-    points' dimension raises ValueError
-    (:func:`~maximin_al.kernel.require_positive_definite`).
+    allocates anything; one whose kernel is not positive definite in the
+    points' dimension (:func:`~maximin_al.kernel.require_positive_definite`),
+    or with a point that is not finite, raises ValueError.
     """
 
     def __init__(self, points, config: KernelConfig, kind: ScoreKind,
@@ -159,6 +159,7 @@ class ScoringState:
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        require_finite(points)
         require_positive_definite(points.shape[1], config)
         n = len(points)
         capacity = n if capacity is None else capacity
@@ -261,12 +262,14 @@ class SortedIntervals:
     raise DuplicatePointError.  A subclass fills the first interval
     ``(0, n + 1)`` once its own arrays exist (the spline's lies outside the
     hull and needs none).  ``order`` is ``x``'s stable argsort
-    (:func:`sort_order`) when the caller already has it.
+    (:func:`sort_order`) when the caller already has it.  A point that is not
+    finite raises ValueError naming it.
     """
 
     def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None):
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
+        require_finite(x)
         n, self.kind = len(x), kind
         self._order = sort_order(x) if order is None else order
         self._rank = np.empty(n, dtype=np.intp)

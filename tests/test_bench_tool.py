@@ -1,4 +1,4 @@
-"""``tools/bench.py``: the paired-run rule, and a short run of the tool itself."""
+"""``tools/bench.py``: the paired-run rule, a short run of the tool itself and its phase split."""
 
 import json
 import subprocess
@@ -36,7 +36,8 @@ def test_paired_run_against_head_compares_both_trees(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench.py"), "--tag", "smoke",
                     "--against", "HEAD", "--workload", "random-1d", "--pairs", "1",
-                    "--seconds", "0.5", "--out", str(out)], check=True, capture_output=True)
+                    "--seconds", "0.5", "--phases", "--out", str(out)],
+                   check=True, capture_output=True)
     result = json.loads(out.read_text())
     assert {"tag", "revisions", "environment", "pairs", "seed", "seconds",
             "workloads"} <= set(result)
@@ -49,3 +50,27 @@ def test_paired_run_against_head_compares_both_trees(tmp_path):
         assert {"better", "unit", "change", "parent", "wins", "pairs", "rule_holds"} <= set(row)
         assert row["pairs"] == 1
     assert workload["runs"]["change"][0]["correct"]
+    assert set(result["phases"]) >= set(bench.PHASES)
+    for tree in ("change", "parent"):
+        phases = workload["phases"][tree]
+        assert phases["selections_match"] and phases["steps"] > 0
+        assert set(bench.PHASES) < set(phases)
+
+
+@pytest.mark.parametrize("workload", ["bisect-1d", "data-1d", "random-1d", "clusters-nd"])
+def test_phase_split_repeats_the_selections_and_restores_the_library(workload):
+    from maximin_al import harness, kernel, scoring
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    before = [harness._learner, scoring._draw, kernel.cross_kernel, scoring.cross_kernel]
+    configs = [e.config for e in workloads.warm_ups(workloads.experiments(workload, 1))]
+    phases = bench.phase_split(configs)
+    assert [harness._learner, scoring._draw, kernel.cross_kernel,
+            scoring.cross_kernel] == before
+    assert phases["selections_match"]
+    assert phases["steps"] == sum(c.budget for c in configs)
+    assert all(phases[p] >= 0 for p in bench.PHASES if p != "other")
+    timed = {"random-1d": ("update", "error"), "clusters-nd": ("kernel", "selection")}
+    assert all(phases[p] > 0 for p in timed.get(workload, ("update", "selection", "scoring")))

@@ -24,11 +24,13 @@ from maximin_al.kernel import (
     KernelConfig,
     KernelInterpolator,
     LabeledSet,
+    _triangular_solve,
     augmented_fit,
     fit,
     kernel_matrix,
 )
 from maximin_al.scoring import IntervalState, ScoreKind, ScoringState
+from maximin_al.spline import SplineState
 
 
 def _fitted(points, labels, config):
@@ -549,3 +551,133 @@ class TestAugmentedFit:
         m = fit(LabeledSet([[0.0, 0.0]], [1]), KernelConfig(1.0))
         with pytest.raises(ValueError):
             augmented_fit(m, [1.0], 1)
+
+
+class TestTriangularSolve:
+    """The direct LAPACK solve against ``scipy.linalg.solve_triangular``."""
+
+    @staticmethod
+    def reference(chol, b, trans):
+        if trans:
+            return solve_triangular(chol, b, lower=True)
+        return solve_triangular(chol.T, b, lower=False)
+
+    def test_same_bytes_as_solve_triangular(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 301):
+            M = rng.normal(size=(n, n))
+            chol = np.linalg.cholesky(M @ M.T / n + np.eye(n))
+            for b in (rng.normal(size=n), rng.normal(size=(n, 7))):
+                for trans in (0, 1):
+                    got, want = _triangular_solve(chol, b, trans), self.reference(chol, b, trans)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, trans)
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_zero_diagonal_raises_linalg_error(self, trans):
+        chol = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.1, 0.2, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            _triangular_solve(chol, np.ones(3), trans)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_right_hand_side_raises_value_error(self, bad):
+        chol = np.linalg.cholesky(np.eye(3) + 0.1)
+        for b in (np.array([1.0, bad, 0.0]), np.full((3, 2), bad)):
+            for trans in (0, 1):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    _triangular_solve(chol, b, trans)
+
+
+def reference_chain(points, labels, start, config):
+    """(factor, coefficients) after each label of a chain grown as
+    ``augmented_fit`` grows it from a fit of the first ``start`` labels (or
+    from the empty model), solved by ``scipy.linalg.solve_triangular``."""
+    first = max(start, 1)
+    y = labels[:first].astype(float)
+    chol = np.linalg.cholesky(kernel_matrix(points[:first], points[:first], config))
+    half = solve_triangular(chol, y, lower=True)
+    coeff = solve_triangular(chol.T, half, lower=False)
+    out = [(chol, coeff)]
+    for n in range(first, len(points)):
+        t = labels[n]
+        w = solve_triangular(chol, kernel_matrix(points[n:n + 1], points[:n], config)[0],
+                             lower=True)
+        schur = 1.0 - w @ w
+        f_u = w @ half
+        grown = np.zeros((n + 1, n + 1))
+        grown[:n, :n], grown[n, :n], grown[n, n] = chol, w, np.sqrt(schur)
+        gamma = (t - f_u) / schur
+        coeff = np.append(coeff - gamma * solve_triangular(chol.T, w, lower=False), gamma)
+        half = np.append(half, (t - f_u) / grown[n, n])
+        chol = grown
+        out.append((chol, coeff))
+    return out
+
+
+@st.composite
+def markov_chains(draw):
+    """Labeled 1-D points, the number fitted before the chain grows (0: from
+    the empty model), queries on, between and beyond them and at +-inf and
+    NaN, and a subset of the queries by position."""
+    h = draw(st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+    xs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=25, unique=True))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(xs), max_size=len(xs)))
+    start = draw(st.integers(0, len(xs)))
+    queries = xs + draw(st.lists(st.floats(-3.0, 3.0), max_size=10)) + [np.inf, -np.inf, np.nan]
+    subset = draw(st.lists(st.integers(0, len(queries) - 1), max_size=len(queries)))
+    return (np.array(xs)[:, None], np.array(labels), start, KernelConfig(h, 1.0),
+            np.array(queries)[:, None], subset)
+
+
+class TestMarkovChain:
+    """1-D p = 1 models carry sorted knots through ``augmented_fit``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(markov_chains())
+    def test_chain_matches_a_fresh_sort_and_the_scipy_chain(self, chain):
+        points, labels, start, config, X, subset = chain
+        try:
+            model = (fit(LabeledSet(points[:start], labels[:start]), config) if start
+                     else KernelInterpolator.empty(config))
+            models = [model] if start else []
+            for i in range(start, len(points)):
+                models.append(augmented_fit(models[-1] if models else model,
+                                            points[i], labels[i]))
+        except (ConditioningError, DuplicatePointError):
+            assume(False)
+        for model, (chol, coeff) in zip(models, reference_chain(points, labels, start,
+                                                                config)):
+            assert model._chol.tobytes() == chol.tobytes()
+            assert model.coefficients.tobytes() == coeff.tobytes()
+            order = np.argsort(model.base.points[:, 0])
+            knots, values = model._knots
+            assert np.array_equal(knots, np.concatenate(
+                [[-np.inf], model.base.points[order, 0], [np.inf]]))
+            assert np.array_equal(values, np.concatenate([[0], model.base.labels[order], [0]]))
+            everywhere = model.predict(X)
+            assert model.predict(X[subset]).tobytes() == everywhere[subset].tobytes()
+
+
+NONFINITE_ENTRY_POINTS = {
+    "labeled-set": lambda bad: LabeledSet([[0.0], [1.0], [bad]], [1, -1, 1]),
+    "append": lambda bad: LabeledSet([[0.0], [1.0]], [1, -1]).append([bad], 1),
+    "fit": lambda bad: fit(LabeledSet([[0.0], [1.0], [bad]], [1, -1, 1]), KernelConfig(0.5)),
+    "augmented-fit": lambda bad: augmented_fit(
+        fit(LabeledSet([[0.0], [1.0]], [1, -1]), KernelConfig(0.5, 1.0)), [bad], 1),
+    "augmented-fit-empty": lambda bad: augmented_fit(
+        KernelInterpolator.empty(KernelConfig(0.5), dim=2), [0.5, bad], 1),
+    "scoring-state": lambda bad: ScoringState([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]],
+                                              KernelConfig(0.5), ScoreKind.FUNCTION_NORM),
+    "interval-state": lambda bad: IntervalState([[0.0], [1.0], [bad]], KernelConfig(0.5, 1.0),
+                                                ScoreKind.DATA_NORM),
+    "spline-state": lambda bad: SplineState([0.0, 1.0, bad], ScoreKind.FUNCTION_NORM),
+}
+
+
+@pytest.mark.parametrize("entry", NONFINITE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_point_is_rejected_by_name(entry, bad):
+    # Each entry point names the first point with a NaN or infinite
+    # coordinate, numbered in the labeled set or the state's points.
+    row = 0 if entry == "augmented-fit-empty" else 2
+    with pytest.raises(ValueError, match=f"point {row} is not finite"):
+        NONFINITE_ENTRY_POINTS[entry](bad)

@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python tools/bench.py --tag T --against REV [--workload W ...]
-                          [--pairs N] [--seed S] [--seconds X] [--out PATH]
+                          [--pairs N] [--seed S] [--seconds X] [--phases] [--out PATH]
 
 Each of the N pairs runs ``perfbench/run.py --workload W --seed S --seconds X``
 in a subprocess once in this tree and once in REV, which
@@ -21,18 +21,31 @@ also records both revisions, the load average before the first run and the
 environment the first run prints (Python, NumPy, SciPy, the BLAS and its
 thread count, CPU count).  Writes ``BENCH_T.json`` at the repository root
 unless ``--out`` names another path.
+
+With ``--phases`` each tree also splits the steps of the workload's seed-1
+list into phases, in a subprocess that imports that tree's library.  It runs
+the list once as it is, then twice with timers around what
+``harness._learner`` returns (``add``, ``select`` and ``n_wrong``), around
+``scoring._draw`` (the one tie-breaking argmax, which ``pick`` and the 1-D
+states call) and around ``cross_kernel`` where ``kernel`` and ``scoring`` look
+it up; the timed rounds must select the points the first one selects.  The
+last timed round gives ms per step, each call's time less that of the timed
+calls inside it (:data:`PHASES`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -41,6 +54,17 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 # Wins needed, as a share of the pairs: 9 of 10.
 WIN_SHARE = 0.9
+# The phases of a step, each in ms per step, and what each one times.
+PHASES = {
+    "update": "the learner's add, less kernel evaluations inside it; the fitted "
+              "model's growth and evaluation, and the 1-D states' scoring of the "
+              "split interval, happen there",
+    "kernel": "cross_kernel, wherever it is called",
+    "selection": "scoring._draw, the tie-breaking argmax",
+    "scoring": "the learner's select, less selection and kernel evaluations",
+    "error": "the learner's n_wrong",
+    "other": "the rest of run_experiment: the step's bookkeeping and the timers",
+}
 
 
 def _parse(argv):
@@ -52,6 +76,7 @@ def _parse(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--phases", action="store_true")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -121,6 +146,113 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+class _Clock:
+    """Seconds per phase, each timed call's less that of the timed calls inside it."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._inner = []  # time of the timed calls inside each open one
+
+    def time(self, phase: str, fn, *args):
+        self._inner.append(0.0)
+        start = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            elapsed = perf_counter() - start
+            self.seconds[phase] += elapsed - self._inner.pop()
+            if self._inner:
+                self._inner[-1] += elapsed
+
+    def wrap(self, phase: str, fn):
+        return functools.wraps(fn)(lambda *args: self.time(phase, fn, *args))
+
+
+class _TimedLearner:
+    """A run's learner with ``add``, ``select`` and ``n_wrong`` timed."""
+
+    def __init__(self, learner, clock: _Clock):
+        self._learner, self._clock = learner, clock
+
+    def add(self, i: int, label: int) -> None:
+        self._clock.time("update", self._learner.add, i, label)
+
+    def select(self, rng):
+        return self._clock.time("scoring", self._learner.select, rng)
+
+    @property
+    def n_wrong(self) -> int:
+        return self._clock.time("error", getattr, self._learner, "n_wrong")
+
+    def __getattr__(self, name):
+        return getattr(self._learner, name)
+
+
+@contextmanager
+def _timers(clock: _Clock):
+    """Install the phase timers in the imported library, and restore it after."""
+    from maximin_al import harness, kernel, scoring
+
+    learner = harness._learner
+    bindings = [(harness, "_learner", lambda *args: _TimedLearner(learner(*args), clock)),
+                (scoring, "_draw", clock.wrap("selection", scoring._draw)),
+                (kernel, "cross_kernel", clock.wrap("kernel", kernel.cross_kernel)),
+                (scoring, "cross_kernel", clock.wrap("kernel", scoring.cross_kernel))]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in bindings]
+    try:
+        for owner, name, timed in bindings:
+            setattr(owner, name, timed)
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
+def phase_split(configs, rounds: int = 2) -> dict:
+    """ms per step of each phase over the runs of ``configs``: the last of
+    ``rounds`` timed rounds after one untimed round, whose selections each
+    timed round must repeat (``selections_match``)."""
+    from maximin_al import harness
+
+    def selections(records):
+        return [[s.index for s in r.steps] for r in records]
+
+    reference = selections([harness.run_experiment(c) for c in configs])
+    match = True
+    for _ in range(rounds):
+        clock = _Clock()
+        with _timers(clock):
+            start = perf_counter()
+            records = [harness.run_experiment(c) for c in configs]
+            total = perf_counter() - start
+        match &= selections(records) == reference
+    steps = sum(len(r.steps) for r in records)
+    clock.seconds["other"] = total - sum(clock.seconds.values())
+    return {"steps": steps, "step_ms": 1e3 * total / steps,
+            **{phase: 1e3 * s / steps for phase, s in clock.seconds.items()},
+            "selections_match": match}
+
+
+def tree_phases(tree: str, workload: str, seed: int = 1) -> dict:
+    """:func:`phase_split` of ``workload``'s list at benchmark seed ``seed``,
+    with the library and the benchmark of ``tree``."""
+    sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
+    import maximin_al
+    import workloads
+
+    assert Path(maximin_al.__file__).resolve().is_relative_to(Path(tree).resolve())
+    return phase_split([e.config for e in workloads.experiments(workload, seed)])
+
+
+def run_phases(tree: Path, workload: str) -> dict:
+    """:func:`tree_phases` of ``tree`` in a subprocess."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench; "
+            f"print(json.dumps(bench.tree_phases({str(tree)!r}, {workload!r})))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
@@ -129,6 +261,9 @@ def main(argv=None) -> int:
               "load_1m": os.getloadavg()[0], "environment": None,
               "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
               "workloads": {}}
+    if args.phases:
+        result["phases"] = {"unit": "ms per step", "list": "the workload's benchmark seed 1",
+                            **PHASES}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"change": ROOT, "parent": Path(tmp)}
         unpack(args.against, trees["parent"])
@@ -141,6 +276,14 @@ def main(argv=None) -> int:
                     result["environment"] = result["environment"] or env
                     runs[tree].append(last)
             result["workloads"][workload] = {"metrics": summarize(runs), "runs": runs}
+            if args.phases:
+                phases = {tree: run_phases(path, workload) for tree, path in trees.items()}
+                result["workloads"][workload]["phases"] = phases
+                for tree, row in phases.items():
+                    print(f"{workload} phases ({tree}): " + ", ".join(
+                        f"{k} {v:.4g}" for k, v in row.items() if k in PHASES or k == "step_ms")
+                        + ("" if row["selections_match"] else ", SELECTIONS DIFFER"),
+                        flush=True)
             for name, row in result["workloads"][workload]["metrics"].items():
                 print(f"{workload} {name}: change {row['change']['median']:.6g}, parent "
                       f"{row['parent']['median']:.6g} (IQR {row['parent']['iqr'][0]:.6g}-"
