@@ -37,9 +37,9 @@ generic ``ScoringState``.
 Runs score from those states; a model grown by :func:`augmented_fit` gives
 ``f`` to random runs and to those with d > 1 or p != 1, and :func:`fit` is the
 acceptance checks' oracle.  Triangular systems are solved by LAPACK ``trtrs``
-(SciPy's ``dtrtrs``) called directly, with the arguments ``solve_triangular``
-passes, so without its scan of the L-by-L factor: labeled points are finite,
-so ``cholesky`` gives a finite factor or raises, and a row that
+(SciPy's ``dtrtrs``) called directly, with the arguments SciPy's triangular
+solver passes, so without its scan of the L-by-L factor: labeled points are
+finite, so ``cholesky`` gives a finite factor or raises, and a row that
 :func:`augmented_fit` appends has entries of magnitude at most 1.  SciPy is
 imported only where a kernel system is factored or solved (:func:`fit`,
 :func:`augmented_fit` and the model's solves) and where distances in d > 1
@@ -225,7 +225,7 @@ def _triangular_solve(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray
     lower-triangular factor ``L = chol``.
 
     LAPACK ``trtrs`` on the Fortran-order view ``chol.T``, as
-    ``scipy.linalg.solve_triangular`` calls it for such a factor, so the
+    ``scipy.linalg``'s triangular solver calls it for such a factor, so the
     result is the same bit for bit; only ``b`` is checked to be finite.
     Raises LinAlgError where a diagonal entry is 0.
     """

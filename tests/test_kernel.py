@@ -640,8 +640,8 @@ class TestMarkovChain:
                      else KernelInterpolator.empty(config))
             models = [model] if start else []
             for i in range(start, len(points)):
-                models.append(augmented_fit(models[-1] if models else model,
-                                            points[i], labels[i]))
+                model = augmented_fit(model, points[i], labels[i])
+                models.append(model)
         except (ConditioningError, DuplicatePointError):
             assume(False)
         for model, (chol, coeff) in zip(models, reference_chain(points, labels, start,

@@ -208,10 +208,10 @@ def _timers(clock: _Clock):
             setattr(owner, name, original)
 
 
-def phase_split(configs, rounds: int = 2) -> dict:
+def phase_split(configs) -> dict:
     """ms per step of each phase over the runs of ``configs``: the last of
-    ``rounds`` timed rounds after one untimed round, whose selections each
-    timed round must repeat (``selections_match``)."""
+    two timed rounds after one untimed round, whose selections each timed
+    round must repeat (``selections_match``)."""
     from maximin_al import harness
 
     def selections(records):
@@ -219,7 +219,7 @@ def phase_split(configs, rounds: int = 2) -> dict:
 
     reference = selections([harness.run_experiment(c) for c in configs])
     match = True
-    for _ in range(rounds):
+    for _ in range(2):
         clock = _Clock()
         with _timers(clock):
             start = perf_counter()
@@ -233,15 +233,15 @@ def phase_split(configs, rounds: int = 2) -> dict:
             "selections_match": match}
 
 
-def tree_phases(tree: str, workload: str, seed: int = 1) -> dict:
-    """:func:`phase_split` of ``workload``'s list at benchmark seed ``seed``,
-    with the library and the benchmark of ``tree``."""
+def tree_phases(tree: str, workload: str) -> dict:
+    """:func:`phase_split` of ``workload``'s list at benchmark seed 1, with
+    the library and the benchmark of ``tree``."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import maximin_al
     import workloads
 
     assert Path(maximin_al.__file__).resolve().is_relative_to(Path(tree).resolve())
-    return phase_split([e.config for e in workloads.experiments(workload, seed)])
+    return phase_split([e.config for e in workloads.experiments(workload, 1)])
 
 
 def run_phases(tree: Path, workload: str) -> dict:
