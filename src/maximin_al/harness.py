@@ -316,8 +316,8 @@ class _ModelLearner:
     from the empty model; the spline a scored run's ``SplineState`` holds, or
     a random run's ``fit_spline`` on the labeled points in arrival order.  It
     keeps the model's values at all n task points sorted by the first
-    coordinate (``order``); ``n_wrong`` counts the wrong signs among them and
-    ``f`` gathers them by index.  Before any label ``f`` is 0.
+    coordinate (``order``); ``n_wrong`` counts from them and ``f`` gathers
+    them by index.  Before any label ``f`` is 0.
 
     The first label evaluates the model at every point.  When a label changes
     the model only between its labeled neighbours (:func:`_local`), the
@@ -327,10 +327,8 @@ class _ModelLearner:
     each point from the two knots of its interval alone, and the spline's
     boundary pads and ``markov_1d``'s clip bounds move only with a new
     extreme, whose span reaches the pool's end; so the values equal a full
-    ``predict`` bit for bit, and ``n_wrong`` is kept as a running count: the
-    span's wrong signs are taken out before it is re-evaluated and put back
-    after.  Every other model is evaluated at every point per label, and
-    ``n_wrong`` counts over all of them."""
+    ``predict`` bit for bit.  Every other model is evaluated at every point
+    per label."""
 
     def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
                  oracle: np.ndarray):
@@ -342,10 +340,8 @@ class _ModelLearner:
         self._values, self._rank = np.zeros(len(points)), np.empty(len(points), dtype=np.intp)
         self._rank[order] = np.arange(len(points))
         # The labeled ranks, increasing, when a label changes the model locally,
-        # between bounds 0 and n: a span reaching one runs to the pool's end;
-        # then also the number of wrong signs, kept per re-evaluated span.
+        # between bounds 0 and n: a span reaching one runs to the pool's end.
         self._ranks = [0, len(points)] if _local(model, points.shape[1]) else None
-        self._wrong = _count_wrong(self._values, self.truth)
         self._labeled, self._labels = [], []  # a random spline run's, in arrival order
 
     def add(self, i: int, label: int) -> None:
@@ -359,16 +355,13 @@ class _ModelLearner:
             self.state.add(i, label)
             if self._spline:
                 self.model = self.state.spline
-        if self._ranks is None:
-            self._values[:] = self.predict(self.ordered)
-            return
-        r = int(self._rank[i])
-        k = bisect.bisect(self._ranks, r)
-        lo, hi = self._ranks[k - 1], self._ranks[k] + 1
-        self._ranks.insert(k, r)
-        self._wrong -= _count_wrong(self._values[lo:hi], self.truth[lo:hi])
+        lo, hi = 0, len(self._values)
+        if self._ranks is not None:
+            r = int(self._rank[i])
+            k = bisect.bisect(self._ranks, r)
+            lo, hi = self._ranks[k - 1], self._ranks[k] + 1
+            self._ranks.insert(k, r)
         self._values[lo:hi] = self.predict(self.ordered[lo:hi])
-        self._wrong += _count_wrong(self._values[lo:hi], self.truth[lo:hi])
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         """The model at the rows of ``points``; the spline's needs a label."""
@@ -381,7 +374,7 @@ class _ModelLearner:
 
     @property
     def n_wrong(self) -> int:
-        return _count_wrong(self._values, self.truth) if self._ranks is None else self._wrong
+        return _count_wrong(self._values, self.truth)
 
     def select(self, rng) -> scoring.ScoredCandidate:
         return self.state.select(rng)

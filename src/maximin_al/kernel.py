@@ -152,11 +152,8 @@ class LabeledSet:
         if label not in (-1, 1):
             raise ValueError("labels must be +1 or -1")
         require_finite(point, first=len(self))
-        if len(self):
-            same = self._points == point
-            # A repeated row needs d equal coordinates; most points have none.
-            if np.count_nonzero(same) >= point.shape[1] and same.all(axis=1).any():
-                raise DuplicatePointError("labeled points must be pairwise distinct")
+        if len(self) and (self._points == point).all(axis=1).any():
+            raise DuplicatePointError("labeled points must be pairwise distinct")
         out = LabeledSet.__new__(LabeledSet)
         out._assign(np.concatenate([self._points, point]) if len(self) else point.copy(),
                     np.concatenate([self._labels, [int(label)]]))
