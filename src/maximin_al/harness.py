@@ -59,6 +59,8 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +72,7 @@ from .scoring import ScoreKind
 from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
 SCORE_CHOICES = ("function", "data", "random")
-# The score of a forced or random pick: one object shared by all such steps.
+# The score of a forced or random pick.
 _UNSCORED = float("nan")
 INIT_CHOICES = ("auto", "none", "extremes")
 # The required and the optional keys of each task kind.
@@ -182,13 +184,60 @@ class StepRecord:
     train_error: float
 
 
+class Steps(Sequence):
+    """A run's steps, kept as one typed column per ``StepRecord`` field: 34
+    bytes a step, where a list of records holds about 140 (the record, its
+    index and its error are objects of their own).  Reading a step builds
+    its ``StepRecord``; ``append`` and item assignment take one."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self):
+        # step, index, estimated_label, true_label, score, train_error
+        self._columns = tuple(array(code) for code in "qqbbdd")
+
+    def append(self, s: StepRecord) -> None:
+        step, index, estimated, true, score, error = self._columns
+        step.append(s.step)
+        index.append(s.index)
+        estimated.append(s.estimated_label)
+        true.append(s.true_label)
+        score.append(s.score)
+        error.append(s.train_error)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return map(StepRecord, *self._columns)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        return StepRecord(*(column[k] for column in self._columns))
+
+    def __setitem__(self, k: int, s: StepRecord) -> None:
+        values = (s.step, s.index, s.estimated_label, s.true_label, s.score, s.train_error)
+        for column, value in zip(self._columns, values):
+            column[k] = value
+
+    def __eq__(self, other):
+        """Equal columns bit for bit, so a NaN score equals itself."""
+        if not isinstance(other, Steps):
+            return NotImplemented
+        return all(a.tobytes() == b.tobytes() for a, b in zip(self._columns, other._columns))
+
+    def __repr__(self) -> str:
+        return f"Steps({list(self)!r})"
+
+
 @dataclass
 class RunRecord:
     """Everything observed during one run."""
 
     config: ExperimentConfig
     task_kind: str
-    steps: list[StepRecord] = field(default_factory=list)
+    steps: Steps = field(default_factory=Steps)
     queries_to_zero: int | None = None
     final_error: float = float("nan")
     per_cluster_counts: list[int] | None = None

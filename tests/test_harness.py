@@ -6,6 +6,8 @@ a constant task, cluster-discovery order).
 """
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -711,6 +713,53 @@ class TestPersistence:
         assert set(got) >= {"queries_to_zero", "final_error",
                             "per_cluster_counts", "first_cluster_repeat_step"}
         assert got["per_cluster_counts"] == record.per_cluster_counts
+
+
+class TestSteps:
+    """``RunRecord.steps`` keeps typed columns and reads back the records it took."""
+
+    @staticmethod
+    def _records(n):
+        rng = np.random.default_rng(0)
+        return [harness.StepRecord(k + 1, int(rng.integers(1 << 40)), int(rng.choice([-1, 1])),
+                                   int(rng.choice([-1, 1])),
+                                   float("nan") if k % 3 == 0 else float(rng.normal()),
+                                   float(rng.random()))
+                for k in range(n)]
+
+    def test_reads_back_what_it_took(self):
+        records = self._records(50)
+        steps = harness.Steps()
+        for s in records:
+            steps.append(s)
+        assert len(steps) == 50
+        assert repr(list(steps)) == repr(records)
+        assert repr(steps[3:40:7]) == repr(records[3:40:7])
+        assert repr(steps[-1]) == repr(records[-1])
+        with pytest.raises(IndexError):
+            steps[50]
+
+    def test_item_assignment_and_bitwise_equality(self):
+        a, b = harness.Steps(), harness.Steps()
+        for s in self._records(10):
+            a.append(s)
+            b.append(s)
+        assert a == b  # NaN scores included
+        b[-1] = replace(b[-1], index=7)
+        assert b[9].index == 7 and a != b
+
+    def test_a_step_costs_a_few_dozen_bytes(self):
+        assert isinstance(run_experiment(threshold_config(budget=2)).steps, harness.Steps)
+        records = self._records(20000)
+        tracemalloc.start()
+        try:
+            steps = harness.Steps()
+            for s in records:
+                steps.append(s)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(steps) < 40  # 34 bytes of columns plus their growth
 
 
 class TestSummarize:
