@@ -211,6 +211,11 @@ class Steps(Sequence):
     def __iter__(self):
         return map(StepRecord, *self._columns)
 
+    def rows(self):
+        """Each step's fields as a tuple, in ``StepRecord`` order, without
+        building the records."""
+        return zip(*self._columns)
+
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(*k.indices(len(self)))]
@@ -253,9 +258,8 @@ class RunRecord:
             writer = csv.writer(fh)
             writer.writerow(["step", "index", "t_u", "true_label", "score",
                              "train_error"])
-            for s in self.steps:
-                writer.writerow([s.step, s.index, s.estimated_label, s.true_label,
-                                 repr(s.score), repr(s.train_error)])
+            for step, index, estimated, true, score, error in self.steps.rows():
+                writer.writerow([step, index, estimated, true, repr(score), repr(error)])
 
     def summary_dict(self) -> dict:
         out = {

@@ -7,7 +7,7 @@ a constant task, cluster-discovery order).
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -734,6 +734,7 @@ class TestSteps:
             steps.append(s)
         assert len(steps) == 50
         assert repr(list(steps)) == repr(records)
+        assert repr(list(steps.rows())) == repr([astuple(s) for s in records])
         assert repr(steps[3:40:7]) == repr(records[3:40:7])
         assert repr(steps[-1]) == repr(records[-1])
         with pytest.raises(IndexError):
