@@ -22,6 +22,9 @@ keeps a model beside its state (grown by ``augmented_fit``, read from the
 evaluates it once per label: at every point for the first label and for a
 model a label changes everywhere, else only between the label's labeled
 neighbours, the one span where a spline or a 1-D ``p = 1`` kernel changes.
+A model a label changes everywhere is evaluated from the kernel columns the
+learner keeps, one per label, each evaluated once: the ``ScoringState`` hands
+over its own, and a random run's learner evaluates it.
 ``n_wrong`` and ``f`` read those values, bit for bit a full evaluation's,
 and the benchmark's per-layer counts are taken on those calls.  A forced or
 random pick records the sign of the learner's
@@ -67,7 +70,7 @@ import numpy as np
 
 from . import scoring, spline
 from .exceptions import IngestionError
-from .kernel import KernelConfig, KernelInterpolator, augmented_fit
+from .kernel import KernelConfig, KernelInterpolator, augmented_fit, cross_kernel
 from .scoring import ScoreKind
 from .synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
@@ -380,41 +383,66 @@ class _ModelLearner:
     each point from the two knots of its interval alone, and the spline's
     boundary pads and ``markov_1d``'s clip bounds move only with a new
     extreme, whose span reaches the pool's end; so the values equal a full
-    ``predict`` bit for bit.  Every other model is evaluated at every point
-    per label."""
+    ``predict`` bit for bit.
+
+    Every other model, a kernel, is evaluated at every point per label, from
+    ``K(ordered points, X_L)``, which the learner keeps in one C-order n-by-
+    ``budget`` buffer (``8 * n * budget`` bytes, refused beyond the physical
+    memory), a column per label: the state's ``add`` returns the new label's
+    kernel column, and a random run evaluates it here.  ``augmented_fit``
+    takes the label's row from the columns before it.  ``cdist`` takes each
+    pair alone and in either order, and a product with a strided C-order
+    buffer has the bits of one with a fresh matrix, so the values equal a full
+    ``predict`` bit for bit."""
 
     def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
-                 oracle: np.ndarray):
+                 oracle: np.ndarray, budget: int):
+        n = len(points)
         self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
-        self.state, self._spline = state, model.kind == "spline"
+        self.state, self._spline, self._order = state, model.kind == "spline", order
         self.model = None if self._spline else KernelInterpolator.empty(
             KernelConfig(model.h, model.p), points.shape[1])
         # The model at the ordered points, and each point's place among them.
-        self._values, self._rank = np.zeros(len(points)), np.empty(len(points), dtype=np.intp)
-        self._rank[order] = np.arange(len(points))
+        self._values, self._rank = np.zeros(n), np.empty(n, dtype=np.intp)
+        self._rank[order] = np.arange(n)
         # The labeled ranks, increasing, when a label changes the model locally,
         # between bounds 0 and n: a span reaching one runs to the pool's end.
-        self._ranks = [0, len(points)] if _local(model, points.shape[1]) else None
+        # Else the kernel between the ordered points and the labeled ones.
+        self._ranks = self._cross = None
+        if _local(model, points.shape[1]):
+            self._ranks = [0, n]
+        else:
+            scoring.require_memory(8 * n * budget, f"a kernel learner over n = {n} points")
+            self._cross = np.empty((n, budget))
         self._labeled, self._labels = [], []  # a random spline run's, in arrival order
 
     def add(self, i: int, label: int) -> None:
+        cross, column = self._cross, None
+        if cross is not None and len(self.model) == cross.shape[1]:
+            raise ValueError(f"the learner holds at most {cross.shape[1]} labels")
         if not self._spline:
-            self.model = augmented_fit(self.model, self.points[i], label)
+            row = None if cross is None else cross[self._rank[i], :len(self.model)]
+            self.model = augmented_fit(self.model, self.points[i], label, row=row)
         elif self.state is None:
             self._labeled.append(i)
             self._labels.append(label)
             self.model = spline.fit_spline(self.points[self._labeled, 0], self._labels)
         if self.state is not None:
-            self.state.add(i, label)
+            column = self.state.add(i, label)
             if self._spline:
                 self.model = self.state.spline
-        lo, hi = 0, len(self._values)
-        if self._ranks is not None:
+        if cross is None:
             r = int(self._rank[i])
             k = bisect.bisect(self._ranks, r)
             lo, hi = self._ranks[k - 1], self._ranks[k] + 1
             self._ranks.insert(k, r)
-        self._values[lo:hi] = self.predict(self.ordered[lo:hi])
+            self._values[lo:hi] = self.predict(self.ordered[lo:hi])
+            return
+        if column is None:
+            column = cross_kernel(self.points, self.points[i:i + 1], self.model.config)[:, 0]
+        labeled = len(self.model)
+        cross[:, labeled - 1] = column[self._order]
+        self._values[:] = self.model.predict(self.ordered, cross=cross[:, :labeled])
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         """The model at the rows of ``points``; the spline's needs a label."""
@@ -443,7 +471,7 @@ def _learner(model: ModelConfig, points: np.ndarray, kind: ScoreKind | None, bud
     state = None if kind is None else scoring_state(model, points, kind, budget, order, oracle)
     if isinstance(state, scoring.IntervalState):
         return state
-    return _ModelLearner(model, points, state, order, oracle)
+    return _ModelLearner(model, points, state, order, oracle, budget)
 
 
 def sample_task(task: dict, seed) -> tuple[np.ndarray, np.ndarray, ClusterSpec | None]:
@@ -521,7 +549,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     for step in range(1, cfg.budget + 1):
         if forced or kind is None:
-            idx = forced.pop(0) if forced else int(rng.choice(np.flatnonzero(unlabeled)))
+            if forced:
+                idx = forced.pop(0)
+            else:  # the draw of rng.choice(pool), by index
+                pool = np.flatnonzero(unlabeled)
+                idx = int(pool[rng.integers(len(pool))])
             est = int(scoring.sign_labels(learner.f[idx]))
             score_val = _UNSCORED
         else:

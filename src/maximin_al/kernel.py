@@ -36,7 +36,13 @@ generic ``ScoringState``.
 
 Runs score from those states; a model grown by :func:`augmented_fit` gives
 ``f`` to random runs and to those with d > 1 or p != 1, and :func:`fit` is the
-acceptance checks' oracle.  Triangular systems are solved by LAPACK ``trtrs``
+acceptance checks' oracle.  Such a run evaluates each kernel entry once: its
+learner keeps the kernel between the task points and the labeled ones, a
+column per label, and passes :meth:`KernelInterpolator.predict` that matrix
+(``cross``) and :func:`augmented_fit` the new point's row of it (``row``).
+SciPy's ``cdist`` takes each distance alone, from the two points in either
+order, so a row, a column or a block cut from one evaluation has the bits of
+evaluating it afresh.  Triangular systems are solved by LAPACK ``trtrs``
 (SciPy's ``dtrtrs``) called directly, with the arguments SciPy's triangular
 solver passes, so without its scan of the L-by-L factor: labeled points are
 finite, so ``cholesky`` gives a finite factor or raises, and a row that
@@ -311,18 +317,26 @@ class KernelInterpolator:
         """Apply ``L^{-1}`` where ``K = L L^T``."""
         return _triangular_solve(self._chol, B, trans=1)
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, cross: np.ndarray | None = None) -> np.ndarray:
         """Evaluate the interpolant at each row of ``X``.
 
         1-D models with ``p = 1`` use the closed form in the module docstring
         (:func:`markov_1d`); the rest evaluate ``kernel_matrix(X, X_L) @ coefficients``.
+        A caller that has that len(X)-by-L matrix, the labeled points in label
+        order, passes it as ``cross`` and no kernel entry is evaluated; the
+        closed form does not read it.  A ``cross`` of another shape raises
+        ValueError.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if cross is not None and cross.shape != (len(X), len(self)):
+            raise ValueError(f"cross has shape {cross.shape}, expected {(len(X), len(self))}")
         if len(self) == 0:
             return np.zeros(X.shape[0])
         if self._knots is not None and X.shape[1] == 1:
             return markov_1d(*self._knots, X[:, 0], self.config.bandwidth)
-        return kernel_matrix(X, self.base.points, self.config) @ self.coefficients
+        if cross is None:
+            cross = kernel_matrix(X, self.base.points, self.config)
+        return cross @ self.coefficients
 
 
 def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
@@ -364,24 +378,32 @@ def fit(labeled: LabeledSet, config: KernelConfig) -> KernelInterpolator:
                               knots)
 
 
-def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
+def augmented_fit(model: KernelInterpolator, u, t: int,
+                  row: np.ndarray | None = None) -> KernelInterpolator:
     """Fit of the model's labeled set extended by ``(u, t)``.
 
     Equivalent to refitting from scratch on the augmented set, but performed
     in O(L^2) by extending the Cholesky factor.  The squared norm grows by
-    exactly ``(1 - t*f(u))^2 / (1 - a_u^T K^{-1} a_u)``.
+    exactly ``(1 - t*f(u))^2 / (1 - a_u^T K^{-1} a_u)``.  ``row`` is
+    ``a_u = [k(u, x_i)]_i`` in label order when the caller has it; else it is
+    evaluated here.
 
     Raises
     ------
     DuplicatePointError
         If ``u`` coincides with a labeled point, or its Schur complement
         falls below ``1e-12`` (numerically indistinguishable from one).
+    ValueError
+        If ``row`` does not hold one entry per labeled point.
     """
     base = model.base.append(u, t)  # checks the label, the dimension and exact repeats
+    if row is not None and np.shape(row) != (len(model),):
+        raise ValueError(f"row has shape {np.shape(row)}, expected {(len(model),)}")
     if len(model) == 0:
         return fit(base, model.config)
-    a = cross_kernel(base.points[-1:], model.base.points, model.config)[0]
-    w = model.half_solve(a)
+    if row is None:
+        row = cross_kernel(base.points[-1:], model.base.points, model.config)[0]
+    w = model.half_solve(row)
     schur = 1.0 - w @ w
     if schur < SCHUR_FLOOR:
         raise DuplicatePointError(
@@ -391,8 +413,9 @@ def augmented_fit(model: KernelInterpolator, u, t: int) -> KernelInterpolator:
 
     L = model._chol
     n = len(model)
-    chol = np.zeros((n + 1, n + 1))
-    chol[:n, :n] = L
+    chol = np.empty((n + 1, n + 1))
+    chol[:n, :n] = L  # with its zeros above the diagonal
+    chol[:n, n] = 0.0
     chol[n, :n] = w
     chol[n, n] = np.sqrt(schur)
 

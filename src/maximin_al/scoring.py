@@ -127,8 +127,11 @@ class ScoringState:
     points are zero.
 
     Adding a label at ``u`` takes one residual column
-    ``c = k(X, u) - W^T W[:, u]`` (``c[u] = S_u``): ``n`` kernel evaluations
-    and an O(nL) product.  The new row of ``W`` is ``c / sqrt(S_u)``, ``f``
+    ``c = k(X, u) - W^T W[:, u]`` (``c[u] = S_u``): an O(nL) product and,
+    for the function score, ``n`` kernel evaluations; the data score reads
+    ``k(X, u)`` from ``K``.  ``add`` returns that kernel column, so a caller
+    that keeps a model over the same points evaluates no kernel entry again.
+    The new row of ``W`` is ``c / sqrt(S_u)``, ``f``
     gains ``(t - f(u)) / S_u * c`` and ``S`` loses ``c^2 / S_u``, in O(n).  For
     the data score ``R`` becomes ``R - c c^T / S_u`` (the Schur-complement
     step of pivoted Cholesky; Harbrecht, Peters & Schneider 2012), so with
@@ -163,12 +166,8 @@ class ScoringState:
         require_positive_definite(points.shape[1], config)
         n = len(points)
         capacity = n if capacity is None else capacity
-        needed = 8 * n * (capacity + (n if kind is ScoreKind.DATA_NORM else 0))
-        physical = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-                    if hasattr(os, "sysconf") else needed)
-        if needed > physical:
-            raise MemoryError(f"a scoring state over n = {n} points needs {needed} "
-                              f"bytes, more than the {physical} bytes of physical memory")
+        require_memory(8 * n * (capacity + (n if kind is ScoreKind.DATA_NORM else 0)),
+                       f"a scoring state over n = {n} points")
         self.points, self.config, self.kind = points, config, kind
         self.f = np.zeros(n)
         self.schur = np.ones(n)
@@ -183,8 +182,9 @@ class ScoringState:
             self._kernel = cross_kernel(points, points, config).T
             self._r2 = np.einsum("ij,ij->j", self._kernel, self._kernel)
 
-    def add(self, i: int, label: int) -> None:
-        """Condition on the label ``label`` at point ``i``.
+    def add(self, i: int, label: int) -> np.ndarray:
+        """Condition on the label ``label`` at point ``i``; return ``k(X, x_i)``,
+        which the caller must not write.
 
         Raises DuplicatePointError when ``S_i`` is below the duplicate floor
         (point ``i``, or a point equal to it, is already labeled).
@@ -194,8 +194,11 @@ class ScoringState:
         if self._count == len(self._rows):
             raise ValueError(f"the state holds at most {len(self._rows)} labels")
         W = self._rows[:self._count]
-        c = cross_kernel(self.points, self.points[i:i + 1], self.config)[:, 0]
-        c -= W.T @ W[:, i]
+        if self._kernel is None:
+            k = cross_kernel(self.points, self.points[i:i + 1], self.config)[:, 0]
+        else:  # K's row i: cdist takes each pair alone, in either order (see kernel)
+            k = self._kernel[:, i]
+        c = k - W.T @ W[:, i]
         s = c[i]
         if s < SCHUR_FLOOR:
             raise DuplicatePointError(_DUPLICATE)
@@ -213,6 +216,7 @@ class ScoringState:
         np.divide(c, np.sqrt(s), out=self._rows[self._count])
         self._count += 1
         self._unlabeled[i] = False
+        return k
 
     def scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Scores and estimated labels of the unlabeled points, in ascending index.
@@ -231,6 +235,16 @@ class ScoringState:
             raise EmptyPoolError("cannot select from an empty pool")
         chosen = pick(*self.scores(), rng)
         return ScoredCandidate(int(pool_idx[chosen.index]), chosen.label, chosen.score)
+
+
+def require_memory(needed: int, what: str) -> None:
+    """Raise MemoryError, naming ``what``, where ``needed`` bytes exceed the
+    physical memory."""
+    physical = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                if hasattr(os, "sysconf") else needed)
+    if needed > physical:
+        raise MemoryError(f"{what} needs {needed} bytes, more than the {physical} "
+                          "bytes of physical memory")
 
 
 def sort_order(x: np.ndarray) -> np.ndarray:

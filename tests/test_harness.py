@@ -551,9 +551,9 @@ class TestLearnerProtocol:
         rows = []
 
         def counted(predict, size):
-            def wrapper(self, X):
+            def wrapper(self, X, **kwargs):
                 rows.append(size(X))
-                return predict(self, X)
+                return predict(self, X, **kwargs)
             return wrapper
 
         monkeypatch.setattr(KernelInterpolator, "predict",

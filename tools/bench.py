@@ -27,8 +27,9 @@ list into phases, in a subprocess that imports that tree's library.  It runs
 the list once as it is, then twice with timers around what
 ``harness._learner`` returns (``add``, ``select`` and ``n_wrong``), around
 ``scoring._draw`` (the one tie-breaking argmax, which ``pick`` and the 1-D
-states call) and around ``cross_kernel`` where ``kernel`` and ``scoring`` look
-it up; the timed rounds must select the points the first one selects.  The
+states call) and around ``cross_kernel`` where ``kernel``, ``scoring`` and
+``harness`` look it up (a tree whose ``harness`` has no such name is timed
+without it); the timed rounds must select the points the first one selects.  The
 last timed round gives ms per step, each call's time less that of the timed
 calls inside it (:data:`PHASES`).
 """
@@ -195,9 +196,9 @@ def _timers(clock: _Clock):
 
     learner = harness._learner
     bindings = [(harness, "_learner", lambda *args: _TimedLearner(learner(*args), clock)),
-                (scoring, "_draw", clock.wrap("selection", scoring._draw)),
-                (kernel, "cross_kernel", clock.wrap("kernel", kernel.cross_kernel)),
-                (scoring, "cross_kernel", clock.wrap("kernel", scoring.cross_kernel))]
+                (scoring, "_draw", clock.wrap("selection", scoring._draw))]
+    bindings += [(owner, "cross_kernel", clock.wrap("kernel", owner.cross_kernel))
+                 for owner in (kernel, scoring, harness) if getattr(owner, "cross_kernel", None)]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in bindings]
     try:
         for owner, name, timed in bindings:
