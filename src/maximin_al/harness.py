@@ -390,14 +390,16 @@ class _ModelLearner:
     ``budget`` buffer (``8 * n * budget`` bytes, refused beyond the physical
     memory), a column per label: the state's ``add`` returns the new label's
     kernel column, and a random run evaluates it here.  ``augmented_fit``
-    takes the label's row from the columns before it.  ``cdist`` takes each
-    pair alone and in either order, and a product with a strided C-order
-    buffer has the bits of one with a fresh matrix, so the values equal a full
-    ``predict`` bit for bit."""
+    takes the label's row from the columns before it.  A kernel entry has the
+    same bits in either order of its two points (see ``kernel``), and a
+    product with a strided C-order buffer has the bits of one with a fresh
+    matrix, so the values equal a full ``predict`` bit for bit."""
 
     def __init__(self, model: ModelConfig, points: np.ndarray, state, order: np.ndarray,
                  oracle: np.ndarray, budget: int):
-        n = len(points)
+        n, local = len(points), _local(model, points.shape[1])
+        if not local:
+            scoring.require_memory(8 * n * budget, f"a kernel learner over n = {n} points")
         self.points, self.ordered, self.truth = points, points[order], oracle[order] > 0
         self.state, self._spline, self._order = state, model.kind == "spline", order
         self.model = None if self._spline else KernelInterpolator.empty(
@@ -408,12 +410,8 @@ class _ModelLearner:
         # The labeled ranks, increasing, when a label changes the model locally,
         # between bounds 0 and n: a span reaching one runs to the pool's end.
         # Else the kernel between the ordered points and the labeled ones.
-        self._ranks = self._cross = None
-        if _local(model, points.shape[1]):
-            self._ranks = [0, n]
-        else:
-            scoring.require_memory(8 * n * budget, f"a kernel learner over n = {n} points")
-            self._cross = np.empty((n, budget))
+        self._ranks = [0, n] if local else None
+        self._cross = None if local else np.empty((n, budget))
         self._labeled, self._labels = [], []  # a random spline run's, in arrival order
 
     def add(self, i: int, label: int) -> None:

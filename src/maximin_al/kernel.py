@@ -40,9 +40,9 @@ acceptance checks' oracle.  Such a run evaluates each kernel entry once: its
 learner keeps the kernel between the task points and the labeled ones, a
 column per label, and passes :meth:`KernelInterpolator.predict` that matrix
 (``cross``) and :func:`augmented_fit` the new point's row of it (``row``).
-SciPy's ``cdist`` takes each distance alone, from the two points in either
-order, so a row, a column or a block cut from one evaluation has the bits of
-evaluating it afresh.  Triangular systems are solved by LAPACK ``trtrs``
+Each distance is taken alone from its two points and has the same bits in
+either order (``|x - y|`` in 1-D, SciPy's ``cdist`` else), so a row, a column
+or a block cut from one evaluation has the bits of evaluating it afresh.  Triangular systems are solved by LAPACK ``trtrs``
 (SciPy's ``dtrtrs``) called directly, with the arguments SciPy's triangular
 solver passes, so without its scan of the L-by-L factor: labeled points are
 finite, so ``cholesky`` gives a finite factor or raises, and a row that

@@ -196,7 +196,7 @@ class ScoringState:
         W = self._rows[:self._count]
         if self._kernel is None:
             k = cross_kernel(self.points, self.points[i:i + 1], self.config)[:, 0]
-        else:  # K's row i: cdist takes each pair alone, in either order (see kernel)
+        else:  # K's row i, with the bits of its column i (see kernel)
             k = self._kernel[:, i]
         c = k - W.T @ W[:, i]
         s = c[i]

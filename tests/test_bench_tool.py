@@ -64,11 +64,12 @@ def test_phase_split_repeats_the_selections_and_restores_the_library(workload):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    before = [harness._learner, scoring._draw, kernel.cross_kernel, scoring.cross_kernel]
+    before = [harness._learner, scoring._draw, kernel.cross_kernel, scoring.cross_kernel,
+              harness.cross_kernel]
     configs = [e.config for e in workloads.warm_ups(workloads.experiments(workload, 1))]
     phases = bench.phase_split(configs)
-    assert [harness._learner, scoring._draw, kernel.cross_kernel,
-            scoring.cross_kernel] == before
+    assert [harness._learner, scoring._draw, kernel.cross_kernel, scoring.cross_kernel,
+            harness.cross_kernel] == before
     assert phases["selections_match"]
     assert phases["steps"] == sum(c.budget for c in configs)
     assert all(phases[p] >= 0 for p in bench.PHASES if p != "other")

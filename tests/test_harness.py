@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maximin_al import harness, scoring
+from maximin_al import harness, kernel, scoring
 from maximin_al.acceptance import cluster_contrast_spec, cluster_explore_spec, first_point_spec
 from maximin_al.exceptions import IngestionError
 from maximin_al.harness import (
@@ -26,8 +26,8 @@ from maximin_al.harness import (
     summarize,
     write_dataset_csv,
 )
-from maximin_al.kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit, fit,
-                               kernel_matrix)
+from maximin_al.kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
+                               cross_kernel, fit, kernel_matrix)
 from maximin_al.spline import SplineInterpolator, SplineState, fit_spline
 from maximin_al.synthetic import ClusterSpec, gen_clusters, gen_threshold_task
 
@@ -439,6 +439,10 @@ LEARNER_LAYOUTS = {
 }
 
 
+CLUSTERS_5D = {"kind": "clusters", "centers": (3.0 * np.eye(5)).tolist(), "radii": [0.125] * 5,
+               "labels": [1, -1, 1, -1, 1], "counts": [20] * 5, "p": 2.0}
+
+
 def _local_span_sizes(x: np.ndarray, indices, local: bool) -> list[int]:
     """The number of points a model-backed learner evaluates at each label of
     ``indices``: all of ``x`` at the first label and when the model changes
@@ -575,6 +579,73 @@ class TestLearnerProtocol:
                 fresh = fit(LabeledSet(points[idx], oracle[idx]), KernelConfig(model.h, model.p))
                 f = fresh.predict(points[[step.index]])[0]
             assert step.estimated_label == scoring.sign_labels(f)
+
+
+    @pytest.mark.parametrize("layout", ["kernel-p2", "clusters-p2", "clusters-5d"])
+    def test_scored_dense_learners_keep_the_bits_of_predict(self, layout):
+        # A learner whose labels change its kernel model everywhere evaluates
+        # it from the kernel columns it keeps: after every label f is predict
+        # at every point, bit for bit.  The data-kind state reads the columns
+        # from its K, the function-kind one evaluates them, and fed the same
+        # labels both hold the same bits.
+        task, model = (LEARNER_LAYOUTS[layout] if layout in LEARNER_LAYOUTS else
+                       (CLUSTERS_5D, ModelConfig("kernel", 0.5, 2.0)))
+        points, oracle, _ = harness.sample_task(task, 0)
+        order = scoring.sort_order(points[:, 0])
+        learners = {kind: harness._learner(model, points, kind, 25, order, oracle)
+                    for kind in scoring.ScoreKind}
+        for i in np.random.default_rng(3).choice(len(points), 25, replace=False):
+            for learner in learners.values():
+                learner.add(int(i), int(oracle[i]))
+                assert learner.f.tobytes() == learner.predict(points).tobytes()
+            data = learners[scoring.ScoreKind.DATA_NORM].state
+            function = learners[scoring.ScoreKind.FUNCTION_NORM].state
+            assert data.f.tobytes() == function.f.tobytes()
+            assert data.schur.tobytes() == function.schur.tobytes()
+            assert data.norm_sq == function.norm_sq
+        random = harness._learner(model, points, None, 1, order, oracle)
+        random.add(0, 1)
+        with pytest.raises(ValueError, match="at most 1 labels"):
+            random.add(1, 1)
+
+    @pytest.mark.parametrize("score", ["function", "data", "random"])
+    def test_dense_runs_evaluate_each_kernel_entry_once(self, monkeypatch, score):
+        # The data score's K(X, X) is the only kernel it evaluates besides the
+        # first label's fit; the function score's state and a random run's
+        # learner evaluate one column of n entries per label.
+        cfg = ExperimentConfig(task=cluster_task(M=4, h=0.2, count=15), score=score,
+                               model=ModelConfig("kernel", h=0.2, p=2.0), budget=20, seed=1)
+        entries = []
+
+        def counted(X, Y, config):
+            entries.append(len(X) * len(Y))
+            return cross_kernel(X, Y, config)
+
+        for module in (harness, kernel, scoring):
+            monkeypatch.setattr(module, "cross_kernel", counted)
+        run_experiment(cfg)
+        monkeypatch.undo()
+        n = len(_task_points(cfg)[0])
+        assert sum(entries) == (n * n + 1 if score == "data" else 1 + cfg.budget * n)
+
+    def test_random_pick_by_index_draws_as_choice(self):
+        # run_experiment draws a random pick as pool[rng.integers(len(pool))]:
+        # the same draws, from the same stream, as rng.choice(pool).
+        for seed in range(40):
+            masks = np.random.default_rng(seed)
+            mask = masks.random(int(masks.integers(1, 3000))) < masks.uniform(0.01, 1.0)
+            mask[masks.integers(len(mask))] = True
+            pool = np.flatnonzero(mask)
+            by_index, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(100):
+                assert pool[by_index.integers(len(pool))] == by_choice.choice(pool)
+            assert by_index.random() == by_choice.random()
+
+    def test_dense_learner_refuses_a_buffer_beyond_physical_memory(self):
+        points = np.zeros((1000, 2))
+        with pytest.raises(MemoryError, match="n = 1000 points needs 800000000000000000 "):
+            harness._learner(ModelConfig("kernel", 0.5, 2.0), points, None, 10**14,
+                             np.arange(1000), np.ones(1000, dtype=int))
 
 
 class TestCsvDatasets:

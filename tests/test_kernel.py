@@ -657,6 +657,91 @@ class TestMarkovChain:
             assert model.predict(X[subset]).tobytes() == everywhere[subset].tobytes()
 
 
+@st.composite
+def dense_chains(draw):
+    """Distinct points on a grid in d = 2, 3 or 5, their +-1 labels, the
+    order in which a chain labels some of them, and a p <= 2 kernel."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    cells = draw(st.lists(st.lists(st.integers(-40, 40), min_size=d, max_size=d),
+                          min_size=2, max_size=25, unique_by=tuple))
+    scale = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(cells), max_size=len(cells)))
+    chain = draw(st.permutations(range(len(cells))))[:draw(st.integers(1, len(cells)))]
+    config = KernelConfig(draw(st.sampled_from([0.1, 0.5, 2.0])),
+                          draw(st.sampled_from([1.0, 1.5, 2.0])))
+    return scale * np.array(cells, dtype=float), np.array(labels), chain, config
+
+
+class TestKernelColumns:
+    """A learner keeps the kernel columns of its labels and passes them to
+    ``predict`` (``cross``) and ``augmented_fit`` (``row``).  That is bit
+    for bit a fresh evaluation because an entry cut from ``K(X, X)`` (a row,
+    a column or a block) has the bits of evaluating it alone, in either
+    order of its two points, and because a product with a strided C-order
+    buffer has the bits of one with a fresh matrix."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 17])
+    def test_cut_entries_equal_fresh_ones(self, d, p):
+        rng = np.random.default_rng(17 * d + int(2 * p))
+        config = KernelConfig(0.7, p)
+        for scale in (1e-3, 1.0, 1e3):
+            X = scale * rng.normal(size=(40, d))
+            K = kernel_matrix(X, X, config)
+            for i in range(0, 40, 3):
+                column = kernel_matrix(X, X[i:i + 1], config)[:, 0]
+                assert K[:, i].tobytes() == column.tobytes()
+                assert K[i].tobytes() == column.tobytes()
+            S = rng.choice(40, size=9, replace=False)
+            block = kernel_matrix(X, X[S], config)
+            assert K[:, S].tobytes() == block.tobytes()
+            assert K[S].T.tobytes() == block.tobytes()
+
+    def test_strided_product_equals_one_with_a_fresh_matrix(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n, budget = int(rng.integers(1, 1200)), int(rng.integers(1, 300))
+            L = int(rng.integers(1, budget + 1))
+            buffer = np.empty((n, budget))
+            buffer[:, :L] = rng.uniform(size=(n, L))
+            a = rng.normal(size=L)
+            fresh = np.ascontiguousarray(buffer[:, :L])
+            assert (buffer[:, :L] @ a).tobytes() == (fresh @ a).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_chains())
+    def test_cross_and_row_give_the_bits_of_evaluating_afresh(self, case):
+        X, labels, chain, config = case
+        K = kernel_matrix(X, X, config)
+        buffer = np.empty((len(X), len(chain)))
+        model = KernelInterpolator.empty(config, X.shape[1])
+        try:
+            for L, i in enumerate(chain):
+                plain = augmented_fit(model, X[i], labels[i])
+                # k(u, X_L) read off the labeled points' columns, as a learner keeps them.
+                model = augmented_fit(model, X[i], labels[i], row=K[chain[:L], i])
+                for name in ("_chol", "coefficients", "_half_labels"):
+                    assert getattr(model, name).tobytes() == getattr(plain, name).tobytes()
+                assert model.norm_sq == plain.norm_sq
+                assert not np.triu(model._chol, 1).any()
+                buffer[:, L] = K[:, i]
+                want = model.predict(X).tobytes()
+                cross = kernel_matrix(X, model.base.points, config)
+                assert model.predict(X, cross=cross).tobytes() == want
+                assert model.predict(X, cross=buffer[:, :L + 1]).tobytes() == want
+        except (ConditioningError, DuplicatePointError):
+            assume(False)
+
+    def test_wrong_shapes_are_rejected(self):
+        model = fit(LabeledSet([[0.0, 0.0], [1.0, 0.0]], [1, -1]), KernelConfig(0.5))
+        with pytest.raises(ValueError, match="cross has shape"):
+            model.predict(np.zeros((3, 2)), cross=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cross has shape"):
+            model.predict(np.zeros((3, 2)), cross=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="row has shape"):
+            augmented_fit(model, [0.5, 0.5], 1, row=np.zeros(3))
+
+
 NONFINITE_ENTRY_POINTS = {
     "labeled-set": lambda bad: LabeledSet([[0.0], [1.0], [bad]], [1, -1, 1]),
     "append": lambda bad: LabeledSet([[0.0], [1.0]], [1, -1]).append([bad], 1),
