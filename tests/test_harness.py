@@ -436,11 +436,10 @@ LEARNER_LAYOUTS = {
     "kernel-p2": ({"kind": "threshold", "n": 200, "k": 3}, ModelConfig("kernel", 0.1, 2.0)),
     "clusters-p2": (cluster_task(M=4, h=0.2, count=15), ModelConfig("kernel", 0.2, 2.0)),
     "spline": ({"kind": "threshold", "n": 200, "k": 3}, ModelConfig("spline")),
+    "clusters-5d": ({"kind": "clusters", "centers": (3.0 * np.eye(5)).tolist(),
+                     "radii": [0.125] * 5, "labels": [1, -1, 1, -1, 1], "counts": [20] * 5,
+                     "p": 2.0}, ModelConfig("kernel", 0.5, 2.0)),
 }
-
-
-CLUSTERS_5D = {"kind": "clusters", "centers": (3.0 * np.eye(5)).tolist(), "radii": [0.125] * 5,
-               "labels": [1, -1, 1, -1, 1], "counts": [20] * 5, "p": 2.0}
 
 
 def _local_span_sizes(x: np.ndarray, indices, local: bool) -> list[int]:
@@ -580,7 +579,6 @@ class TestLearnerProtocol:
                 f = fresh.predict(points[[step.index]])[0]
             assert step.estimated_label == scoring.sign_labels(f)
 
-
     @pytest.mark.parametrize("layout", ["kernel-p2", "clusters-p2", "clusters-5d"])
     def test_scored_dense_learners_keep_the_bits_of_predict(self, layout):
         # A learner whose labels change its kernel model everywhere evaluates
@@ -588,8 +586,7 @@ class TestLearnerProtocol:
         # at every point, bit for bit.  The data-kind state reads the columns
         # from its K, the function-kind one evaluates them, and fed the same
         # labels both hold the same bits.
-        task, model = (LEARNER_LAYOUTS[layout] if layout in LEARNER_LAYOUTS else
-                       (CLUSTERS_5D, ModelConfig("kernel", 0.5, 2.0)))
+        task, model = LEARNER_LAYOUTS[layout]
         points, oracle, _ = harness.sample_task(task, 0)
         order = scoring.sort_order(points[:, 0])
         learners = {kind: harness._learner(model, points, kind, 25, order, oracle)
