@@ -20,7 +20,7 @@ from .harness import (ExperimentConfig, ModelConfig, RunRecord, load_csv_dataset
 from .kernel import (KernelConfig, KernelInterpolator, LabeledSet, augmented_fit,
                      fit, kernel_matrix)
 from .scoring import ScoredCandidate, ScoreKind, score_pool, select_next
-from .spline import SplineInterpolator, Uniform1D, fit_spline, spline_select_next
+from .spline import SplineInterpolator, fit_spline, spline_select_next
 from .synthetic import (ClusterSpec, RegimeReport, TaskSample, ThresholdTask1D,
                         gen_clusters, gen_threshold_task, validate_theorem_regime)
 
@@ -34,7 +34,7 @@ __all__ = [
     "KernelConfig", "LabeledSet", "KernelInterpolator",
     "kernel_matrix", "fit", "augmented_fit",
     "ScoreKind", "ScoredCandidate", "score_pool", "select_next",
-    "SplineInterpolator", "Uniform1D", "fit_spline", "spline_select_next",
+    "SplineInterpolator", "fit_spline", "spline_select_next",
     "ThresholdTask1D", "ClusterSpec", "RegimeReport", "TaskSample",
     "gen_threshold_task", "gen_clusters", "validate_theorem_regime",
     "ExperimentConfig", "ModelConfig", "RunRecord",

@@ -3,10 +3,12 @@
 Each check reproduces one headline guarantee of the selection scores at desk
 scale and reports a structured pass/fail.  The same functions back the
 acceptance test module, so the CLI and the test suite cannot drift apart.
-The kernel checks score and pick on the state a run's learner scores from,
-chosen by the run's own rule (:func:`~maximin_al.harness.scoring_state`),
-through the calls a run makes, so they test the code that makes every
-selection.
+The identity, cluster and spline checks score and pick on the state a run's
+learner scores from, chosen by the run's own rule
+(:func:`~maximin_al.harness.scoring_state`), through the calls a run makes,
+so they test the code that makes every selection.  A state's data score
+averages over its unlabeled points, so the spline checks put their grid
+among the points.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spline, synthetic
+from . import synthetic
 from .harness import (ExperimentConfig, ModelConfig, load_csv_dataset,
                       run_experiment, scoring_state, write_dataset_csv)
 from .kernel import KernelConfig, LabeledSet, fit
@@ -242,37 +244,50 @@ def check_cluster_exploration(base_seed: int = 0) -> CheckResult:
     return CheckResult("cluster exploration contrast", ok, detail)
 
 
-def _random_spline_config(rng) -> spline.SplineInterpolator:
+def _random_spline_config(rng) -> tuple[np.ndarray, np.ndarray]:
+    """2 to 8 sorted positions in (0, 1), at least 1e-3 apart, and their labels."""
     n = int(rng.integers(2, 9))
     pos = np.sort(rng.uniform(0, 1, size=n))
     while np.min(np.diff(pos)) < 1e-3:
         pos = np.sort(rng.uniform(0, 1, size=n))
-    return spline.fit_spline(pos, rng.choice([-1, 1], size=n))
+    return pos, rng.choice([-1, 1], size=n)
 
 
 def check_spline_properties(base_seed: int = 0) -> CheckResult:
     """All eight spline score properties on 500 random knot configurations:
     midpoint maximality, width-preference directions (narrower for the
     function score, wider for the data score), constancy/vanishing between
-    equal labels, and cross-type dominance.  Zero violations allowed."""
+    equal labels, and cross-type dominance.  Zero violations allowed.
+
+    Each configuration scores on the run's ``SplineState`` for each kind,
+    over the labeled positions, each labeled interval's midpoint and the grid
+    k/10^4 strictly inside the hull (less any labeled position), so the data
+    score is the empirical measure of those points.  The grid step matters
+    for ``D-width``, whose tolerance is absolute: with step 1e-3, seed 0 gave
+    one violation in 500 configurations (widths 0.0085 and 0.0084, holding 8
+    and 9 grid points); with step 1e-4, seeds 0-4 gave none."""
     rng = np.random.default_rng(base_seed)
     tol = 1e-9
+    grid = np.arange(1, 10_000) / 10_000
     violations = {name: 0 for name in
                   ("F-mid", "F-width", "F-const", "F-cross",
                    "D-mid", "D-width", "D-zero", "D-cross")}
     for _ in range(500):
-        m = _random_spline_config(rng)
-        dens = spline.Uniform1D(m.positions[0], m.positions[-1])
+        pos, labels = _random_spline_config(rng)
+        n = len(pos)
+        inside = grid[(grid > pos[0]) & (grid < pos[-1]) & ~np.isin(grid, pos)]
+        points = np.concatenate([pos, 0.5 * (pos[:-1] + pos[1:]), inside])[:, None]
+        function, data = (_state(points, ModelConfig("spline"), labels, kind)
+                          for kind in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM))
+        fs, ds = function.scores()[0], data.scores()[0]
+        # The scores follow the points: the n - 1 midpoints, then the grid.
+        cut = n - 1 + np.searchsorted(inside, pos)
         opp, same = [], []
-        for j in range(len(m) - 1):
-            xl, xr = m.positions[j], m.positions[j + 1]
-            grid = np.linspace(xl, xr, 21)[1:-1]
-            grid = np.append(grid, 0.5 * (xl + xr))
-            fs, _ = spline.spline_score_pool(m, grid, ScoreKind.FUNCTION_NORM)
-            ds, _ = spline.spline_score_pool(m, grid, ScoreKind.DATA_NORM, dens)
-            entry = {"width": xr - xl, "f": fs, "d": ds,
-                     "f_mid": fs[-1], "d_mid": ds[-1]}
-            (same if m.values[j] == m.values[j + 1] else opp).append(entry)
+        for j in range(n - 1):
+            at = np.r_[cut[j]:cut[j + 1], j]  # the interval's grid, then its midpoint
+            entry = {"width": pos[j + 1] - pos[j], "f": fs[at], "d": ds[at],
+                     "f_mid": fs[j], "d_mid": ds[j]}
+            (same if labels[j] == labels[j + 1] else opp).append(entry)
         for e in opp:
             violations["F-mid"] += np.any(e["f"] > e["f_mid"] + tol)
             violations["D-mid"] += np.any(e["d"] > e["d_mid"] + tol)
@@ -282,24 +297,28 @@ def check_spline_properties(base_seed: int = 0) -> CheckResult:
                     violations["F-width"] += a["f_mid"] > b["f_mid"] + tol
                     violations["D-width"] += a["d_mid"] < b["d_mid"] - tol
         for e in same:
-            violations["F-const"] += np.any(np.abs(e["f"] - m.weight_norm) > tol)
+            violations["F-const"] += np.any(np.abs(e["f"] - function.weight_norm) > tol)
             violations["D-zero"] += np.any(np.abs(e["d"]) > 1e-12)
             for o in opp:
-                violations["F-cross"] += np.any(e["f"][:, None] > o["f"][None, :] + tol)
-                violations["D-cross"] += np.any(e["d"][:, None] > o["d"][None, :] + 1e-12)
+                violations["F-cross"] += e["f"].max() > o["f"].min() + tol
+                violations["D-cross"] += e["d"].max() > o["d"].min() + 1e-12
     total = sum(int(v) for v in violations.values())
     detail = ", ".join(f"{k}={int(v)}" for k, v in violations.items())
     return CheckResult("spline score properties (8)", total == 0, detail)
 
 
 def check_spline_data_norm_value(base_seed: int = 0) -> CheckResult:
-    """Opposite pair at 0 and 1, uniform density: data score at 1/2 equals 1/3."""
-    m = spline.fit_spline([0.0, 1.0], [1, -1])
-    got = float(spline.spline_score_pool(m, [0.5], ScoreKind.DATA_NORM,
-                                         spline.Uniform1D(0.0, 1.0))[0][0])
-    err = abs(got - 1.0 / 3.0)
-    return CheckResult("spline data score value 1/3", err <= 1e-6,
-                       f"got {got:.9f}, |err|={err:.2e}")
+    """Opposite pair at 0 and 1 and the grid k/N, N = 10^4, on the run's
+    ``SplineState``: the data score at 1/2 is (N^2 + 2)/(3N(N - 1)) to 1e-12
+    relative, the grid's value of the uniform density's 1/3."""
+    n = 10_000
+    points = np.r_[0.0, 1.0, np.arange(1, n) / n][:, None]
+    state = _state(points, ModelConfig("spline"), [1, -1], ScoreKind.DATA_NORM)
+    got = float(state.scores()[0][n // 2 - 1])  # the unlabeled points are k/N, k = 1..N-1
+    want = (n * n + 2) / (3 * n * (n - 1))
+    rel = abs(got - want) / want
+    return CheckResult("spline data score value 1/3", rel <= 1e-12,
+                       f"got {got:.15f}, want {want:.15f}, rel err={rel:.2e}")
 
 
 def check_zero_crossing(base_seed: int = 0) -> CheckResult:

@@ -6,7 +6,9 @@ agreement of the current interpolant with the oracle over all task points,
 labeled and unlabeled alike).  Everything is deterministic given the config:
 the task sample, the tie-breaking stream, and the random baseline all derive
 from ``seed`` through independent ``SeedSequence`` children, so replaying a
-config reproduces the trace bit for bit.
+config at the same BLAS thread count reproduces the trace bit for bit.  At
+another count the scores of a data-score ``ScoringState`` run may differ in
+their last bits, and every other column stays (see ``ScoringState``).
 
 A run's learner takes labels by point index (``add``), gives the interpolant
 at every task point by index (``f``) and at any points (``predict``), counts

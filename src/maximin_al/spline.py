@@ -20,15 +20,14 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
 * the function-norm score ``R(f) + min_t delta(t)`` peaks at the midpoint of
   an oppositely-labeled pair, preferring *narrower* such pairs, and is
   constant between equal labels;
-* the data-based score integrates ``(f^u - f)^2`` against a density — exactly,
+* the data-based score averages ``(f^u - f)^2`` over the candidates — exactly,
   since the difference is a hat function supported on one interval — and
   prefers *wider* oppositely-labeled pairs, vanishing between equal labels.
-  The density is a :class:`Uniform1D` or an array of points (their empirical
-  measure).  Under an empirical measure every candidate reads its hat sums off
-  running sums kept per labeled interval, so scoring a pool costs one sort and
-  one pass over the points instead of one pass per candidate.  The sums are
-  divided by ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0
-  within about 1e-154 of a labeled point: such a candidate raises
+  Every candidate reads its hat sums off running sums kept per labeled
+  interval, so scoring a pool costs one sort and one pass over the points
+  instead of one pass per candidate.  The sums are divided by
+  ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0 within
+  about 1e-154 of a labeled point: such a candidate raises
   DuplicatePointError.  On a labeled interval wider than about 1e154 the
   squares or their sums overflow instead, and the score raises ValueError
   naming the interval.
@@ -36,40 +35,27 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
 Runs score from a :class:`SplineState`, which keeps these terms per point and
 recomputes them only on the interval a label splits, and the knots and
 roughness ``R(f)`` of its labels, so a scored run fits no spline: its learner
-reads the state's :attr:`~SplineState.spline`; :func:`spline_score_pool` and
-:func:`spline_select_next` score a pool from a fitted spline and are its
-reference.  One function, ``_knots``, decides which labeled sets define a
-spline: a labeled span so wide that a boundary knot overflows raises
-ValueError; a repeated position, oppositely labeled positions closer than
-2^-1021 and a roughness that overflows raise DuplicatePointError.  Both
-:func:`fit_spline` and :meth:`SplineState.add` call it on the labeled set,
-so both raise at the same label with the same error.  A function score that
-overflows raises the roughness's DuplicatePointError in both the state and
-the reference.
+reads the state's :attr:`~SplineState.spline`; the acceptance checks score
+on it too.  :func:`spline_score_pool` and :func:`spline_select_next` score a
+pool from a fitted spline and are its reference.  One function, ``_knots``,
+decides which labeled sets define a spline: a labeled span so wide that a
+boundary knot overflows raises ValueError; a repeated position, oppositely
+labeled positions closer than 2^-1021 and a roughness that overflows raise
+DuplicatePointError.  Both :func:`fit_spline` and :meth:`SplineState.add`
+call it on the labeled set, so both raise at the same label with the same
+error.  A function score that overflows raises the roughness's
+DuplicatePointError in both the state and the reference.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DuplicatePointError, EmptyPoolError, OutOfRangeError
 from .scoring import _DUPLICATE, ScoredCandidate, ScoreKind, SortedIntervals, pick
-
-
-@dataclass(frozen=True)
-class Uniform1D:
-    """Uniform density on ``[lo, hi]`` (integrates to 1)."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
 
 # Oppositely labeled positions closer than 2^-1021 (about 4.5e-308): the slope
@@ -184,14 +170,12 @@ def _roughness_deltas(u, xl, xr, yl, yr):
     return dplus, dminus
 
 
-def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
-                      density: Uniform1D | np.ndarray | None = None):
-    """Vectorized scores and estimated labels for 1-D candidates ``us``.
+def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind):
+    """Vectorized scores and estimated labels for 1-D candidates ``us``; the
+    data score averages over the candidates.
 
-    ``ScoreKind.DATA_NORM`` requires ``density``: a :class:`Uniform1D`, or a
-    1-D array of points for their empirical measure (EmptyPoolError if it is
-    empty).  Candidates must lie strictly inside the labeled hull: one on a
-    labeled position raises DuplicatePointError, one outside OutOfRangeError.
+    Candidates must lie strictly inside the labeled hull: one on a labeled
+    position raises DuplicatePointError, one outside OutOfRangeError.
     A data score whose squared distances or hat sums overflow raises
     ValueError naming the labeled interval.
     """
@@ -219,36 +203,26 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind,
         return scores, labels
     if kind is not ScoreKind.DATA_NORM:
         raise ValueError(f"unknown score kind {kind!r}")
-    if density is None:
-        raise ValueError("the data-based score requires a density")
     peak = labels - m.predict(us)
-    scores = peak ** 2 * _hat_mean_sq(m, us, j, density)
+    scores = peak ** 2 * _hat_mean_sq(m, us, j, us)
     return scores, labels
 
 
 def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
-                 density: Uniform1D | np.ndarray) -> np.ndarray:
-    """Mean of ``hat(x)^2`` under the density, for the unit hat peaking at u.
+                 density: np.ndarray) -> np.ndarray:
+    """Mean of ``hat(x)^2`` over the ``density`` points, for the unit hat peaking at u.
 
     The hat rises linearly from 0 at ``positions[j]`` to 1 at ``u`` and falls
     back to 0 at ``positions[j+1]``; it is the shape of ``f^u - f`` up to the
     ``t - f(u)`` peak factor.
     """
     xl, xr = m.positions[j], m.positions[j + 1]
-    if isinstance(density, Uniform1D):
-        lo, hi = density.lo, density.hi
-        weight = 1.0 / (hi - lo)
-        left = _ramp_sq_integral(np.maximum(xl, lo), np.minimum(u, hi), xl, u)
-        right = _ramp_sq_integral(np.maximum(u, lo), np.minimum(xr, hi), xr, u)
-        return weight * (left + right)
-    # Empirical density: the rise counts points with x_j < x < u, the fall
-    # points with u <= x < x_{j+1}; points outside the hull count for nothing.
+    # The rise counts points with x_j < x < u, the fall points with
+    # u <= x < x_{j+1}; points outside the hull count for nothing.
     # Within each labeled interval, rise[k] sums (x - x_j)^2 over its first k
     # sorted points and fall[k] sums (x_{j+1} - x)^2 over the rest, so a
     # candidate reads both off at its rank with no cross-interval subtraction.
     pts = np.sort(density, axis=None)
-    if pts.size == 0:
-        raise EmptyPoolError("empirical density needs at least one point")
     lo, hi = m.positions[:-1], m.positions[1:]
     starts = np.searchsorted(pts, lo, side="right")
     ends = np.searchsorted(pts, hi, side="left")
@@ -270,21 +244,6 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
         k = j[~finite].min()
         raise _too_wide(lo[k], hi[k])
     return (rise[at] / dl + fall[at] / dr) / len(pts)
-
-
-def _ramp_sq_integral(a, b, x0, x1):
-    """Exact ``integral_a^b ((x - x0)/(x1 - x0))^2 dx`` for each entry, 0 when b <= a.
-
-    The ramp is 0 at ``x0`` and 1 at ``x1``; the antiderivative is cubic, so
-    the piecewise-quadratic integrand is handled exactly.
-    """
-    a = np.minimum(np.maximum(a, np.minimum(x0, x1)), np.maximum(x0, x1))
-    b = np.minimum(np.maximum(b, np.minimum(x0, x1)), np.maximum(x0, x1))
-    width = x1 - x0
-    ta = (a - x0) / width
-    tb = (b - x0) / width
-    raw = (tb ** 3 - ta ** 3) * width / 3.0
-    return np.where(b > a, np.abs(raw), 0.0)
 
 
 class SplineState(SortedIntervals):
@@ -394,4 +353,4 @@ def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind,
     us = np.asarray(candidates, dtype=float).ravel()
     if us.size == 0:
         raise EmptyPoolError("cannot select from an empty pool")
-    return pick(*spline_score_pool(m, us, kind, us), rng_seed)
+    return pick(*spline_score_pool(m, us, kind), rng_seed)

@@ -4,8 +4,9 @@ Each test runs one named check from :mod:`maximin_al.acceptance`, prints its
 single PASS/FAIL line (visible with ``pytest -s`` or in failure output), and
 asserts the verdict. The checks pin the kernel and spline learners to their
 closed-form predictions, the guarantee regimes, and the active-vs-random
-label-complexity gap, at fixed seeds and tolerances. The kernel checks
-score on the runs' own states, so a defect planted in a state fails them.
+label-complexity gap, at fixed seeds and tolerances. Every identity and
+spline check scores on the state a run scores from, so a defect planted in a
+state fails them.
 """
 
 import numpy as np
@@ -86,6 +87,30 @@ def test_midpoint_closed_forms_fail_on_a_wrong_interval_schur(monkeypatch):
         self._s[lo + 1:hi] *= 1.0 + 1e-6
     monkeypatch.setattr(IntervalState, "_fill", fill_with_wrong_schur)
     assert not acceptance.check_midpoint_closed_forms(0).passed
+
+
+def test_spline_data_norm_value_fails_on_a_wrong_hat_sum(monkeypatch):
+    # A SplineState whose fill gets the hat sums wrong by one part in a million.
+    fill = SplineState._fill
+
+    def fill_with_wrong_hat(self, lo, hi):
+        fill(self, lo, hi)
+        self._hat[lo + 1:hi] *= 1.0 + 1e-6
+    monkeypatch.setattr(SplineState, "_fill", fill_with_wrong_hat)
+    assert not acceptance.check_spline_data_norm_value(0).passed
+
+
+def test_spline_properties_fail_on_a_wrong_roughness_delta(monkeypatch):
+    # A SplineState whose fill adds 1e-6 to the roughness change of a +1
+    # label: between two +1 labels the function score leaves the roughness.
+    fill = SplineState._fill
+
+    def fill_with_wrong_delta(self, lo, hi):
+        fill(self, lo, hi)
+        self._dplus[lo + 1:hi] += 1e-6
+    monkeypatch.setattr(SplineState, "_fill", fill_with_wrong_delta)
+    result = acceptance.check_spline_properties(0)
+    assert not result.passed and "F-const=0" not in result.detail
 
 
 @pytest.mark.parametrize("dim,model,state", [

@@ -6,8 +6,12 @@ a constant task, cluster-discovery order).
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -770,6 +774,39 @@ class TestPersistence:
             assert got_score == step.score or (
                 np.isnan(got_score) and np.isnan(step.score))
             assert float(parts[5]) == step.train_error
+
+    def test_replay_is_bit_for_bit_at_one_blas_thread_count(self, tmp_path):
+        # A 13-ball data-score run, replayed in fresh processes: the same
+        # trace bytes at the same OpenBLAS thread count; at 1 and 2 threads
+        # only the scores may round differently (dsymv sums in another order).
+        script = (
+            "import sys\n"
+            "from maximin_al import acceptance, harness\n"
+            "spec = acceptance.cluster_explore_spec(0.1)\n"
+            "task = {'kind': 'clusters', 'centers': spec.centers.tolist(),\n"
+            "        'radii': spec.radii.tolist(), 'labels': spec.labels.tolist(),\n"
+            "        'counts': spec.counts.tolist(), 'p': 2.0}\n"
+            "model = harness.ModelConfig('kernel', 0.1, 2.0)\n"
+            "cfg = harness.ExperimentConfig(task=task, model=model, score='data', budget=39,\n"
+            "                               seed=0, init='none')\n"
+            "harness.run_experiment(cfg).write_trace(sys.argv[1])\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        traces = {}
+        for name, threads in (("one", "1"), ("two", "2"), ("two again", "2")):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+            path = tmp_path / f"{name}.csv"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                           timeout=120)
+            traces[name] = path.read_bytes()
+        assert traces["two"] == traces["two again"]
+        one, two = ([line.split(b",") for line in traces[k].splitlines()] for k in ("one", "two"))
+        col = one[0].index(b"score")
+        assert len(one) == len(two) == 40
+        for a, b in zip(one, two):
+            assert a[:col] + a[col + 1:] == b[:col] + b[col + 1:]
+        scores = np.array([[float(a[col]), float(b[col])] for a, b in zip(one[1:], two[1:])])
+        np.testing.assert_allclose(scores[:, 0], scores[:, 1], rtol=1e-12, atol=0)
 
     def test_summary_json(self, tmp_path):
         record = run_experiment(ExperimentConfig(

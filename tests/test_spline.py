@@ -1,8 +1,8 @@
 """Minimal-roughness linear splines and their two selection scores.
 
 Oracle strategy: numeric total variation on dense samples, explicit
-augmented-spline differences integrated by quadrature or pool averaging, and
-the closed-form values of isolated configurations.
+augmented-spline differences averaged over the candidates, and the
+closed-form values of isolated configurations.
 """
 
 import copy
@@ -19,7 +19,6 @@ from maximin_al.scoring import ScoreKind, pick
 from maximin_al.spline import (
     SplineInterpolator,
     SplineState,
-    Uniform1D,
     _hat_mean_sq,
     fit_spline,
     spline_score_pool,
@@ -36,12 +35,16 @@ def random_spline(rng, max_n=10, min_gap=0.05):
     return fit_spline(positions, values)
 
 
-def score_one(m: SplineInterpolator, u, density=None):
-    """``spline_score_pool``'s score and label at the one candidate ``u``: the
-    function score, or the data score under ``density``."""
-    kind = ScoreKind.FUNCTION_NORM if density is None else ScoreKind.DATA_NORM
-    scores, labels = spline_score_pool(m, [u], kind, density)
+def score_one(m: SplineInterpolator, u):
+    """``spline_score_pool``'s function score and label at the one candidate ``u``."""
+    scores, labels = spline_score_pool(m, [u], ScoreKind.FUNCTION_NORM)
     return float(scores[0]), int(labels[0])
+
+
+def data_score_last(m: SplineInterpolator, pool, u):
+    """The data score and label of ``u`` among the candidates ``pool`` and ``u``."""
+    scores, labels = spline_score_pool(m, np.append(pool, u), ScoreKind.DATA_NORM)
+    return float(scores[-1]), int(labels[-1])
 
 
 def hat_mean_sq_loop(m: SplineInterpolator, u, j, pts) -> np.ndarray:
@@ -68,19 +71,6 @@ def numeric_total_variation(m: SplineInterpolator, samples=10_000) -> float:
     xs = np.linspace(lo, hi, samples)
     slopes = np.diff(m.predict(xs)) / np.diff(xs)
     return float(np.sum(np.abs(np.diff(slopes))))
-
-
-class TestDensities:
-    def test_uniform_needs_positive_length(self):
-        with pytest.raises(ValueError):
-            Uniform1D(1.0, 1.0)
-        with pytest.raises(ValueError):
-            Uniform1D(2.0, 1.0)
-
-    def test_empirical_needs_points(self):
-        m = fit_spline([0.0, 1.0], [1, -1])
-        with pytest.raises(EmptyPoolError):
-            spline_score_pool(m, [0.5], ScoreKind.DATA_NORM, np.empty(0))
 
 
 class TestFitSpline:
@@ -187,60 +177,55 @@ class TestFunctionNormScore:
             refit = fit_spline([0.0, 0.4, 1.0, u], [1, -1, 1, label])
             assert score == pytest.approx(refit.weight_norm, rel=1e-9)
 
-    @pytest.mark.parametrize("density", [None, Uniform1D(0.0, 1.0), np.linspace(0.0, 1.0, 5)],
-                             ids=["function", "data-uniform", "data-empirical"])
+    @pytest.mark.parametrize("kind", list(ScoreKind), ids=["function", "data"])
     @pytest.mark.parametrize("u, error", [(0.4, DuplicatePointError), (0.0, DuplicatePointError),
                                           (1.0, DuplicatePointError), (-0.1, OutOfRangeError),
                                           (1.1, OutOfRangeError),
                                           (np.nextafter(1.0, 2.0), OutOfRangeError)])
-    def test_errors(self, u, error, density):
+    def test_errors(self, u, error, kind):
         # On an interior or an end knot, and outside the hull, however close;
         # with another candidate inside the hull, under either score.
         m = fit_spline([0.0, 0.4, 1.0], [1, -1, 1])
-        kind = ScoreKind.FUNCTION_NORM if density is None else ScoreKind.DATA_NORM
         with pytest.raises(error):
-            spline_score_pool(m, [0.2, u, 0.7], kind, density)
+            spline_score_pool(m, [0.2, u, 0.7], kind)
 
 
 class TestDataNormScore:
     def test_equal_pair_is_exactly_zero(self):
         m = fit_spline([0.0, 1.0, 3.0], [1, 1, -1])
-        density = Uniform1D(0.0, 3.0)
-        for u in (0.1, 0.5, 0.99):
-            assert score_one(m, u, density)[0] == 0.0
+        scores, _ = spline_score_pool(m, [0.1, 0.5, 0.99, 2.0], ScoreKind.DATA_NORM)
+        assert scores[:3].tolist() == [0.0, 0.0, 0.0] and scores[3] > 0.0
 
-    def test_unit_example_is_one_third(self):
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
+    def test_grid_closed_form_at_the_midpoint(self, n):
+        # Labels (0, +1) and (1, -1), candidates k/n: at 1/2 the peak is 1 and
+        # the hat sums are (n/2 - 1)(n - 1)/(3n) below and (n/2 + 1)(n + 1)/(3n)
+        # from 1/2 on, so the score is (n^2 + 2)/(3n(n - 1)), which tends to the
+        # uniform density's 1/3.  The reference and the state agree bit for bit.
+        grid = np.arange(1, n) / n
+        want = (n * n + 2) / (3 * n * (n - 1))
         m = fit_spline([0.0, 1.0], [1, -1])
-        got = score_one(m, 0.5, Uniform1D(0.0, 1.0))[0]
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-6)
+        state = SplineState(np.r_[0.0, 1.0, grid], ScoreKind.DATA_NORM)
+        state.add(0, 1)
+        state.add(1, -1)
+        got = spline_score_pool(m, grid, ScoreKind.DATA_NORM)[0]
+        assert np.array_equal(state.scores()[0], got)
+        assert got[n // 2 - 1] == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_no_candidates_no_scores(self, kind):
+        m = fit_spline([0.0, 1.0], [1, -1])
+        scores, labels = spline_score_pool(m, np.empty(0), kind)
+        assert scores.shape == labels.shape == (0,)
 
     def test_vanishes_as_u_approaches_a_knot(self):
         m = fit_spline([0.0, 1.0], [1, -1])
-        density = Uniform1D(0.0, 1.0)
-        vals = [score_one(m, u, density)[0]
-                for u in (1e-3, 1e-5, 1e-7)]
+        grid = np.arange(1, 1000) / 1000
+        vals = [data_score_last(m, grid, u)[0] for u in (1e-3, 1e-5, 1e-7)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
 
-    def test_uniform_density_matches_quadrature(self):
-        rng = np.random.default_rng(46)
-        for _ in range(30):
-            m = random_spline(rng, max_n=6)
-            if len(m) < 2:
-                continue
-            u = float(rng.uniform(m.positions[0] + 0.01, m.positions[-1] - 0.01))
-            if np.min(np.abs(u - m.positions)) < 1e-6:
-                continue
-            lo, hi = m.positions[0] - 0.5, m.positions[-1] + 0.5
-            score, label = score_one(m, u, Uniform1D(lo, hi))
-            aug = fit_spline(np.append(m.positions, u),
-                             np.append(m.values, label))
-            xs = np.linspace(lo, hi, 200_001)
-            diff = (aug.predict(xs) - m.predict(xs)) ** 2
-            want = np.trapezoid(diff, xs) / (hi - lo)
-            assert score == pytest.approx(want, rel=1e-6, abs=1e-9)
-
-    def test_empirical_density_matches_pool_average(self):
+    def test_score_is_the_candidate_average_of_the_change(self):
         rng = np.random.default_rng(47)
         for _ in range(30):
             m = random_spline(rng, max_n=6)
@@ -250,10 +235,11 @@ class TestDataNormScore:
             u = float(rng.uniform(m.positions[0] + 0.01, m.positions[-1] - 0.01))
             if np.min(np.abs(u - m.positions)) < 1e-6:
                 continue
-            score, label = score_one(m, u, pts)
+            score, label = data_score_last(m, pts, u)
             aug = fit_spline(np.append(m.positions, u),
                              np.append(m.values, label))
-            want = float(np.mean((aug.predict(pts) - m.predict(pts)) ** 2))
+            us = np.append(pts, u)
+            want = float(np.mean((aug.predict(us) - m.predict(us)) ** 2))
             assert score == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_empirical_interval_sums_match_per_candidate_loop(self):
@@ -278,31 +264,27 @@ class TestDataNormScore:
                                        rtol=1e-12, atol=0)
 
     def test_symmetric_about_midpoint_with_single_sign_change(self):
+        # Candidates k/100: the scores at k and 100 - k agree, and rise to the
+        # midpoint's, then fall.
         m = fit_spline([0.0, 1.0], [1, -1])
-        density = Uniform1D(0.0, 1.0)
-        deltas = np.linspace(0.01, 0.45, 20)
-        for d in deltas:
-            left = score_one(m, 0.5 - d, density)[0]
-            right = score_one(m, 0.5 + d, density)[0]
-            assert left == pytest.approx(right, rel=1e-9)
-        grid = np.linspace(0.02, 0.98, 97)
-        vals = np.array([score_one(m, u, density)[0] for u in grid])
+        vals = spline_score_pool(m, np.arange(1, 100) / 100, ScoreKind.DATA_NORM)[0]
+        np.testing.assert_allclose(vals, vals[::-1], rtol=1e-9, atol=0)
         signs = np.sign(np.diff(vals))
         changes = np.sum(np.diff(signs[signs != 0]) != 0)
         assert changes == 1  # rises to the midpoint peak, then falls
 
-    @pytest.mark.parametrize("positions,us,density,span", [
-        ([-1.0, 0.0, 1e200, 2e200], [0.5, 5e199], [1.0, 5e199], "[0.0, 1e+200]"),
-        ([0.0, 1.3e154], [6.5e153], [1.28e154, 1.29e154], "[0.0, 1.3e+154]"),
+    @pytest.mark.parametrize("positions,us,span", [
+        ([-1.0, 0.0, 1e200, 2e200], [0.5, 5e199, 1.0, 5e199], "[0.0, 1e+200]"),
+        ([0.0, 1.3e154], [6.5e153, 1.28e154, 1.29e154], "[0.0, 1.3e+154]"),
     ])
-    def test_squares_that_overflow_name_the_interval(self, positions, us, density, span):
+    def test_squares_that_overflow_name_the_interval(self, positions, us, span):
         # A candidate's squared distance to an end overflows (first case), or
-        # only the density's hat sum does (second case, where each square is
+        # only the candidates' hat sum does (second case, where each square is
         # below 1.7e308): one ValueError naming the interval, and no warning.
         m = fit_spline(positions, [1, 1, -1, -1][:len(positions)])
         match = re.escape(f"labeled interval {span} is too wide")
-        for call in (lambda: spline_score_pool(m, us, ScoreKind.DATA_NORM, np.array(density)),
-                     lambda: spline_select_next(m, us + density, ScoreKind.DATA_NORM, 0)):
+        for call in (lambda: spline_score_pool(m, us, ScoreKind.DATA_NORM),
+                     lambda: spline_select_next(m, us, ScoreKind.DATA_NORM, 0)):
             with pytest.raises(ValueError, match=match) as err:
                 call()
             assert not isinstance(err.value, DuplicatePointError)
@@ -332,7 +314,7 @@ class TestSelectNext:
         grid = np.linspace(0.05, 2.95, 200)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-9]
         for kind in ScoreKind:
-            got = pick(*spline_score_pool(m, grid, kind, Uniform1D(0.0, 3.0)), 0)
+            got = pick(*spline_score_pool(m, grid, kind), 0)
             nearest = int(np.argmin(np.abs(grid - 2.0)))
             assert got.index == nearest
 
@@ -348,14 +330,14 @@ class TestSelectNext:
         m = fit_spline([0.0, 1.0, 3.0, 5.0], [1, -1, -1, 1])
         grid = np.linspace(0.01, 4.99, 999)
         grid = grid[np.min(np.abs(grid[:, None] - m.positions[None, :]), axis=1) > 1e-6]
-        got = pick(*spline_score_pool(m, grid, ScoreKind.DATA_NORM, Uniform1D(0.0, 5.0)), 0)
+        got = pick(*spline_score_pool(m, grid, ScoreKind.DATA_NORM), 0)
         assert abs(grid[got.index] - 4.0) < 0.02
 
-    def test_empirical_default_density_is_the_pool(self):
+    def test_select_next_picks_from_the_pool_scores(self):
         m = fit_spline([0.0, 2.0], [1, -1])
         pool = np.linspace(0.1, 1.9, 50)
         got = spline_select_next(m, pool, ScoreKind.DATA_NORM, 0)
-        want = pick(*spline_score_pool(m, pool, ScoreKind.DATA_NORM, pool), 0)
+        want = pick(*spline_score_pool(m, pool, ScoreKind.DATA_NORM), 0)
         assert got == want
 
     def test_empty_pool_rejected(self):
@@ -367,14 +349,12 @@ class TestSelectNext:
         m = fit_spline([0.0, 1.0], [1, -1])
         with pytest.raises(ValueError):
             spline_score_pool(m, [0.5], "unknown")
-        with pytest.raises(ValueError):
-            spline_score_pool(m, [0.5], ScoreKind.DATA_NORM)  # density required
 
     def test_string_kinds_rejected(self):
         m = fit_spline([0.0, 1.0], [1, -1])
         for kind in ("function", "data"):
             with pytest.raises(ValueError, match="unknown score kind"):
-                spline_score_pool(m, [0.5], kind, Uniform1D(0.0, 1.0))
+                spline_score_pool(m, [0.5], kind)
             with pytest.raises(ValueError, match="unknown score kind"):
                 spline_select_next(m, [0.5], kind, 0)
 
@@ -441,9 +421,8 @@ class TestSplineState:
                 return
             us = points[pool_idx]
             for state in states:
-                density = us if state.kind is ScoreKind.DATA_NORM else None
                 try:
-                    want, want_labels = spline_score_pool(m, us, state.kind, density)
+                    want, want_labels = spline_score_pool(m, us, state.kind)
                 except (DuplicatePointError, OutOfRangeError) as err:
                     with pytest.raises(type(err)):
                         state.scores()
@@ -461,9 +440,8 @@ class TestSplineState:
         state.add(0, 1)
         state.add(2, -1)
         m, us = fit_spline(x[[0, 2]], [1, -1]), x[[1, 3, 4]]
-        density = us if kind is ScoreKind.DATA_NORM else None
         assert state.weight_norm == m.weight_norm
-        got, want = state.scores(), spline_score_pool(m, us, kind, density)
+        got, want = state.scores(), spline_score_pool(m, us, kind)
         assert len(got[0]) == 3 and len(set(got[0])) == 3
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -487,7 +465,7 @@ class TestSplineState:
         assert data.weight_norm == function.weight_norm == m.weight_norm
         for call in (data.scores,
                      lambda: data.select(np.random.default_rng(0)),
-                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM, x[pool]),
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM),
                      lambda: spline_select_next(m, x[pool], ScoreKind.DATA_NORM, 0)):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
@@ -500,7 +478,7 @@ class TestSplineState:
         data.add(3, 1)
         m = fit_spline(x[[0, 1, 3]], [1, -1, 1])
         assert data.weight_norm == m.weight_norm
-        want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM, x[[2]])
+        want = spline_score_pool(m, x[[2]], ScoreKind.DATA_NORM)
         assert np.array_equal(data.scores()[0], want[0])
 
     @pytest.mark.parametrize("x", [(0.0, 1e-310, 0.5, 1.0), (-1.0, -0.5, -1e-310, 0.0)])
@@ -525,7 +503,7 @@ class TestSplineState:
         chosen = function.select(np.random.default_rng(0))
         assert abs(x[chosen.index]) == 0.5
         for call in (data.scores,
-                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM, x[pool])):
+                     lambda: spline_score_pool(m, x[pool], ScoreKind.DATA_NORM)):
             with pytest.raises(DuplicatePointError, match="indistinguishable"):
                 call()
 
