@@ -25,12 +25,12 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   prefers *wider* oppositely-labeled pairs, vanishing between equal labels.
   Every candidate reads its hat sums off running sums kept per labeled
   interval, so scoring a pool costs one sort and one pass over the points
-  instead of one pass per candidate.  The sums are divided by
-  ``(u - x_j)^2`` and ``(x_{j+1} - u)^2``, which underflow to 0 within
-  about 1e-154 of a labeled point: such a candidate raises
-  DuplicatePointError.  On a labeled interval wider than about 1e154 the
-  squares or their sums overflow instead, and the score raises ValueError
-  naming the interval.
+  instead of one pass per candidate.  Every distance is measured in units
+  of its labeled interval's width ``w = x_{j+1} - x_j`` before it is squared,
+  so each square is at most 1 and nothing overflows; the sums are divided by
+  ``((u - x_j)/w)^2`` and ``((x_{j+1} - u)/w)^2``, which underflow to 0
+  within about 1e-154 w of a labeled point: such a candidate raises
+  DuplicatePointError.
 
 Runs score from a :class:`SplineState`, which keeps these terms per point and
 recomputes them only on the interval a label splits, and the knots and
@@ -63,13 +63,6 @@ from .scoring import _DUPLICATE, ScoredCandidate, ScoreKind, SortedIntervals, pi
 _MIN_OPPOSITE_GAP = 2.0 ** -1021
 _STEEP = "oppositely labeled positions are numerically indistinguishable"
 _OVERFLOW = "the roughness overflows: oppositely labeled positions are too close"
-
-
-def _too_wide(xl: float, xr: float) -> ValueError:
-    """The error of a data score whose squared distances or hat sums overflow
-    between labeled ``xl`` and ``xr``."""
-    return ValueError(f"the labeled interval [{float(xl)!r}, {float(xr)!r}] is too wide: "
-                      "the data score's squared distances overflow")
 
 
 def _knots(positions: np.ndarray, values: np.ndarray):
@@ -176,8 +169,6 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind):
 
     Candidates must lie strictly inside the labeled hull: one on a labeled
     position raises DuplicatePointError, one outside OutOfRangeError.
-    A data score whose squared distances or hat sums overflow raises
-    ValueError naming the labeled interval.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     # positions[j - 1] < u <= positions[j]: u is a labeled position exactly
@@ -204,45 +195,38 @@ def spline_score_pool(m: SplineInterpolator, us, kind: ScoreKind):
     if kind is not ScoreKind.DATA_NORM:
         raise ValueError(f"unknown score kind {kind!r}")
     peak = labels - m.predict(us)
-    scores = peak ** 2 * _hat_mean_sq(m, us, j, us)
+    scores = peak ** 2 * _hat_mean_sq(m, us, j)
     return scores, labels
 
 
-def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray,
-                 density: np.ndarray) -> np.ndarray:
-    """Mean of ``hat(x)^2`` over the ``density`` points, for the unit hat peaking at u.
+def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Mean of ``hat(x)^2`` over the candidates ``u``, for the unit hat peaking at each.
 
     The hat rises linearly from 0 at ``positions[j]`` to 1 at ``u`` and falls
     back to 0 at ``positions[j+1]``; it is the shape of ``f^u - f`` up to the
-    ``t - f(u)`` peak factor.
+    ``t - f(u)`` peak factor.  Distances are in units of the labeled
+    interval's width, so every square is at most 1 and nothing overflows.
     """
     xl, xr = m.positions[j], m.positions[j + 1]
     # The rise counts points with x_j < x < u, the fall points with
-    # u <= x < x_{j+1}; points outside the hull count for nothing.
-    # Within each labeled interval, rise[k] sums (x - x_j)^2 over its first k
-    # sorted points and fall[k] sums (x_{j+1} - x)^2 over the rest, so a
-    # candidate reads both off at its rank with no cross-interval subtraction.
-    pts = np.sort(density, axis=None)
+    # u <= x < x_{j+1}.  Within each labeled interval of width w, rise[k]
+    # sums ((x - x_j)/w)^2 over its first k sorted points and fall[k] sums
+    # ((x_{j+1} - x)/w)^2 over the rest, so a candidate reads both off at its
+    # rank with no cross-interval subtraction.
+    pts = np.sort(u)
     lo, hi = m.positions[:-1], m.positions[1:]
     starts = np.searchsorted(pts, lo, side="right")
     ends = np.searchsorted(pts, hi, side="left")
     offsets = np.concatenate([[0], np.cumsum(ends - starts + 1)])
     rise, fall = np.zeros(offsets[-1]), np.zeros(offsets[-1])
-    with np.errstate(over="ignore"):
-        for k in np.unique(j):
-            seg, o = pts[starts[k]:ends[k]], offsets[k]
-            np.cumsum((seg - lo[k]) ** 2, out=rise[o + 1:o + 1 + len(seg)])
-            np.cumsum(((hi[k] - seg) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
-        dl, dr = (u - xl) ** 2, (xr - u) ** 2
+    for k in np.unique(j):
+        seg, o, w = pts[starts[k]:ends[k]], offsets[k], hi[k] - lo[k]
+        np.cumsum(((seg - lo[k]) / w) ** 2, out=rise[o + 1:o + 1 + len(seg)])
+        np.cumsum((((hi[k] - seg) / w) ** 2)[::-1], out=fall[o:o + len(seg)][::-1])
+    dl, dr = ((u - xl) / (xr - xl)) ** 2, ((xr - u) / (xr - xl)) ** 2
     at = offsets[j] + np.searchsorted(pts, u, side="left") - starts[j]
     if not (dl.all() and dr.all()):
         raise DuplicatePointError(_DUPLICATE)
-    # Squares, or their sums over an interval, overflow on labeled intervals
-    # wider than about 1e154.
-    finite = np.isfinite([rise[offsets[j + 1] - 1], fall[offsets[j]], dl, dr]).all(axis=0)
-    if not finite.all():
-        k = j[~finite].min()
-        raise _too_wide(lo[k], hi[k])
     return (rise[at] / dl + fall[at] / dr) / len(pts)
 
 
@@ -261,7 +245,6 @@ class SplineState(SortedIntervals):
         x = np.asarray(points, dtype=float).ravel()
         self._repeated, self.weight_norm = False, 0.0
         self.knots = self.knot_values = self.slopes = np.empty(0)
-        self._wide = set()  # left ranks of intervals whose data score overflows
         # The terms by rank; the sentinel ranks stay unused.
         self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
         super().__init__(x, kind, order)
@@ -298,9 +281,6 @@ class SplineState(SortedIntervals):
         if self._labeled[1] > 1 or self._labeled[-2] < len(self._order):
             raise OutOfRangeError("candidate lies outside the labeled hull")
         super()._check()
-        if self._wide:
-            lo = min(self._wide)
-            raise _too_wide(self._x[lo], self._x[self._labeled[bisect.bisect(self._labeled, lo)]])
         # The largest function score, R(f) plus the largest key, overflows
         # exactly when one of the reference's does.
         if (self.kind is ScoreKind.FUNCTION_NORM and self.weight_norm
@@ -318,24 +298,21 @@ class SplineState(SortedIntervals):
     def _fill(self, lo: int, hi: int) -> None:
         self._top[lo] = -np.inf
         self._count_low(lo, 0)
-        self._wide.discard(lo)
         if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
             return  # outside the hull, where scores raise, or empty
         u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
         xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
-        # Repeats, and points within about 1e-154 of an end: scores raise there.
+        # Repeats, and points within about 1e-154 w of an end: scores raise there.
         # Within about 1e-308 of an end one delta overflows (see spline_score_pool).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._dplus[ranks], self._dminus[ranks] = _roughness_deltas(u, xl, xr, yl, yr)
             if self.kind is ScoreKind.DATA_NORM:
                 self._f[ranks] = np.interp(u, (xl, xr), (yl, yr))
-                dl, dr = (u - xl) ** 2, (xr - u) ** 2
+                dl, dr = ((u - xl) / (xr - xl)) ** 2, ((xr - u) / (xr - xl)) ** 2
                 self._count_low(lo, int(np.count_nonzero((dl == 0) | (dr == 0))))
                 rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
                 np.cumsum(dl, out=rise[1:])
                 np.cumsum(dr[::-1], out=fall[:-1][::-1])
-                if not (np.isfinite(rise[-1]) and np.isfinite(fall[0])):
-                    self._wide.add(lo)
                 at = np.searchsorted(u, u, side="left")
                 self._hat[ranks] = rise[at] / dl + fall[at] / dr
             key = self._key[ranks] = self._score(ranks, 0.0, 1)[0]

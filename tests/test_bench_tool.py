@@ -1,4 +1,5 @@
-"""``tools/bench.py``: the paired-run rule, a short run of the tool itself and its phase split."""
+"""``tools/bench.py``: the paired-run rule, the copy of the working tree, a
+short run of the tool itself and its phase split."""
 
 import json
 import subprocess
@@ -31,11 +32,46 @@ def test_rule_needs_nine_wins_in_ten_and_a_gap_wider_than_the_iqr():
     assert bench.compare(parent, parent, "lower")["wins"] == 0
 
 
+def test_snapshot_copies_the_working_files_once(tmp_path, monkeypatch):
+    repo, copy, clean = tmp_path / "repo", tmp_path / "copy", tmp_path / "clean"
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    for name, text in {"src/a.py": "a = 1\n", "perfbench/b.py": "b = 1\n",
+                       "gone.txt": "x\n", ".gitignore": "ignored.txt\n"}.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    clean.mkdir()
+    assert bench.snapshot(clean) is False
+    assert (clean / "src" / "a.py").read_text() == "a = 1\n"
+    # An uncommitted edit and an untracked file reach the copy; an ignored
+    # file and a deleted one do not.
+    (repo / "src" / "a.py").write_text("a = 2\n")
+    (repo / "src" / "new.py").write_text("new = 1\n")
+    (repo / "ignored.txt").write_text("x\n")
+    (repo / "gone.txt").unlink()
+    copy.mkdir()
+    assert bench.snapshot(copy) is True
+    assert (copy / "src" / "a.py").read_text() == "a = 2\n"
+    assert (copy / "src" / "new.py").read_text() == "new = 1\n"
+    assert (copy / "perfbench" / "b.py").read_text() == "b = 1\n"
+    assert not (copy / "ignored.txt").exists() and not (copy / "gone.txt").exists()
+    # A later edit does not.
+    (repo / "src" / "a.py").write_text("a = 3\n")
+    assert (copy / "src" / "a.py").read_text() == "a = 2\n"
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
 def test_paired_run_against_head_compares_both_trees(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench.py"), "--tag", "smoke",
-                    "--against", "HEAD", "--workload", "random-1d", "--pairs", "1",
+                    "--against", "HEAD", "--workload", "random-1d", "--pairs", "2",
                     "--seconds", "0.5", "--phases", "--out", str(out)],
                    check=True, capture_output=True)
     result = json.loads(out.read_text())
@@ -48,13 +84,16 @@ def test_paired_run_against_head_compares_both_trees(tmp_path):
     assert set(workload["runs"]) == {"change", "parent"}
     for row in workload["metrics"].values():
         assert {"better", "unit", "change", "parent", "wins", "pairs", "rule_holds"} <= set(row)
-        assert row["pairs"] == 1
+        assert row["pairs"] == 2
     assert workload["runs"]["change"][0]["correct"]
     assert set(result["phases"]) >= set(bench.PHASES)
+    # One split per pair and tree, summarized by its median and IQR per phase.
     for tree in ("change", "parent"):
         phases = workload["phases"][tree]
-        assert phases["selections_match"] and phases["steps"] > 0
-        assert set(bench.PHASES) < set(phases)
+        assert phases["selections_match"] and phases["steps"] > 0 and phases["splits"] == 2
+        for phase in ("step_ms", *bench.PHASES):
+            q1, q3 = phases[phase]["iqr"]
+            assert q1 <= phases[phase]["median"] <= q3
 
 
 @pytest.mark.parametrize("workload", ["bisect-1d", "data-1d", "random-1d", "clusters-nd"])

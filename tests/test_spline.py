@@ -47,20 +47,20 @@ def data_score_last(m: SplineInterpolator, pool, u):
     return float(scores[-1]), int(labels[-1])
 
 
-def hat_mean_sq_loop(m: SplineInterpolator, u, j, pts) -> np.ndarray:
-    """Reference empirical hat mean: one pass over the density per candidate.
+def hat_mean_sq_loop(m: SplineInterpolator, u, j) -> np.ndarray:
+    """Reference empirical hat mean over the candidates: one pass per candidate.
 
-    The rise counts density points with x_j < x < u, the fall points with
-    u <= x < x_{j+1}; points outside the labeled hull count for nothing.
+    The rise counts candidates with x_j < x < u, the fall those with
+    u <= x < x_{j+1}.
     """
     xl, xr = m.positions[j], m.positions[j + 1]
     out = np.empty(len(u))
     for i in range(len(u)):
-        rise = (pts > xl[i]) & (pts < u[i])
-        fall = (pts >= u[i]) & (pts < xr[i])
-        total = np.sum(((pts[rise] - xl[i]) / (u[i] - xl[i])) ** 2)
-        total += np.sum(((xr[i] - pts[fall]) / (xr[i] - u[i])) ** 2)
-        out[i] = total / len(pts)
+        rise = (u > xl[i]) & (u < u[i])
+        fall = (u >= u[i]) & (u < xr[i])
+        total = np.sum(((u[rise] - xl[i]) / (u[i] - xl[i])) ** 2)
+        total += np.sum(((xr[i] - u[fall]) / (xr[i] - u[i])) ** 2)
+        out[i] = total / len(u)
     return out
 
 
@@ -248,19 +248,12 @@ class TestDataNormScore:
             m = random_spline(rng, max_n=12)
             if len(m) < 2:
                 continue
-            lo, hi = m.positions[0], m.positions[-1]
-            # Density points inside the hull, beyond it, on the knots, and repeated.
-            pts = rng.uniform(lo - 1.0, hi + 1.0, size=int(rng.integers(1, 200)))
-            pts = np.concatenate([pts, m.positions[rng.integers(0, len(m), size=3)],
-                                  pts[:5]])
-            inside = pts[(pts > lo) & (pts < hi) & ~np.isin(pts, m.positions)]
-            us = np.concatenate([inside, rng.uniform(lo, hi, size=20)])
+            us = rng.uniform(m.positions[0], m.positions[-1], size=int(rng.integers(1, 200)))
             us = us[~np.isin(us, m.positions)]
             if us.size == 0:
                 continue
             j = np.searchsorted(m.positions, us) - 1
-            got = _hat_mean_sq(m, us, j, rng.permutation(pts))
-            np.testing.assert_allclose(got, hat_mean_sq_loop(m, us, j, pts),
+            np.testing.assert_allclose(_hat_mean_sq(m, us, j), hat_mean_sq_loop(m, us, j),
                                        rtol=1e-12, atol=0)
 
     def test_symmetric_about_midpoint_with_single_sign_change(self):
@@ -272,22 +265,6 @@ class TestDataNormScore:
         signs = np.sign(np.diff(vals))
         changes = np.sum(np.diff(signs[signs != 0]) != 0)
         assert changes == 1  # rises to the midpoint peak, then falls
-
-    @pytest.mark.parametrize("positions,us,span", [
-        ([-1.0, 0.0, 1e200, 2e200], [0.5, 5e199, 1.0, 5e199], "[0.0, 1e+200]"),
-        ([0.0, 1.3e154], [6.5e153, 1.28e154, 1.29e154], "[0.0, 1.3e+154]"),
-    ])
-    def test_squares_that_overflow_name_the_interval(self, positions, us, span):
-        # A candidate's squared distance to an end overflows (first case), or
-        # only the candidates' hat sum does (second case, where each square is
-        # below 1.7e308): one ValueError naming the interval, and no warning.
-        m = fit_spline(positions, [1, 1, -1, -1][:len(positions)])
-        match = re.escape(f"labeled interval {span} is too wide")
-        for call in (lambda: spline_score_pool(m, us, ScoreKind.DATA_NORM),
-                     lambda: spline_select_next(m, us, ScoreKind.DATA_NORM, 0)):
-            with pytest.raises(ValueError, match=match) as err:
-                call()
-            assert not isinstance(err.value, DuplicatePointError)
 
 
 class TestLocality:
@@ -664,25 +641,3 @@ class TestSplineState:
             state.add(0, 1)
         for name, value in vars(before).items():
             np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
-
-    @pytest.mark.parametrize("x", [(0.0, 5e199, 1e200), (-1e200, -7e199, 0.0)])
-    def test_a_data_score_whose_squares_overflow_is_rejected(self, x):
-        # (5e199)^2 overflows: scores and select raise one ValueError naming
-        # the labeled interval, after labels that each went through whole,
-        # and nothing warns (the suite turns RuntimeWarnings into errors).
-        x = np.array(x)
-        state = SplineState(x, ScoreKind.DATA_NORM)
-        state.add(0, 1)
-        state.add(2, -1)
-        span = re.escape(f"labeled interval [{float(x[0])!r}, {float(x[2])!r}] is too wide")
-        for call in (state.scores, lambda: state.select(np.random.default_rng(0))):
-            with pytest.raises(ValueError, match=span) as err:
-                call()
-            assert not isinstance(err.value, DuplicatePointError)
-        # Labeling the middle point leaves two empty intervals: nothing to score.
-        state.add(1, 1)
-        assert state.scores()[0].size == 0
-        function = SplineState(x, ScoreKind.FUNCTION_NORM)
-        function.add(0, 1)
-        function.add(2, -1)
-        assert np.isfinite(function.scores()[0]).all()

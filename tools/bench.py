@@ -6,9 +6,12 @@ Usage, from the repository root::
                           [--pairs N] [--seed S] [--seconds X] [--phases] [--out PATH]
 
 Each of the N pairs runs ``perfbench/run.py --workload W --seed S --seconds X``
-in a subprocess once in this tree and once in REV, which
-``git archive REV | tar -x`` unpacks into a temporary directory (nothing is
-written to ``.git``).  The tree that runs first alternates from pair to pair.
+in a subprocess once in a copy of this tree and once in REV, each unpacked
+once into a temporary directory before the first run: REV by
+``git archive REV | tar -x``, this tree as its working files at that moment
+(tracked files with their uncommitted edits, and untracked files git does not
+ignore), so an edit made during the run reaches neither side.  Nothing is
+written to ``.git``.  The tree that runs first alternates from pair to pair.
 Each run's last output line, a JSON object, is stored as it is.
 
 For every workload (by default each one ``BENCHMARK.json`` lists) and each of
@@ -17,13 +20,17 @@ range, the parent's, the number of pairs the change wins
 (strictly better, in the metric's direction) and whether the ten-pair rule
 holds: at least 9 wins in 10 pairs (the same share of N) and a median gap, in
 the better direction, wider than the parent's interquartile range.  The file
-also records both revisions, the load average before the first run and the
-environment the first run prints (Python, NumPy, SciPy, the BLAS and its
-thread count, CPU count).  Writes ``BENCH_T.json`` at the repository root
-unless ``--out`` names another path.
+also records both revisions (``dirty`` when the copy's ``src`` or
+``perfbench`` files differ from HEAD's), the load average before the first
+run and the environment the first run prints (Python, NumPy, SciPy, the BLAS
+and its thread count, CPU count).  Writes ``BENCH_T.json`` at the repository
+root unless ``--out`` names another path.
 
 With ``--phases`` each tree also splits the steps of the workload's seed-1
-list into phases, in a subprocess that imports that tree's library.  It runs
+list into phases in every pair, right after its end-to-end run, and the file
+gives each phase's median and interquartile range over the pairs per tree;
+the tool exits with status 1 if any split's selections differ.  A split runs
+in a subprocess that imports that tree's library.  It runs
 the list once as it is, then twice with timers around what
 ``harness._learner`` returns (``add``, ``select`` and ``n_wrong``), around
 ``scoring._draw`` (the one tie-breaking argmax, which ``pick`` and the 1-D
@@ -41,6 +48,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -98,6 +106,24 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def snapshot(dest: Path) -> bool:
+    """Copy this tree's working files into ``dest``: the tracked ones as they
+    are on disk, and the untracked ones git does not ignore.  Returns whether
+    the copied ``src`` and ``perfbench`` files differ from HEAD's."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    names = sorted({n for n in listed.split("\0") if n and (ROOT / n).is_file()})
+    for name in names:
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, dest / name)
+    ran = [n for n in names if n.split("/")[0] in ("src", "perfbench")]
+    hashed = subprocess.run(["git", "hash-object", "--stdin-paths"], cwd=ROOT,
+                            input="\n".join(str(dest / n) for n in ran), capture_output=True,
+                            text=True, check=True).stdout.split()
+    committed = [line.split(None, 3)[2:] for line in
+                 _git("ls-tree", "-r", "HEAD", "--", "src", "perfbench").splitlines()]
+    return {n: h for n, h in zip(ran, hashed)} != {n: h for h, n in committed}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The environment line and the last output line of one benchmark run in
     ``tree``, parsed."""
@@ -127,12 +153,20 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "rule_holds": bool(wins >= math.ceil(WIN_SHARE * len(parent)) and gap > width)}
 
 
-def revisions(against: str) -> dict:
-    """This tree's commit, whether the files the benchmark runs differ from
-    it, and REV's commit."""
-    return {"head": _git("rev-parse", "HEAD"),
-            "dirty": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
+def revisions(against: str, dirty: bool) -> dict:
+    """This tree's commit, whether the copied files the benchmark runs differ
+    from it, and REV's commit."""
+    return {"head": _git("rev-parse", "HEAD"), "dirty": dirty,
             "against": _git("rev-parse", against)}
+
+
+def summarize_phases(splits: dict[str, list[dict]]) -> dict:
+    """Per tree: each phase's (and ``step_ms``'s) median and IQR over its
+    splits, its steps, and whether every split repeated the selections."""
+    return {tree: {"splits": len(rows), "steps": rows[0]["steps"],
+                   **{k: spread([r[k] for r in rows]) for k in ("step_ms", *PHASES)},
+                   "selections_match": all(r["selections_match"] for r in rows)}
+            for tree, rows in splits.items()}
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:
@@ -245,9 +279,10 @@ def tree_phases(tree: str, workload: str) -> dict:
     return phase_split([e.config for e in workloads.experiments(workload, 1)])
 
 
-def run_phases(tree: Path, workload: str) -> dict:
-    """:func:`tree_phases` of ``tree`` in a subprocess."""
-    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench; "
+def run_phases(tree: Path, workload: str, tools: Path) -> dict:
+    """:func:`tree_phases` of ``tree`` in a subprocess, with the ``bench``
+    module in ``tools``."""
+    code = (f"import json, sys; sys.path.insert(0, {str(tools)!r}); import bench; "
             f"print(json.dumps(bench.tree_phases({str(tree)!r}, {workload!r})))")
     done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True,
                           text=True, check=True)
@@ -258,31 +293,40 @@ def main(argv=None) -> int:
     args = _parse(argv)
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
-    result = {"tag": args.tag, "revisions": revisions(args.against),
+    result = {"tag": args.tag, "revisions": None,
               "load_1m": os.getloadavg()[0], "environment": None,
               "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
               "workloads": {}}
     if args.phases:
         result["phases"] = {"unit": "ms per step", "list": "the workload's benchmark seed 1",
-                            **PHASES}
+                            "per_tree": "median and IQR over one split per pair", **PHASES}
+    match = True
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"change": ROOT, "parent": Path(tmp)}
+        trees = {"change": Path(tmp) / "change", "parent": Path(tmp) / "parent"}
+        for path in trees.values():
+            path.mkdir()
+        result["revisions"] = revisions(args.against, snapshot(trees["change"]))
         unpack(args.against, trees["parent"])
         for workload in workloads:
             runs = {tree: [] for tree in trees}
+            splits = {tree: [] for tree in trees}
             for k in range(args.pairs):
                 names = list(trees) if k % 2 == 0 else list(reversed(trees))
                 for tree in names:
                     env, last = run_once(trees[tree], workload, args.seed, args.seconds)
                     result["environment"] = result["environment"] or env
                     runs[tree].append(last)
+                    if args.phases:
+                        splits[tree].append(
+                            run_phases(trees[tree], workload, trees["change"] / "tools"))
             result["workloads"][workload] = {"metrics": summarize(runs), "runs": runs}
             if args.phases:
-                phases = {tree: run_phases(path, workload) for tree, path in trees.items()}
+                phases = summarize_phases(splits)
                 result["workloads"][workload]["phases"] = phases
                 for tree, row in phases.items():
-                    print(f"{workload} phases ({tree}): " + ", ".join(
-                        f"{k} {v:.4g}" for k, v in row.items() if k in PHASES or k == "step_ms")
+                    match &= row["selections_match"]
+                    print(f"{workload} phases ({tree}, medians): " + ", ".join(
+                        f"{k} {row[k]['median']:.4g}" for k in ("step_ms", *PHASES))
                         + ("" if row["selections_match"] else ", SELECTIONS DIFFER"),
                         flush=True)
             for name, row in result["workloads"][workload]["metrics"].items():
@@ -292,7 +336,7 @@ def main(argv=None) -> int:
                       f"rule {'holds' if row['rule_holds'] else 'fails'}", flush=True)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    return 0 if match else 1
 
 
 if __name__ == "__main__":
