@@ -293,20 +293,21 @@ def main(argv=None) -> int:
     args = _parse(argv)
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
-    result = {"tag": args.tag, "revisions": None,
-              "load_1m": os.getloadavg()[0], "environment": None,
-              "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-              "workloads": {}}
-    if args.phases:
-        result["phases"] = {"unit": "ms per step", "list": "the workload's benchmark seed 1",
-                            "per_tree": "median and IQR over one split per pair", **PHASES}
     match = True
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"change": Path(tmp) / "change", "parent": Path(tmp) / "parent"}
         for path in trees.values():
             path.mkdir()
-        result["revisions"] = revisions(args.against, snapshot(trees["change"]))
+        dirty = snapshot(trees["change"])
         unpack(args.against, trees["parent"])
+        result = {"tag": args.tag, "revisions": revisions(args.against, dirty),
+                  "load_1m": os.getloadavg()[0], "environment": None,
+                  "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
+                  "workloads": {}}
+        if args.phases:
+            result["phases"] = {"unit": "ms per step", "list": "the workload's benchmark seed 1",
+                                "per_tree": "median and IQR over one split per pair",
+                                **PHASES}
         for workload in workloads:
             runs = {tree: [] for tree in trees}
             splits = {tree: [] for tree in trees}
