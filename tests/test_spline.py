@@ -212,6 +212,14 @@ class TestDataNormScore:
         assert np.array_equal(state.scores()[0], got)
         assert got[n // 2 - 1] == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_unit_example_is_one_third(self):
+        # Under the uniform density on [0, 1] the midpoint's score is 1/3; a
+        # grid of 10^6 candidates is within (n + 2)/(3n(n - 1)) of it.
+        n = 1_000_000
+        m = fit_spline([0.0, 1.0], [1, -1])
+        got = spline_score_pool(m, np.arange(1, n) / n, ScoreKind.DATA_NORM)[0][n // 2 - 1]
+        assert got == pytest.approx(1.0 / 3.0, abs=1e-6)
+
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_no_candidates_no_scores(self, kind):
         m = fit_spline([0.0, 1.0], [1, -1])
@@ -224,6 +232,28 @@ class TestDataNormScore:
         vals = [data_score_last(m, grid, u)[0] for u in (1e-3, 1e-5, 1e-7)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
+
+    def test_uniform_density_matches_quadrature(self):
+        # On an even grid of candidates over the hull, the data score tends to
+        # the mean of the squared change under the uniform density there.
+        rng = np.random.default_rng(46)
+        for _ in range(30):
+            m = random_spline(rng, max_n=6)
+            if len(m) < 2:
+                continue
+            lo, hi = m.positions[0], m.positions[-1]
+            grid = np.linspace(lo, hi, 20_001)[1:-1]
+            grid = grid[~np.isin(grid, m.positions)]
+            i = int(rng.integers(len(grid)))
+            if np.min(np.abs(grid[i] - m.positions)) < 1e-3:
+                continue
+            scores, labels = spline_score_pool(m, grid, ScoreKind.DATA_NORM)
+            aug = fit_spline(np.append(m.positions, grid[i]),
+                             np.append(m.values, labels[i]))
+            xs = np.linspace(lo, hi, 200_001)
+            diff = (aug.predict(xs) - m.predict(xs)) ** 2
+            want = np.trapezoid(diff, xs) / (hi - lo)
+            assert scores[i] == pytest.approx(want, rel=1e-3)
 
     def test_score_is_the_candidate_average_of_the_change(self):
         rng = np.random.default_rng(47)
