@@ -15,23 +15,18 @@ at every task point by index (``f``) and at any points (``predict``), counts
 the task points whose sign is wrong (``n_wrong``) and picks the next point by
 index (``select(rng)``): the protocol of the scoring states, which score their
 own unlabeled points from their labels alone.  :func:`scoring_state` picks a
-scored run's state.  A 1-D ``p = 1`` kernel run's ``IntervalState`` is its
-learner: it selects per labeled interval and counts the wrong signs on the
-split interval only; the training error is that count over n, the same
-correctly rounded ratio as a mean over all points.  Every other run's learner
-keeps a model beside its state (grown by ``augmented_fit``, read from the
-``SplineState``, or refit by ``fit_spline`` in a random spline run) and
-evaluates it once per label: at every point for the first label and for a
-model a label changes everywhere, else only between the label's labeled
-neighbours, the one span where a spline or a 1-D ``p = 1`` kernel changes.
-A model a label changes everywhere is evaluated from the kernel columns the
-learner keeps, one per label, each evaluated once: the ``ScoringState`` hands
-over its own, and a random run's learner evaluates it.
-``n_wrong`` and ``f`` read those values, bit for bit a full evaluation's,
-and the benchmark's per-layer counts are taken on those calls.  A forced or
-random pick records the sign of the learner's
-``f`` at the point as its estimated label, so ``predict`` serves only a csv
-holdout; only random picks build the index array of the unlabeled points.
+scored run's state.  Where a label changes the model only between its
+labeled neighbours (a spline, or a 1-D ``p = 1`` kernel), a scored run's
+state is its learner: it counts the wrong signs on the split intervals only,
+and the training error is that count over n, the same correctly rounded
+ratio as a mean over all points.  Random runs, and scored kernel runs whose
+labels change the model everywhere, keep a model beside their state
+(:class:`_ModelLearner`) and evaluate it once per label; ``n_wrong`` and
+``f`` read those values, bit for bit a full evaluation's, and the
+benchmark's per-layer counts are taken on those calls.  A forced or random
+pick records the sign of the learner's ``f`` at the point as its estimated
+label, so ``predict`` serves only a csv holdout; only random picks build the
+index array of the unlabeled points.
 
 Config JSON schema; a missing or an unknown key, at any level, is rejected::
 
@@ -64,6 +59,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -111,7 +107,8 @@ def _check_int(name: str, value) -> None:
 
 def _check_task(task: dict, kinds=tuple(TASK_KEYS)) -> None:
     """Reject a non-object task, a kind not in ``kinds``, a missing or unknown key,
-    or a threshold task whose ``n`` or ``k`` is not an integer."""
+    a threshold task whose ``n`` or ``k`` is not an integer, or a csv
+    ``holdout`` that is not a real number (a boolean or a string)."""
     kind = _check_object("task", task).get("kind")
     if kind not in kinds:
         raise ValueError(f"task kind must be one of {kinds}, got {kind!r}")
@@ -119,6 +116,9 @@ def _check_task(task: dict, kinds=tuple(TASK_KEYS)) -> None:
     if kind == "threshold":
         _check_int("n", task["n"])
         _check_int("k", task["k"])
+    holdout = task.get("holdout", 0.0) if kind == "csv" else 0.0
+    if isinstance(holdout, bool) or not isinstance(holdout, numbers.Real):
+        raise ValueError(f"holdout must be a real number, got {holdout!r}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def scoring_state(model: ModelConfig, points: np.ndarray, kind: ScoreKind, capac
     ``p = 1`` kernel, else a ``ScoringState`` with room for ``capacity`` labels.
     ``order`` (stable, by the first coordinate) and ``oracle`` are optional."""
     if model.kind == "spline":
-        return spline.SplineState(points[:, 0], kind, order)
+        return spline.SplineState(points[:, 0], kind, order, oracle)
     config = KernelConfig(bandwidth=model.h, exponent=model.p)
     if _local(model, points.shape[1]):
         return scoring.IntervalState(points, config, kind, order, oracle)
@@ -369,13 +369,13 @@ def _local(model: ModelConfig, dim: int) -> bool:
 
 
 class _ModelLearner:
-    """A learner that evaluates a model beside the run's ``state`` (None for
-    random selection), which selects: the kernel grown by ``augmented_fit``
-    from the empty model; the spline a scored run's ``SplineState`` holds, or
-    a random run's ``fit_spline`` on the labeled points in arrival order.  It
-    keeps the model's values at all n task points sorted by the first
-    coordinate (``order``); ``n_wrong`` counts from them and ``f`` gathers
-    them by index.  Before any label ``f`` is 0.
+    """The learner of a random run, and of a scored kernel run whose labels
+    change the model everywhere, beside its ``ScoringState`` (``state``),
+    which selects.  It keeps the values of the kernel grown by
+    ``augmented_fit``, or of a random run's ``fit_spline`` on the labeled
+    points, at all n task points sorted by the first coordinate (``order``);
+    ``n_wrong`` counts from them and ``f`` gathers them by index (0 before
+    any label).
 
     The first label evaluates the model at every point.  When a label changes
     the model only between its labeled neighbours (:func:`_local`), the
@@ -423,14 +423,12 @@ class _ModelLearner:
         if not self._spline:
             row = None if cross is None else cross[self._rank[i], :len(self.model)]
             self.model = augmented_fit(self.model, self.points[i], label, row=row)
-        elif self.state is None:
+        else:
             self._labeled.append(i)
             self._labels.append(label)
             self.model = spline.fit_spline(self.points[self._labeled, 0], self._labels)
         if self.state is not None:
             column = self.state.add(i, label)
-            if self._spline:
-                self.model = self.state.spline
         if cross is None:
             r = int(self._rank[i])
             k = bisect.bisect(self._ranks, r)
@@ -465,11 +463,10 @@ def _learner(model: ModelConfig, points: np.ndarray, kind: ScoreKind | None, bud
              order: np.ndarray, oracle: np.ndarray):
     """The run's learner for score ``kind`` (None for random selection), over the
     task's points, their stable ``order`` by the first coordinate and their
-    oracle labels: the run's :func:`scoring_state` when it is an
-    :class:`~maximin_al.scoring.IntervalState`, else a :class:`_ModelLearner`
-    beside it."""
+    oracle labels: the run's :func:`scoring_state` when a label changes its
+    model locally (:func:`_local`), else a :class:`_ModelLearner` beside it."""
     state = None if kind is None else scoring_state(model, points, kind, budget, order, oracle)
-    if isinstance(state, scoring.IntervalState):
+    if state is not None and _local(model, points.shape[1]):
         return state
     return _ModelLearner(model, points, state, order, oracle, budget)
 

@@ -204,15 +204,26 @@ def cross_kernel(X: np.ndarray, Y: np.ndarray, config: KernelConfig) -> np.ndarr
     """:func:`kernel_matrix` of nonempty 2-D float arrays, unchecked.
 
     The exponential is taken in place on the distance matrix, so the result
-    is the only array of its size that is allocated.
+    is the only array of its size that is allocated.  For d > 1, with
+    ``h = m 2^e`` (m in [1/2, 1)), the points are scaled by 2^-e, exactly, and
+    the distances divided by m: the bits of ``cdist(X, Y) / h`` wherever that
+    does not overflow.  A coordinate that overflows so raises ValueError.
     """
+    h = config.bandwidth
     if X.shape[1] == 1:  # |x - y| is the distance for every p
         out = X - Y.T
         np.abs(out, out=out)
     else:
         from scipy.spatial.distance import cdist  # not loaded by 1-D runs
+        h, e = np.frexp(h)
+        try:
+            with np.errstate(over="raise"):
+                X, Y = np.ldexp(X, -e), np.ldexp(Y, -e)
+        except FloatingPointError:
+            raise ValueError("a coordinate overflows in units of the bandwidth "
+                             f"{config.bandwidth!r}") from None
         out = cdist(X, Y, metric="minkowski", p=config.exponent)
-    out /= -config.bandwidth
+    out /= -h
     return np.exp(out, out=out)
 
 

@@ -277,14 +277,16 @@ class SortedIntervals:
     unlabeled points, and the interval's largest key at its left rank; a
     labeled rank's key is -inf, and the number of its points that are
     numerically indistinguishable from an end, where scores and selection
-    raise DuplicatePointError.  A subclass fills the first interval
-    ``(0, n + 1)`` once its own arrays exist (the spline's lies outside the
-    hull and needs none).  ``order`` is ``x``'s stable argsort
-    (:func:`sort_order`) when the caller already has it.  A point that is not
-    finite raises ValueError naming it.
+    raise DuplicatePointError.  It keeps ``f`` by rank, as the subclass writes
+    it, and given the points' ``oracle`` labels each interval's wrong signs
+    ``f >= 0``, whose total over all points is ``n_wrong``.  A subclass sets
+    its own arrays before this constructor fills ``(0, n + 1)``.  ``order``
+    is ``x``'s stable argsort (:func:`sort_order`) when the caller already
+    has it.  A point that is not finite raises ValueError naming it.
     """
 
-    def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, kind: ScoreKind, order: np.ndarray | None = None,
+                 oracle: np.ndarray | None = None):
         if kind not in (ScoreKind.FUNCTION_NORM, ScoreKind.DATA_NORM):
             raise ValueError(f"unknown score kind {kind!r}")
         require_finite(x)
@@ -293,24 +295,46 @@ class SortedIntervals:
         self._rank = np.empty(n, dtype=np.intp)
         self._rank[self._order] = np.arange(1, n + 1)
         self._x = np.concatenate([[-np.inf], x[self._order], [np.inf]])
-        self._y = np.zeros(n + 2)
+        self._y, self._f = np.zeros(n + 2), np.zeros(n + 2)  # f by rank; sentinels unused
         self._key = np.full(n + 2, -np.inf)  # -inf at the labeled ranks
         self._top = np.full(n + 2, -np.inf)  # largest key of each interval, by left rank
         self._labeled = [0, n + 1]  # labeled ranks, increasing
-        self._low, self._n_low = [0] * (n + 2), 0  # duplicate-like points, by left rank
+        # Duplicate-like and wrong-sign points, by left rank, and their totals.
+        self._low, self._n_low = [0] * (n + 2), 0
+        self._wrong, self.n_wrong = [0] * (n + 2), 0
+        # The oracle's signs by rank - 1.
+        self._truth = None if oracle is None else np.asarray(oracle)[self._order] > 0
+        self._fill(0, n + 1)
 
-    def _split(self, i: int, label: int) -> None:
+    @property
+    def f(self) -> np.ndarray:
+        """The interpolant at every point, by index."""
+        return self._f[self._rank]
+
+    def add(self, i: int, label: int) -> None:
+        """Condition on the label ``label`` at point ``i``; the subclass's
+        ``_label`` raises, before any change, where the label is undefined."""
+        if label not in (-1, 1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
         r = int(self._rank[i])
-        k = bisect.bisect(self._labeled, r)
+        k = bisect.bisect(self._labeled, r)  # the labeled neighbours are k - 1 and k
+        self._label(r, k, label)
         self._labeled.insert(k, r)
-        self._y[r], self._key[r] = label, -np.inf
+        self._y[r] = self._f[r] = label
+        self._key[r] = -np.inf
+        if self._truth is not None:
+            self.n_wrong += int((label > 0) != self._truth[r - 1])
         self._fill(self._labeled[k - 1], r)
         self._fill(r, self._labeled[k + 1])
 
-    def _count_low(self, lo: int, low: int) -> None:
-        """Replace the duplicate-like count of the interval at left rank ``lo`` and the total."""
+    def _count_at(self, lo: int, hi: int, low: int) -> None:
+        """Set the duplicate-like and wrong-sign counts of the interval ``(lo, hi)``."""
         self._n_low += low - self._low[lo]
         self._low[lo] = low
+        if self._truth is not None:
+            wrong = int(np.count_nonzero((self._f[lo + 1:hi] >= 0) != self._truth[lo:hi - 1]))
+            self.n_wrong += wrong - self._wrong[lo]
+            self._wrong[lo] = wrong
 
     def _check(self) -> None:
         """Raise where a score is undefined: here, next to a labeled point."""
@@ -384,10 +408,7 @@ class IntervalState(SortedIntervals):
 
     A label recomputes only the ``n_b`` points between its labeled neighbours,
     in O(n_b); the row sums of ``R^2`` are two prefix scans in log space, which
-    cannot overflow.  No n-by-n array and no rows of ``W`` are kept.  Per
-    labeled interval it also counts the points with ``S`` below the duplicate
-    floor and, given the points' ``oracle`` labels, those whose sign ``f >= 0``
-    is wrong; ``n_wrong`` is the total over all points.
+    cannot overflow.  No n-by-n array and no rows of ``W`` are kept.
     """
 
     def __init__(self, points, config: KernelConfig, kind: ScoreKind,
@@ -395,37 +416,23 @@ class IntervalState(SortedIntervals):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
         self.config, self.norm_sq = config, 0.0
-        # f, S and the row sums of R^2 by rank; the sentinel ranks stay unused.
-        self._f, self._s = np.zeros(n + 2), np.ones(n + 2)
+        # S and the row sums of R^2 by rank; the sentinel ranks stay unused.
+        self._s = np.ones(n + 2)
         self._r2 = np.empty(n + 2) if kind is ScoreKind.DATA_NORM else None
-        self._wrong, self.n_wrong = [0] * (n + 2), 0
-        super().__init__(points[:, 0], kind, order)
-        # The oracle's signs by rank - 1.
-        self._truth = None if oracle is None else np.asarray(oracle)[self._order] > 0
-        self._fill(0, n + 1)
-
-    @property
-    def f(self) -> np.ndarray:
-        """The interpolant at every point, by index."""
-        return self._f[self._rank]
+        super().__init__(points[:, 0], kind, order, oracle)
 
     @property
     def schur(self) -> np.ndarray:
         """S at every point, by index (0 at the labeled ones)."""
         return self._s[self._rank]
 
-    def add(self, i: int, label: int) -> None:
-        """Condition on the label ``label`` at point ``i`` (see :meth:`ScoringState.add`)."""
-        if label not in (-1, 1):
-            raise ValueError(f"label must be +1 or -1, got {label}")
-        r = self._rank[i]
+    def _label(self, r: int, k: int, label: int) -> None:
+        """``norm_sq`` with the label at rank ``r``; DuplicatePointError where
+        ``S`` is below the duplicate floor (see :meth:`ScoringState.add`)."""
         if self._s[r] < SCHUR_FLOOR:
             raise DuplicatePointError(_DUPLICATE)
         self.norm_sq += (label - self._f[r]) ** 2 / self._s[r]
-        self._f[r], self._s[r] = label, 0.0
-        if self._truth is not None:
-            self.n_wrong += int((label > 0) != self._truth[r - 1])
-        self._split(i, label)
+        self._s[r] = 0.0
 
     _offset = property(lambda self: self.norm_sq)
 
@@ -440,17 +447,11 @@ class IntervalState(SortedIntervals):
         mean_r2 = None if self._r2 is None else self._r2[r] / m
         return _scores_from(self.kind, self._f[r], self._s[r], norm_sq, mean_r2)
 
-    def _count_at(self, lo: int, low: int, wrong: int) -> None:
-        """Replace the counts of the interval at left rank ``lo`` and their totals."""
-        self._count_low(lo, low)
-        self.n_wrong += wrong - self._wrong[lo]
-        self._wrong[lo] = wrong
-
     def _fill(self, lo: int, hi: int) -> None:
         """f, S, the row sums of R^2, the keys and the counts strictly between labeled ``lo`` and ``hi``."""
         if hi - lo < 2:
             self._top[lo] = -np.inf
-            self._count_at(lo, 0, 0)
+            self._count_at(lo, hi, 0)
             return
         x, h = self._x[lo + 1:hi], self.config.bandwidth
         da, db = (x - self._x[lo]) / h, (self._x[hi] - x) / h
@@ -459,9 +460,7 @@ class IntervalState(SortedIntervals):
         f = self._f[lo + 1:hi] = (self._y[lo] * np.exp(-da) * B
                                   + self._y[hi] * np.exp(-db) * A) / D
         schur = self._s[lo + 1:hi] = A * B / D
-        wrong = 0 if self._truth is None else int(np.count_nonzero(
-            (f >= 0) != self._truth[lo:hi - 1]))
-        self._count_at(lo, int(np.count_nonzero(schur < SCHUR_FLOOR)), wrong)
+        self._count_at(lo, hi, int(np.count_nonzero(schur < SCHUR_FLOOR)))
         r2 = None
         # A repeat of a labeled point has A or B = 0, so S = 0 (select raises there).
         with np.errstate(divide="ignore", invalid="ignore"):

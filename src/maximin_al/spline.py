@@ -32,13 +32,12 @@ with the label ``t(u)`` minimizing it (ties at the exact midpoint go to +1):
   within about 1e-154 w of a labeled point: such a candidate raises
   DuplicatePointError.
 
-Runs score from a :class:`SplineState`, which keeps these terms per point and
-recomputes them only on the interval a label splits, and the knots and
-roughness ``R(f)`` of its labels, so a scored run fits no spline: its learner
-reads the state's :attr:`~SplineState.spline`; the acceptance checks score
-on it too.  :func:`spline_score_pool` and :func:`spline_select_next` score a
-pool from a fitted spline and are its reference.  One function, ``_knots``,
-decides which labeled sets define a spline: a labeled span so wide that a
+A :class:`SplineState` keeps these terms per point, recomputes them only on
+the interval a label splits, and keeps the spline of its labels: it is a
+scored run's learner, and the acceptance checks score on it too.
+:func:`spline_score_pool` and :func:`spline_select_next` score a pool from a
+fitted spline and are its reference.  One function, ``_knots``, decides
+which labeled sets define a spline: a labeled span so wide that a
 boundary knot overflows raises ValueError; a repeated position, oppositely
 labeled positions closer than 2^-1021 and a roughness that overflows raise
 DuplicatePointError.  Both :func:`fit_spline` and :meth:`SplineState.add`
@@ -49,7 +48,6 @@ DuplicatePointError in both the state and the reference.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -129,17 +127,12 @@ class SplineInterpolator:
         order = np.argsort(positions)
         self._set_knots(*_knots(positions[order], values[order].astype(float)))
 
-    @classmethod
-    def _from_knots(cls, knots, knot_values, slopes, weight_norm: float) -> "SplineInterpolator":
-        """The spline of ``_knots``'s result, with no sort and no check."""
-        spline = cls.__new__(cls)
-        spline._set_knots(knots, knot_values, slopes, weight_norm)
-        return spline
-
-    def _set_knots(self, knots, knot_values, slopes, weight_norm: float) -> None:
+    def _set_knots(self, knots, knot_values, slopes, weight_norm: float) -> "SplineInterpolator":
+        """This spline, set to ``_knots``'s result with no sort and no check."""
         self.knots, self.knot_values, self.slopes = knots, knot_values, slopes
         self.positions, self.values = knots[1:-1], knot_values[1:-1]
         self.weight_norm = weight_norm
+        return self
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -233,47 +226,44 @@ def _hat_mean_sq(m: SplineInterpolator, u: np.ndarray, j: np.ndarray) -> np.ndar
 class SplineState(SortedIntervals):
     """Spline scores of fixed 1-D points, recomputed only on the interval a label splits.
 
-    It keeps the terms of :func:`spline_score_pool` (the reference) per point,
-    and the knots, knot values, slopes and roughness ``weight_norm`` that
-    ``_knots`` returns per label on the labeled points, as ``fit_spline``
-    computes them, bit for bit; :attr:`spline` is that spline.  So
-    :meth:`scores` equals the reference on the unlabeled points and raises as
-    it does; :meth:`select` picks from them as ``pick`` does on :meth:`scores`.
+    It keeps the terms of :func:`spline_score_pool` (the reference) per point
+    and the :attr:`spline` that ``fit_spline`` fits on the labeled points,
+    bit for bit, with its roughness ``weight_norm`` (None and 0 before any
+    label).  So :meth:`scores` equals the reference on the unlabeled points
+    and raises as it does; :meth:`select` picks from them as ``pick`` does.
+    A label evaluates the new spline from its left labeled neighbour through
+    its right one (the pool's end where one is missing): ``np.interp`` takes
+    each point from the two knots of its interval, and the boundary knots
+    move only with a new extreme, so ``f`` is ``spline.predict`` bit for bit.
     """
 
-    def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None):
+    def __init__(self, points, kind: ScoreKind, order: np.ndarray | None = None,
+                 oracle: np.ndarray | None = None):
         x = np.asarray(points, dtype=float).ravel()
-        self._repeated, self.weight_norm = False, 0.0
-        self.knots = self.knot_values = self.slopes = np.empty(0)
+        self._repeated, self.spline, self.weight_norm = False, None, 0.0
         # The terms by rank; the sentinel ranks stay unused.
-        self._dplus, self._dminus, self._f, self._hat = (np.zeros(len(x) + 2) for _ in range(4))
-        super().__init__(x, kind, order)
+        self._dplus, self._dminus, self._hat = (np.zeros(len(x) + 2) for _ in range(3))
+        super().__init__(x, kind, order, oracle)
 
     _offset = property(lambda self: self.weight_norm)
 
-    def add(self, i: int, label: int) -> None:
-        """Condition on the label ``label`` at point ``i``; raises where
-        :func:`fit_spline` on the labeled points would, before any change."""
-        if label not in (-1, 1):
-            raise ValueError(f"label must be +1 or -1, got {label}")
-        r = self._rank[i]
+    def _label(self, r: int, k: int, label: int) -> None:
+        """The spline with the label at rank ``r`` and its values where they
+        change; raises where :func:`fit_spline` on the labeled points would."""
         # The labeled ranks with r, in order: equal points have adjacent ranks,
         # so a repeat of r is its labeled neighbour, a zero gap for _knots.
-        k = bisect.bisect(self._labeled, r)
         ranks = np.array(self._labeled[1:k] + [r] + self._labeled[k:-1])
         x = self._x
-        self.knots, self.knot_values, self.slopes, self.weight_norm = _knots(
-            x[ranks], np.where(ranks == r, label, self._y[ranks]))
+        knots = _knots(x[ranks], np.where(ranks == r, label, self._y[ranks]))
+        self.spline = SplineInterpolator.__new__(SplineInterpolator)._set_knots(*knots)
+        self.weight_norm = self.spline.weight_norm
         self._repeated |= x[r] in (x[r - 1], x[r + 1])
-        self._split(i, label)
+        lo, hi = max(self._labeled[k - 1], 1), min(self._labeled[k], len(self._order)) + 1
+        self._f[lo:hi] = self.spline.predict(x[lo:hi])
 
-    @property
-    def spline(self) -> SplineInterpolator:
-        """The spline through the labels, as :func:`fit_spline` fits it."""
-        if not len(self.knots):
-            raise ValueError("need at least one labeled point")
-        return SplineInterpolator._from_knots(self.knots, self.knot_values, self.slopes,
-                                      self.weight_norm)
+    def predict(self, points) -> np.ndarray:
+        """The spline at the rows of ``points``; it needs a label."""
+        return self.spline.predict(np.atleast_2d(np.asarray(points, dtype=float))[:, 0])
 
     def _check(self) -> None:
         if self._repeated:
@@ -296,10 +286,9 @@ class SplineState(SortedIntervals):
         return (labels - self._f[ranks]) ** 2 * (self._hat[ranks] / m), labels
 
     def _fill(self, lo: int, hi: int) -> None:
-        self._top[lo] = -np.inf
-        self._count_low(lo, 0)
+        self._top[lo], low = -np.inf, 0
         if lo == 0 or hi == len(self._x) - 1 or hi - lo < 2:
-            return  # outside the hull, where scores raise, or empty
+            return self._count_at(lo, hi, low)  # outside the hull, where scores raise, or empty
         u, ranks = self._x[lo + 1:hi], slice(lo + 1, hi)
         xl, xr, yl, yr = self._x[lo], self._x[hi], self._y[lo], self._y[hi]
         # Repeats, and points within about 1e-154 w of an end: scores raise there.
@@ -307,9 +296,8 @@ class SplineState(SortedIntervals):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._dplus[ranks], self._dminus[ranks] = _roughness_deltas(u, xl, xr, yl, yr)
             if self.kind is ScoreKind.DATA_NORM:
-                self._f[ranks] = np.interp(u, (xl, xr), (yl, yr))
                 dl, dr = ((u - xl) / (xr - xl)) ** 2, ((xr - u) / (xr - xl)) ** 2
-                self._count_low(lo, int(np.count_nonzero((dl == 0) | (dr == 0))))
+                low = int(np.count_nonzero((dl == 0) | (dr == 0)))
                 rise, fall = np.zeros(len(u) + 1), np.zeros(len(u) + 1)
                 np.cumsum(dl, out=rise[1:])
                 np.cumsum(dr[::-1], out=fall[:-1][::-1])
@@ -317,6 +305,7 @@ class SplineState(SortedIntervals):
                 self._hat[ranks] = rise[at] / dl + fall[at] / dr
             key = self._key[ranks] = self._score(ranks, 0.0, 1)[0]
         self._top[lo] = key.max()
+        self._count_at(lo, hi, low)
 
 
 def spline_select_next(m: SplineInterpolator, candidates, kind: ScoreKind,

@@ -7,6 +7,7 @@ points and their hidden labels as a :class:`TaskSample` of plain arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,8 @@ class ClusterSpec:
     radii, labels, counts : arrays of shape (M,)
     p : float
         Minkowski order of the balls (and of the kernel meant to run on them).
+
+    Counts must be integers and ``p`` a real number (not booleans or strings).
     """
 
     centers: np.ndarray
@@ -95,10 +98,10 @@ class ClusterSpec:
             raise ValueError("radii must be positive")
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
-        if np.any(counts < 1):
-            raise ValueError("counts must be at least 1")
-        if p < 1:
-            raise ValueError(f"p must be at least 1, got {p}")
+        if counts.dtype.kind not in "iu" or np.any(counts < 1):
+            raise ValueError(f"counts must be integers of at least 1, got {counts.tolist()}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not p >= 1:
+            raise ValueError(f"p must be a real number of at least 1, got {p!r}")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "labels", labels.astype(int))

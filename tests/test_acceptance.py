@@ -14,7 +14,7 @@ import pytest
 
 from maximin_al import acceptance
 from maximin_al.harness import ModelConfig, _learner
-from maximin_al.scoring import IntervalState, ScoreKind, ScoringState
+from maximin_al.scoring import IntervalState, ScoreKind, ScoringState, SortedIntervals
 from maximin_al.spline import SplineState
 
 
@@ -125,5 +125,5 @@ def test_checks_score_on_the_state_a_run_scores_from(dim, model, state, kind):
     points = np.random.default_rng(3).uniform(size=(6, dim))
     learner = _learner(model, points, kind, 3, np.argsort(points[:, 0], kind="stable"),
                        np.ones(6, dtype=int))
-    run_state = learner if isinstance(learner, IntervalState) else learner.state
+    run_state = learner if isinstance(learner, SortedIntervals) else learner.state
     assert type(run_state) is type(acceptance._state(points, model, [], kind)) is state

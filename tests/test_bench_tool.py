@@ -19,17 +19,24 @@ METRICS = {"setup_s", "wall_s", "step_ms", "queries_to_zero", "peak_rss_mb"}
 def test_rule_needs_nine_wins_in_ten_and_a_gap_wider_than_the_iqr():
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
     # The parent's IQR is 11-13; a median 3 lower wins every pair.
-    assert bench.compare(parent, [p - 3.0 for p in parent], "lower") == \
-        {"wins": 10, "pairs": 10, "rule_holds": True}
+    assert bench.compare(parent, [p - 3.0 for p in parent], "lower", 0.25) == \
+        {"wins": 10, "pairs": 10, "rule_holds": True, "within_bound": True}
     # A gap of 1.5 is narrower than the IQR of 2.
-    assert not bench.compare(parent, [p - 1.5 for p in parent], "lower")["rule_holds"]
+    assert not bench.compare(parent, [p - 1.5 for p in parent], "lower", 0.25)["rule_holds"]
     # Eight wins are too few, however wide the gap.
     change = [p - 5.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]
-    assert bench.compare(parent, change, "lower")["wins"] == 8
-    assert not bench.compare(parent, change, "lower")["rule_holds"]
+    assert bench.compare(parent, change, "lower", 0.25)["wins"] == 8
+    assert not bench.compare(parent, change, "lower", 0.25)["rule_holds"]
     # Higher is better: the same numbers, read the other way.
-    assert bench.compare(parent, [p + 3.0 for p in parent], "higher")["rule_holds"]
-    assert bench.compare(parent, parent, "lower")["wins"] == 0
+    assert bench.compare(parent, [p + 3.0 for p in parent], "higher", 0.25)["rule_holds"]
+    assert bench.compare(parent, parent, "lower", 0.25)["wins"] == 0
+    # No gain, and the bound: the parent's median is 12, so a median up to
+    # 12 * 1.25 = 15 is within a bound of 0.25, and 15.5 is not.
+    assert bench.compare(parent, parent, "lower", 0.25)["within_bound"]
+    assert bench.compare(parent, [p + 3.0 for p in parent], "lower", 0.25)["within_bound"]
+    assert not bench.compare(parent, [p + 3.5 for p in parent], "lower", 0.25)["within_bound"]
+    assert not bench.compare(parent, [p - 3.5 for p in parent], "higher", 0.25)["within_bound"]
+    assert bench.compare(parent, [p - 3.0 for p in parent], "higher", 0.25)["within_bound"]
 
 
 def test_snapshot_copies_the_working_files_once(tmp_path, monkeypatch):

@@ -111,6 +111,12 @@ class TestGen:
         ("threshold", {"n": 50, "k": True}, "k must be an integer, got True"),
         ("threshold", {"n": "50", "k": 2}, "n must be an integer, got '50'"),
         ("threshold", {"n": 50, "k": 2.0}, r"k must be an integer, got 2\.0"),
+        ("clusters", {"centers": [[0.0], [1.0]], "radii": [0.1, 0.1], "labels": [1, -1],
+                      "counts": [2.9, 5]}, r"counts must be integers .*got \[2\.9, 5\.0\]"),
+        ("clusters", {"centers": [[0.0]], "radii": [0.1], "labels": [1], "counts": [5],
+                      "p": "2"}, "p must be a real number .*got '2'"),
+        ("clusters", {"centers": [[0.0]], "radii": [0.1], "labels": [1], "counts": [5],
+                      "p": None}, "p must be a real number .*got None"),
         ("threshold", None, r"No such file or directory: .*spec\.json"),
     ])
     def test_malformed_spec_names_the_key(self, tmp_path, capsys, task, spec, match):
@@ -165,6 +171,10 @@ class TestRun:
     ({"task": {"kind": "threshold", "n": 64.5, "k": 2}}, "n must be an integer, got 64.5"),
     ({"task": {"kind": "threshold", "n": 64, "k": "2"}}, "k must be an integer, got '2'"),
     ({"task": {"kind": "threshold", "n": False, "k": 2}}, "n must be an integer, got False"),
+    ({"task": {"kind": "csv", "path": "data.csv", "holdout": "0.2"}},
+     "holdout must be a real number, got '0.2'"),
+    ({"task": {"kind": "csv", "path": "data.csv", "holdout": True}},
+     "holdout must be a real number, got True"),
     (None, r"No such file or directory: .*missing\.json"),
 ])
 def test_malformed_config_is_one_error_line(tmp_path, capsys, command, overrides, match):

@@ -465,7 +465,7 @@ def _local_span_sizes(x: np.ndarray, indices, local: bool) -> list[int]:
 def _line_learners(draw):
     """Distinct 1-D points in clusters around up to three centres (negative
     ones too, spans up to 1e4 times the cluster width), their +-1 labels, a
-    model-backed learner over them and an order to label them in: a random
+    run's 1-D learner over them and an order to label them in: a random
     one, or outward from the middle, a new extreme on alternating sides."""
     scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e4]))
     centres = draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=3))
@@ -531,19 +531,18 @@ class TestLearnerProtocol:
     @given(_line_learners())
     def test_local_evaluation_equals_predict_at_every_point(self, case):
         # After every label the kept values are predict at every point, bit
-        # for bit, and a scored spline's state holds fit_spline's spline.
+        # for bit, and n_wrong is a full recount of them; a scored spline
+        # run's learner is its SplineState, whose values are fit_spline's.
         points, labels, learner, labeled = case
         x = points[:, 0]
         for k, i in enumerate(labeled):
             learner.add(int(i), int(labels[i]))
             want = learner.predict(points)
+            if isinstance(learner, SplineState):
+                done = list(labeled[:k + 1])
+                assert want.tobytes() == fit_spline(x[done], labels[done]).predict(x).tobytes()
             assert learner.f.tobytes() == want.tobytes()
             assert learner.n_wrong == np.count_nonzero((want >= 0) != (labels > 0))
-            if isinstance(learner.state, SplineState):
-                done = list(labeled[:k + 1])
-                fresh = fit_spline(x[done], labels[done])
-                assert learner.state.spline.predict(x).tobytes() == \
-                    fresh.predict(x).tobytes()
 
     @pytest.mark.parametrize("layout", sorted(LEARNER_LAYOUTS))
     @pytest.mark.parametrize("seed", range(2))
@@ -582,6 +581,25 @@ class TestLearnerProtocol:
                 fresh = fit(LabeledSet(points[idx], oracle[idx]), KernelConfig(model.h, model.p))
                 f = fresh.predict(points[[step.index]])[0]
             assert step.estimated_label == scoring.sign_labels(f)
+
+    @pytest.mark.parametrize("score", ["function", "data"])
+    def test_scored_spline_runs_evaluate_the_spline_once_per_label(self, monkeypatch, score):
+        # A scored spline run's SplineState evaluates its spline once per
+        # label, on the span a model learner would: all n points for the
+        # first label, then from the label's labeled neighbours through each
+        # other.  The benchmark takes spline.predict's counts on these calls.
+        task, model = LEARNER_LAYOUTS["spline"]
+        cfg = ExperimentConfig(task=task, model=model, score=score, budget=20, seed=2)
+        rows, predict = [], SplineInterpolator.predict
+
+        def counted(self, x):
+            rows.append(np.size(x))
+            return predict(self, x)
+        monkeypatch.setattr(SplineInterpolator, "predict", counted)
+        steps = run_experiment(cfg).steps
+        monkeypatch.undo()
+        x = _task_points(cfg)[0][:, 0]
+        assert rows == _local_span_sizes(x, [s.index for s in steps], True)
 
     @pytest.mark.parametrize("layout", ["kernel-p2", "clusters-p2", "clusters-5d"])
     def test_scored_dense_learners_keep_the_bits_of_predict(self, layout):

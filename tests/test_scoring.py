@@ -6,6 +6,7 @@ and tie-breaking uniformity is checked with a chi-square test.
 """
 
 import copy
+import inspect
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from maximin_al.scoring import (
     IntervalState,
     ScoreKind,
     ScoringState,
+    SortedIntervals,
     pick,
     score_pool,
     select_next,
@@ -521,22 +523,32 @@ class TestIntervalState:
                 model = fit(LabeledSet(points[0:3 * k:3], labels[:k]), KernelConfig(0.1, 1.0))
                 assert np.array_equal(state.predict(X), model.predict(X))
 
-    def test_the_learner_takes_it_for_1d_p1_only(self):
-        # A scored 1-D p = 1 run learns with its IntervalState; other kernel runs
-        # grow a model, beside a ScoringState when scored.
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_scored_local_runs_learn_with_their_state(self, kind):
+        # A scored run whose model a label changes only between its labeled
+        # neighbours learns with its state: a 1-D p = 1 kernel's IntervalState,
+        # a spline's SplineState.  Random runs and the other kernel runs grow a
+        # model, beside a ScoringState when scored and never beside a 1-D
+        # state; _learner decides by _local alone, with no type test.
         line, plane = np.linspace(0.0, 1.0, 5)[:, None], np.zeros((5, 2))
-        data, no_state = ScoreKind.DATA_NORM, type(None)
-        for points, p, kind, cls, state in (
-                (line, 1.0, data, IntervalState, None),
-                (line, 1.0, None, _ModelLearner, no_state),
-                (line, 2.0, data, _ModelLearner, ScoringState),
-                (plane, 1.0, data, _ModelLearner, ScoringState),
-                (plane, 1.0, None, _ModelLearner, no_state)):
-            learner = _learner(ModelConfig("kernel", 0.1, p), points, kind, 3,
-                               np.arange(5), np.ones(5, int))
+        spline, no_state = ModelConfig("spline"), type(None)
+
+        def kernel(p):
+            return ModelConfig("kernel", 0.1, p)
+        for points, model, score, cls, state in (
+                (line, kernel(1.0), kind, IntervalState, None),
+                (line, spline, kind, SplineState, None),
+                (line, kernel(1.0), None, _ModelLearner, no_state),
+                (line, spline, None, _ModelLearner, no_state),
+                (line, kernel(2.0), kind, _ModelLearner, ScoringState),
+                (plane, kernel(1.0), kind, _ModelLearner, ScoringState),
+                (plane, kernel(1.0), None, _ModelLearner, no_state)):
+            learner = _learner(model, points, score, 3, np.arange(5), np.ones(5, int))
             assert type(learner) is cls
             if state is not None:
                 assert type(learner.state) is state
+                assert not isinstance(learner.state, SortedIntervals)
+        assert "isinstance" not in inspect.getsource(_learner)
 
     @pytest.mark.parametrize("kind", list(ScoreKind))
     def test_scores_cover_the_unlabeled_points_in_index_order(self, kind):

@@ -64,6 +64,18 @@ def hat_mean_sq_loop(m: SplineInterpolator, u, j) -> np.ndarray:
     return out
 
 
+def assert_unchanged(state: SplineState, before: SplineState) -> None:
+    """Every attribute of ``state`` equals ``before``'s, and its spline's knots,
+    knot values, slopes and roughness bit for bit."""
+    for name, value in vars(before).items():
+        if name == "spline" and value is not None:
+            for attr in ("knots", "knot_values", "slopes", "weight_norm"):
+                assert np.asarray(getattr(state.spline, attr)).tobytes() == \
+                    np.asarray(getattr(value, attr)).tobytes(), attr
+        else:
+            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+
+
 def numeric_total_variation(m: SplineInterpolator, samples=10_000) -> float:
     """TV of f' measured from dense function samples far past the boundary."""
     lo = m.knots[0] - 1.0
@@ -557,8 +569,7 @@ class TestSplineState:
                 with pytest.raises(ValueError) as raised:
                     state.add(i, int(y[i]))
                 assert (type(raised.value), str(raised.value)) == (type(err), str(err))
-                for name, value in vars(before).items():
-                    np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+                assert_unchanged(state, before)
                 return
             state.add(i, int(y[i]))
             assert state.weight_norm == m.weight_norm
@@ -593,8 +604,7 @@ class TestSplineState:
         before = copy.deepcopy(state)
         with pytest.raises(DuplicatePointError, match="roughness overflows"):
             state.add(order[3], int(y[order[3]]))
-        for name, value in vars(before).items():
-            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+        assert_unchanged(state, before)
 
     def test_a_function_score_that_overflows_raises(self):
         # Labels -1, +1, -1 at 0, 5e-308 and 1e-307 give a roughness of
@@ -637,8 +647,7 @@ class TestSplineState:
         before = copy.deepcopy(state)
         with pytest.raises(ValueError, match=re.escape(str(err.value))):
             state.add(2, -1)
-        for name, value in vars(before).items():
-            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+        assert_unchanged(state, before)
         state.add(1, -1)
         assert state.weight_norm == fit_spline(x[[0, 1]], [1, -1]).weight_norm
 
@@ -669,5 +678,4 @@ class TestSplineState:
         before = copy.deepcopy(state)
         with pytest.raises(ValueError, match=re.escape(str(err.value))):
             state.add(0, 1)
-        for name, value in vars(before).items():
-            np.testing.assert_array_equal(vars(state)[name], value, err_msg=name)
+        assert_unchanged(state, before)

@@ -84,6 +84,11 @@ class TestClusterSpec:
             ClusterSpec(**{**good, "counts": [10, 0]})
         with pytest.raises(ValueError):
             ClusterSpec(**{**good, "p": 0.5})
+        # Not truncated to 2 and 5, and not a TypeError.
+        for bad in ({"counts": [2.9, 5]}, {"counts": [True, True]}, {"p": "2"},
+                    {"p": None}, {"p": True}):
+            with pytest.raises(ValueError, match="must be"):
+                ClusterSpec(**{**good, **bad})
         with pytest.raises(ValueError):  # overlapping balls
             ClusterSpec([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [1, -1], [5, 5])
 

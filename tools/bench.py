@@ -19,7 +19,10 @@ its end-to-end metrics the file gives the change's median and interquartile
 range, the parent's, the number of pairs the change wins
 (strictly better, in the metric's direction) and whether the ten-pair rule
 holds: at least 9 wins in 10 pairs (the same share of N) and a median gap, in
-the better direction, wider than the parent's interquartile range.  The file
+the better direction, wider than the parent's interquartile range; and whether
+the change's median is within the metric's bound (``within_bound``): worse
+than the parent's by no more than that share of it, the gate a change that
+claims no gain must pass.  The file
 also records both revisions (``dirty`` when the copy's ``src`` or
 ``perfbench`` files differ from HEAD's), the load average before the first
 run and the environment the first run prints (Python, NumPy, SciPy, the BLAS
@@ -61,6 +64,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 # Wins needed, as a share of the pairs: 9 of 10.
 WIN_SHARE = 0.9
 # The phases of a step, each in ms per step, and what each one times.
@@ -71,7 +75,8 @@ PHASES = {
     "kernel": "cross_kernel, wherever it is called",
     "selection": "scoring._draw, the tie-breaking argmax",
     "scoring": "the learner's select, less selection and kernel evaluations",
-    "error": "the learner's n_wrong",
+    "error": "the learner's n_wrong: a 1-D state's is an attribute read, its "
+             "counting falls in update",
     "other": "the rest of run_experiment: the step's bookkeeping and the timers",
 }
 
@@ -142,15 +147,17 @@ def spread(values: list[float]) -> dict:
     return {"median": float(median), "iqr": [float(q1), float(q3)]}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """The change's wins over the parent, pair by pair, and the ten-pair rule."""
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The change's wins over the parent, pair by pair, the ten-pair rule, and
+    whether its median is worse than the parent's by at most ``bound`` of it."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     before, after = spread(parent), spread(change)
     gap = sign * (before["median"] - after["median"])
     width = before["iqr"][1] - before["iqr"][0]
     return {"wins": int(wins), "pairs": len(parent),
-            "rule_holds": bool(wins >= math.ceil(WIN_SHARE * len(parent)) and gap > width)}
+            "rule_holds": bool(wins >= math.ceil(WIN_SHARE * len(parent)) and gap > width),
+            "within_bound": bool(-gap <= bound * abs(before["median"]))}
 
 
 def revisions(against: str, dirty: bool) -> dict:
@@ -176,7 +183,7 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         values = {tree: [r["metrics"][name]["value"] for r in rs] for tree, rs in runs.items()}
         row = {"better": better, "unit": runs["change"][0]["metrics"][name]["unit"]}
         row.update({tree: spread(v) for tree, v in values.items()})
-        row.update(compare(values["parent"], values["change"], better))
+        row.update(compare(values["parent"], values["change"], better, BOUND[name]))
         out[name] = row
     return out
 
@@ -334,7 +341,8 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: change {row['change']['median']:.6g}, parent "
                       f"{row['parent']['median']:.6g} (IQR {row['parent']['iqr'][0]:.6g}-"
                       f"{row['parent']['iqr'][1]:.6g}), {row['wins']}/{row['pairs']} wins, "
-                      f"rule {'holds' if row['rule_holds'] else 'fails'}", flush=True)
+                      f"rule {'holds' if row['rule_holds'] else 'fails'}, bound {BOUND[name]} "
+                      f"{'holds' if row['within_bound'] else 'FAILS'}", flush=True)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
     return 0 if match else 1
